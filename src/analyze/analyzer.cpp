@@ -104,7 +104,7 @@ AnalyzeReport Analyzer::run(const InstanceSpec& spec, const Topology& topology,
   Stopwatch timer;
 
   AnalyzeReport report;
-  report.instance = spec.name.empty() ? to_spec_string(spec) : spec.name;
+  report.instance = display_name(spec);
   report.spec = to_spec_string(spec);
   report.topology = topology.family();
   report.routing = routing.name();

@@ -5,7 +5,6 @@
 
 #include "analyze/analyzer.hpp"
 #include "instance/batch_runner.hpp"
-#include "instance/network_instance.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/require.hpp"
@@ -42,7 +41,7 @@ CampaignReport run_campaign(const InstanceSpec& base,
   const std::vector<InstanceSpec> variants = model.variants(options.plan);
 
   CampaignReport report;
-  report.instance = base.name.empty() ? to_spec_string(base) : base.name;
+  report.instance = display_name(base);
   report.spec = to_spec_string(base);
   report.plan = to_string(options.plan);
   report.links = model.links().size();
@@ -102,12 +101,11 @@ CampaignReport run_campaign(const InstanceSpec& base,
             out.wall_ms = variant_timer.elapsed_ms();
             continue;
           }
-          NetworkInstance instance(vspec);
           InstanceVerifyOptions verify_options;  // sequential: the shard
                                                  // parallelism is across
                                                  // variants, not within one
           const VerifyReport verified =
-              pipeline.run(instance, artifacts, verify_options);
+              pipeline.run(vspec, artifacts, verify_options);
           out.deadlock_free = verified.verdict.deadlock_free;
           out.method = verified.verdict.method;
           out.edges = verified.verdict.edges;

@@ -162,8 +162,8 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
   {
     // The ROADMAP's scaling axis. depgraph_generic_8x8 above is the PR-1
     // baseline (~1.2 ms/op); these trace the per-destination fast builder
-    // sequentially and destination-sharded up to 64x64, plus the parallel
-    // SCC stage that keeps the cycle check linear at that scale.
+    // sequentially and destination-sharded up to 64x64, plus the
+    // sequential acyclicity pass against Tarjan at that scale.
     auto pool = std::make_shared<BatchRunner>(threads);
     auto mesh16 = std::make_shared<Mesh2D>(16, 16);
     auto routing16 = std::make_shared<XYRouting>(*mesh16);
@@ -177,7 +177,7 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
                      "fast builder on 16x16, destination-sharded",
                      [mesh16, routing16, pool] {
                        const PortDepGraph dep =
-                           build_dep_graph_parallel(*routing16, *pool);
+                           build_dep_graph_fast(*routing16, pool.get());
                        keep(dep.graph.edge_count());
                      }});
     auto mesh32 = std::make_shared<Mesh2D>(32, 32);
@@ -186,7 +186,7 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
                      "fast builder on 32x32, destination-sharded",
                      [mesh32, routing32, pool] {
                        const PortDepGraph dep =
-                           build_dep_graph_parallel(*routing32, *pool);
+                           build_dep_graph_fast(*routing32, pool.get());
                        keep(dep.graph.edge_count());
                      }});
     auto mesh64 = std::make_shared<Mesh2D>(64, 64);
@@ -202,12 +202,12 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
                      "fast builder on 64x64, destination-sharded",
                      [mesh64, routing64, pool] {
                        const PortDepGraph dep =
-                           build_dep_graph_parallel(*routing64, *pool);
+                           build_dep_graph_fast(*routing64, pool.get());
                        keep(dep.graph.edge_count());
                      }});
     // Built on first use (the warm-up call), not at suite construction:
     // `--filter` would otherwise make every bench invocation pay the
-    // ~0.2 s 64x64 build only to erase the SCC entries.
+    // ~0.2 s 64x64 build only to erase the graph entries.
     auto dep64 = std::make_shared<std::optional<PortDepGraph>>();
     auto dep64_graph = [mesh64, routing64, dep64]() -> const Digraph& {
       if (!dep64->has_value()) {
@@ -221,12 +221,11 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
                        const SccResult scc = tarjan_scc(dep64_graph());
                        keep(scc.components.size());
                      }});
-    suite.push_back({"scc_parallel_64x64",
-                     "parallel SCC (trim + FW-BW) on the 64x64 XY dep graph",
-                     [dep64_graph, pool] {
-                       const SccResult scc =
-                           parallel_scc(dep64_graph(), *pool);
-                       keep(scc.components.size());
+    suite.push_back({"find_cycle_64x64",
+                     "sequential DFS acyclicity (the verify pass) on the "
+                     "64x64 XY dep graph",
+                     [dep64_graph] {
+                       keep(find_cycle(dep64_graph()).has_value() ? 1 : 0);
                      }});
     suite.push_back({"registry_verify_all",
                      "genoc verify --all: every non-heavy registered instance",
@@ -238,7 +237,7 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
                      }});
     // Batch-wide artifact reuse, steady state: the store persists across
     // iterations, so after the first pass every dependency graph, primed
-    // closure, SCC verdict and escape analysis is a cache hit — the
+    // closure, acyclicity verdict and escape analysis is a cache hit — the
     // re-verification cost of a trend sweep (`verify --all --baseline`)
     // over unchanged instances.
     auto store = std::make_shared<ArtifactStore>();
@@ -254,12 +253,10 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
                        keep(verdicts.size());
                      }});
 
-    // This PR's perf pass: the escape-lane analysis — the 64x64-torus
-    // bottleneck — sequential vs destination-sharded, and the
-    // level-synchronous trim rounds on the torus dependency graph (wrap
-    // rings survive the trim, so this exercises every parallel_scc stage).
-    // CI guards the parallel/sequential escape ratio on multicore runners
-    // (tools/check_bench_guard.py --escape-speedup).
+    // The escape-lane analysis — the 64x64-torus bottleneck — sequential
+    // vs destination-sharded. CI guards the parallel/sequential escape
+    // ratio on multicore runners (tools/check_bench_guard.py
+    // --escape-speedup).
     auto torus64 = std::make_shared<Mesh2D>(64, 64, true, true);
     auto torus64_routing = std::make_shared<TorusXYRouting>(*torus64);
     auto torus64_escape = std::make_shared<XYRouting>(*torus64);
@@ -277,22 +274,6 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
                        const EscapeAnalysis analysis = analyze_escape(
                            *torus64_routing, *torus64_escape, pool.get());
                        keep(analysis.deadlock_free ? 1 : 0);
-                     }});
-    auto torus_dep = std::make_shared<std::optional<PortDepGraph>>();
-    auto torus_dep_graph =
-        [torus64, torus64_routing, torus_dep]() -> const Digraph& {
-      if (!torus_dep->has_value()) {
-        *torus_dep = build_dep_graph_fast(*torus64_routing);
-      }
-      return (*torus_dep)->graph;
-    };
-    suite.push_back({"trim_parallel_64x64",
-                     "parallel SCC (level-synchronous trim rounds) on the "
-                     "64x64 torus dep graph",
-                     [torus_dep_graph, pool] {
-                       const SccResult scc =
-                           parallel_scc(torus_dep_graph(), *pool);
-                       keep(scc.components.size());
                      }});
 
     // This PR's perf pass: the tiered reachability closure and the

@@ -58,8 +58,8 @@ constexpr const char* kUsage =
     "  --instance X   verify a registered instance (see `genoc list`) or an\n"
     "                 ad-hoc spec: \"topology=torus size=16x16 routing=odd_even\"\n"
     "  --all          verify every registered instance (matrix report)\n"
-    "  --heavy        include presets tagged heavy in --all (none today:\n"
-    "                 the sharded escape/trim stages retired the jail)\n"
+    "  --heavy        include presets tagged heavy in --all (`genoc list`\n"
+    "                 marks them; mesh256-xy today)\n"
     "  --threads N    BatchRunner threads (default 0 = hardware concurrency)\n"
     "  --sequential   disable the parallel BatchRunner\n"
     "  --constraints  additionally discharge (C-1)/(C-2) per instance\n"

@@ -1,5 +1,6 @@
 #include "deadlock/depgraph.hpp"
 
+#include <algorithm>
 #include <bit>
 
 #include "obs/metrics.hpp"
@@ -120,63 +121,46 @@ PortDepGraph build_dep_graph_analytic(const RoutingFunction& routing) {
   return result;
 }
 
-PortDepGraph build_dep_graph_fast(const RoutingFunction& routing) {
-  if (routing.has_in_port_unions()) {
-    return build_dep_graph_analytic(routing);
-  }
-  obs::TraceSpan span("build_dep_graph_fast");
-  const Topology& topo = routing.topology();
-  RouteSweeper sweeper(routing);
-  std::vector<RouteSweeper::Edge> edges;
-  // The sweeper suppresses repeat emissions, so the buffer stays near the
-  // final edge count; ~3 edges per port covers every routing here.
-  edges.reserve(topo.port_count() * 3);
-  for (std::size_t dest = 0; dest < topo.destination_count(); ++dest) {
-    sweeper.sweep(dest, &edges, nullptr);
-  }
-  PortDepGraph result;
-  bind_topology(result, topo);
-  result.graph = Digraph(topo.port_count());
-  result.graph.reserve_edges(edges.size());
-  for (const auto& [from, to] : edges) {
-    result.graph.add_edge(from, to);
-  }
-  result.graph.finalize();
-  count_built_edges(result);
-  return result;
-}
-
-PortDepGraph build_dep_graph_parallel(const RoutingFunction& routing,
-                                      ThreadPool& pool) {
+PortDepGraph build_dep_graph_fast(const RoutingFunction& routing,
+                                  ThreadPool* pool) {
   if (routing.has_in_port_unions()) {
     // The analytic build is O(ports) with no per-destination work to
     // shard; running it on the calling thread beats any fan-out.
     return build_dep_graph_analytic(routing);
   }
-  obs::TraceSpan span("build_dep_graph_parallel");
+  obs::TraceSpan span("build_dep_graph_fast");
   const Topology& topo = routing.topology();
   const std::size_t dest_count = topo.destination_count();
-  const std::size_t grain = pool.recommended_grain(dest_count);
-  const std::size_t shard_total = (dest_count + grain - 1) / grain;
-  std::vector<std::vector<RouteSweeper::Edge>> shards(shard_total);
-
-  pool.parallel_for(
-      dest_count, grain, [&](std::size_t begin, std::size_t end) {
-        obs::TraceSpan shard_span("depgraph_shard");
-        if (shard_span.active()) {
-          shard_span.set_detail("dests " + std::to_string(begin) + ".." +
-                                std::to_string(end));
-        }
-        auto& local = shards[begin / grain];
-        // A sweeper per shard: the emitted-edge dedup cache is sweeper-
-        // local, so shards may re-emit edges another shard saw — merge
-        // order and duplicates are both erased by finalize().
-        RouteSweeper sweeper(routing);
-        local.reserve(topo.port_count() / 2);
-        for (std::size_t dest = begin; dest < end; ++dest) {
-          sweeper.sweep(dest, &local, nullptr);
-        }
-      });
+  // Without a pool, every destination is one shard.
+  const std::size_t grain = pool != nullptr
+                                ? pool->recommended_grain(dest_count)
+                                : std::max<std::size_t>(dest_count, 1);
+  std::vector<std::vector<RouteSweeper::Edge>> shards((dest_count + grain - 1) /
+                                                      grain);
+  const auto sweep_shard = [&](std::size_t begin, std::size_t end) {
+    obs::TraceSpan shard_span("depgraph_shard");
+    if (shard_span.active()) {
+      shard_span.set_detail("dests " + std::to_string(begin) + ".." +
+                            std::to_string(end));
+    }
+    auto& local = shards[begin / grain];
+    // A sweeper per shard: the emitted-edge dedup cache is sweeper-local,
+    // so shards may re-emit edges another shard saw — merge order and
+    // duplicates are both erased by finalize(). The sweeper suppresses
+    // repeat emissions, so a whole-range buffer stays near the final edge
+    // count; ~3 edges per port covers every routing here.
+    RouteSweeper sweeper(routing);
+    local.reserve(pool != nullptr ? topo.port_count() / 2
+                                  : topo.port_count() * 3);
+    for (std::size_t dest = begin; dest < end; ++dest) {
+      sweeper.sweep(dest, &local, nullptr);
+    }
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(dest_count, grain, sweep_shard);
+  } else {
+    sweep_shard(0, dest_count);
+  }
 
   obs::TraceSpan merge_span("depgraph_merge");
   PortDepGraph result;

@@ -71,7 +71,15 @@ PortDepGraph build_dep_graph(const RoutingFunction& routing);
 /// precondition the finalized Digraph is bit-identical to
 /// build_dep_graph()'s on every routing function (the test suite checks
 /// all registry presets).
-PortDepGraph build_dep_graph_fast(const RoutingFunction& routing);
+///
+/// With a \p pool the sweeps are sharded over destinations, each shard
+/// collecting its edge list locally; Digraph::finalize() (sort + dedup)
+/// canonicalizes the merge, so the graph is BIT-IDENTICAL with and without
+/// a pool. Each shard owns its RouteSweeper, so the routing function is
+/// only entered through its stateless const interface (node_out_mask /
+/// append_next_hops) — no prime() warm-up needed.
+PortDepGraph build_dep_graph_fast(const RoutingFunction& routing,
+                                  ThreadPool* pool = nullptr);
 
 /// The O(ports) ANALYTIC construction, for routings that publish their
 /// exact per-in-port out-name unions (RoutingFunction::in_port_union — the
@@ -82,18 +90,8 @@ PortDepGraph build_dep_graph_fast(const RoutingFunction& routing);
 /// instead of hundreds of millions of mask evaluations. Bit-identical to
 /// the generic oracle and the sweeps wherever has_in_port_unions() holds
 /// (pinned per preset by the standing equality tests);
-/// build_dep_graph_fast/_parallel dispatch here automatically.
+/// build_dep_graph_fast dispatches here automatically.
 PortDepGraph build_dep_graph_analytic(const RoutingFunction& routing);
-
-/// The destination-sharded fast construction: per-destination RouteSweeper
-/// sweeps fanned over \p pool, each shard collecting its edge list locally;
-/// the shards are merged and canonicalized by Digraph::finalize() (sort +
-/// dedup), so the result is BIT-IDENTICAL to build_dep_graph_fast() and to
-/// the generic oracle. Each shard owns its RouteSweeper, so the routing
-/// function is only entered through its stateless const interface
-/// (node_out_mask / append_next_hops) — no prime() warm-up needed.
-PortDepGraph build_dep_graph_parallel(const RoutingFunction& routing,
-                                      ThreadPool& pool);
 
 /// The fault-variant DELTA construction: the dependency graph of a faulted
 /// grid built by filtering its unfaulted BASE graph instead of re-sweeping.

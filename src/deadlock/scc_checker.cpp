@@ -21,13 +21,12 @@ std::string SccAnalysis::summary() const {
 }
 
 SccAnalysis analyze_dependencies(const PortDepGraph& dep,
-                                 std::size_t max_cycles, ThreadPool* pool) {
+                                 std::size_t max_cycles) {
   GENOC_REQUIRE(dep.mesh != nullptr, "uninitialized dependency graph");
   Stopwatch timer;
   SccAnalysis result;
 
-  const SccResult scc =
-      pool != nullptr ? parallel_scc(dep.graph, *pool) : tarjan_scc(dep.graph);
+  const SccResult scc = tarjan_scc(dep.graph);
   result.scc_count = scc.components.size();
   for (const auto& comp : scc.components) {
     const bool nontrivial =

@@ -21,8 +21,6 @@
 
 namespace genoc {
 
-class ThreadPool;
-
 /// Result of the SCC-based dependency analysis.
 struct SccAnalysis {
   std::size_t scc_count = 0;
@@ -39,13 +37,10 @@ struct SccAnalysis {
   std::string summary() const;
 };
 
-/// Runs the analysis on a port dependency graph, sampling at most
-/// \p max_cycles concrete cycles across the non-trivial components. With a
-/// \p pool the SCC stage runs parallel_scc (same partition; canonical
-/// component order, so results are identical for every thread count);
-/// without one it runs sequential Tarjan as before.
+/// Runs the analysis on a port dependency graph (sequential Tarjan),
+/// sampling at most \p max_cycles concrete cycles across the non-trivial
+/// components.
 SccAnalysis analyze_dependencies(const PortDepGraph& dep,
-                                 std::size_t max_cycles,
-                                 ThreadPool* pool = nullptr);
+                                 std::size_t max_cycles);
 
 }  // namespace genoc

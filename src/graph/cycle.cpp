@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/tarjan.hpp"
 #include "util/require.hpp"
 
 namespace genoc {
@@ -86,16 +85,6 @@ bool is_valid_cycle(const Digraph& graph, const CycleWitness& cycle) {
     }
   }
   return true;
-}
-
-std::optional<CycleWitness> find_cycle(const Digraph& graph,
-                                       ThreadPool* pool) {
-  if (pool != nullptr) {
-    if (!has_nontrivial_scc(graph, *pool)) {
-      return std::nullopt;
-    }
-  }
-  return find_cycle(graph);
 }
 
 bool is_acyclic(const Digraph& graph) { return !find_cycle(graph).has_value(); }

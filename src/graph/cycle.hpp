@@ -6,6 +6,8 @@
 /// cycle search; this module provides the linear-time DFS search the paper's
 /// Section VII refers to, returning the cycle itself so that the witness
 /// construction (cycle -> concrete deadlock configuration) can run on it.
+/// The DFS is the verify pipeline's one acyclicity pass at every thread
+/// count: it is sequential, so verdict and witness never depend on the pool.
 #pragma once
 
 #include <optional>
@@ -15,8 +17,6 @@
 
 namespace genoc {
 
-class ThreadPool;
-
 /// A cycle witness: the vertex sequence v0 -> v1 -> ... -> vk -> v0.
 /// The closing edge back to front() is implicit (not repeated).
 using CycleWitness = std::vector<std::size_t>;
@@ -24,14 +24,6 @@ using CycleWitness = std::vector<std::size_t>;
 /// Finds some cycle via iterative DFS (white/grey/black colouring).
 /// Returns std::nullopt iff the graph is acyclic. O(V + E).
 std::optional<CycleWitness> find_cycle(const Digraph& graph);
-
-/// Pool-aware acyclicity-with-witness: with a \p pool, decides acyclicity
-/// through the parallel SCC decomposition first and only runs the witness
-/// DFS on cyclic graphs; without one it is plain find_cycle(). Either way
-/// the returned witness is find_cycle()'s — identical at every thread
-/// count — so callers get one deterministic (C-3) artifact regardless of
-/// execution mode.
-std::optional<CycleWitness> find_cycle(const Digraph& graph, ThreadPool* pool);
 
 /// Verifies that \p cycle is a genuine cycle of \p graph: non-empty, every
 /// consecutive pair (and the closing pair) is an edge, vertices distinct.

@@ -1,13 +1,9 @@
 #include "graph/tarjan.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <limits>
-#include <string>
 
-#include "obs/trace.hpp"
 #include "util/require.hpp"
-#include "util/thread_pool.hpp"
 
 namespace genoc {
 
@@ -79,517 +75,6 @@ SccResult tarjan_scc(const Digraph& graph) {
     }
   }
   return result;
-}
-
-namespace {
-
-constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
-
-/// Reverse adjacency in CSR form, built by counting sort (no comparison
-/// sort — reversed() would pay an O(E log E) finalize).
-struct ReverseAdj {
-  std::vector<std::uint32_t> offsets;  // size n + 1
-  std::vector<std::uint32_t> sources;
-
-  explicit ReverseAdj(const Digraph& graph) {
-    const std::size_t n = graph.vertex_count();
-    offsets.assign(n + 1, 0);
-    for (std::size_t v = 0; v < n; ++v) {
-      for (const std::uint32_t w : graph.out(v)) {
-        ++offsets[w + 1];
-      }
-    }
-    for (std::size_t v = 0; v < n; ++v) {
-      offsets[v + 1] += offsets[v];
-    }
-    sources.resize(graph.edge_count());
-    std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
-    for (std::size_t v = 0; v < n; ++v) {
-      for (const std::uint32_t w : graph.out(v)) {
-        sources[cursor[w]++] = static_cast<std::uint32_t>(v);
-      }
-    }
-  }
-
-  std::span<const std::uint32_t> in(std::size_t v) const {
-    return {sources.data() + offsets[v],
-            static_cast<std::size_t>(offsets[v + 1] - offsets[v])};
-  }
-};
-
-/// Shared scratch of one parallel_scc run. The per-vertex arrays are
-/// written without locks: the trim phase runs before the pool fans out,
-/// and afterwards every vertex belongs to exactly one weakly-connected
-/// bucket, so tasks touch disjoint entries. Tokens (region labels and
-/// reachability stamps) come from one atomic counter, so no two uses ever
-/// collide.
-struct SccScratch {
-  const Digraph* graph = nullptr;
-  const ReverseAdj* rev = nullptr;
-  std::vector<std::uint32_t> region;   // current FW-BW region label
-  std::vector<std::uint32_t> fwstamp;  // forward-reachable stamp
-  std::vector<std::uint32_t> bwstamp;  // backward-reachable stamp
-  std::vector<std::size_t> index;      // Tarjan DFS numbers
-  std::vector<std::size_t> lowlink;
-  std::vector<std::uint8_t> on_stack;
-  std::atomic<std::uint32_t> next_token{1};
-
-  explicit SccScratch(const Digraph& g, const ReverseAdj& r)
-      : graph(&g),
-        rev(&r),
-        region(g.vertex_count(), 0),
-        fwstamp(g.vertex_count(), 0),
-        bwstamp(g.vertex_count(), 0),
-        index(g.vertex_count(), kNone),
-        lowlink(g.vertex_count(), 0),
-        on_stack(g.vertex_count(), 0) {}
-
-  std::uint32_t token() {
-    return next_token.fetch_add(1, std::memory_order_relaxed);
-  }
-};
-
-/// Iterative Tarjan restricted to the vertices labelled \p rid, appending
-/// each SCC (sorted) to *out.
-void tarjan_region(SccScratch& s, const std::vector<std::uint32_t>& verts,
-                   std::uint32_t rid,
-                   std::vector<std::vector<std::size_t>>* out) {
-  const Digraph& graph = *s.graph;
-  struct Frame {
-    std::size_t vertex;
-    std::size_t next_child;
-  };
-  std::vector<Frame> call_stack;
-  std::vector<std::size_t> scc_stack;
-  std::size_t next_index = 0;
-
-  for (const std::uint32_t root : verts) {
-    if (s.index[root] != kNone) {
-      continue;
-    }
-    call_stack.push_back({root, 0});
-    s.index[root] = s.lowlink[root] = next_index++;
-    scc_stack.push_back(root);
-    s.on_stack[root] = 1;
-
-    while (!call_stack.empty()) {
-      Frame& frame = call_stack.back();
-      const std::size_t v = frame.vertex;
-      const auto succ = graph.out(v);
-      if (frame.next_child < succ.size()) {
-        const std::size_t w = succ[frame.next_child++];
-        if (s.region[w] != rid) {
-          continue;  // trimmed vertex or another FW-BW sub-region
-        }
-        if (s.index[w] == kNone) {
-          s.index[w] = s.lowlink[w] = next_index++;
-          scc_stack.push_back(w);
-          s.on_stack[w] = 1;
-          call_stack.push_back({w, 0});
-        } else if (s.on_stack[w] != 0) {
-          s.lowlink[v] = std::min(s.lowlink[v], s.index[w]);
-        }
-      } else {
-        if (s.lowlink[v] == s.index[v]) {
-          std::vector<std::size_t> comp;
-          for (;;) {
-            const std::size_t w = scc_stack.back();
-            scc_stack.pop_back();
-            s.on_stack[w] = 0;
-            comp.push_back(w);
-            if (w == v) {
-              break;
-            }
-          }
-          std::sort(comp.begin(), comp.end());
-          out->push_back(std::move(comp));
-        }
-        call_stack.pop_back();
-        if (!call_stack.empty()) {
-          const std::size_t parent = call_stack.back().vertex;
-          s.lowlink[parent] = std::min(s.lowlink[parent], s.lowlink[v]);
-        }
-      }
-    }
-  }
-}
-
-/// Forward-backward reachability coloring on one weakly-connected bucket:
-/// the pivot's forward ∩ backward reach is an SCC; the three remaining
-/// parts recurse. Median-by-id pivots keep chain-shaped regions balanced;
-/// past kMaxDepth (or below kFwbwMin) the region falls back to Tarjan.
-void fwbw_region(SccScratch& s, std::vector<std::uint32_t> verts,
-                 std::uint32_t rid,
-                 std::vector<std::vector<std::size_t>>* out) {
-  constexpr std::size_t kFwbwMin = 2048;
-  constexpr int kMaxDepth = 64;
-
-  struct Region {
-    std::vector<std::uint32_t> verts;
-    std::uint32_t rid;
-    int depth;
-  };
-  std::vector<Region> work;
-  work.push_back({std::move(verts), rid, 0});
-  std::vector<std::uint32_t> queue;
-
-  while (!work.empty()) {
-    Region region = std::move(work.back());
-    work.pop_back();
-    if (region.verts.size() < kFwbwMin || region.depth > kMaxDepth) {
-      tarjan_region(s, region.verts, region.rid, out);
-      continue;
-    }
-    // Median-by-id pivot: for chain-like DAG-of-SCCs shapes this splits
-    // the region near the middle instead of peeling one SCC per level.
-    const std::size_t mid = region.verts.size() / 2;
-    std::nth_element(region.verts.begin(), region.verts.begin() + mid,
-                     region.verts.end());
-    const std::uint32_t pivot = region.verts[mid];
-
-    const std::uint32_t ftoken = s.token();
-    queue.clear();
-    s.fwstamp[pivot] = ftoken;
-    queue.push_back(pivot);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      for (const std::uint32_t w : s.graph->out(queue[head])) {
-        if (s.region[w] == region.rid && s.fwstamp[w] != ftoken) {
-          s.fwstamp[w] = ftoken;
-          queue.push_back(w);
-        }
-      }
-    }
-    const std::uint32_t btoken = s.token();
-    queue.clear();
-    s.bwstamp[pivot] = btoken;
-    queue.push_back(pivot);
-    for (std::size_t head = 0; head < queue.size(); ++head) {
-      for (const std::uint32_t w : s.rev->in(queue[head])) {
-        if (s.region[w] == region.rid && s.bwstamp[w] != btoken) {
-          s.bwstamp[w] = btoken;
-          queue.push_back(w);
-        }
-      }
-    }
-
-    std::vector<std::size_t> scc;
-    Region fw_only{{}, s.token(), region.depth + 1};
-    Region bw_only{{}, s.token(), region.depth + 1};
-    Region rest{{}, s.token(), region.depth + 1};
-    for (const std::uint32_t v : region.verts) {
-      const bool in_fw = s.fwstamp[v] == ftoken;
-      const bool in_bw = s.bwstamp[v] == btoken;
-      if (in_fw && in_bw) {
-        scc.push_back(v);
-      } else if (in_fw) {
-        s.region[v] = fw_only.rid;
-        fw_only.verts.push_back(v);
-      } else if (in_bw) {
-        s.region[v] = bw_only.rid;
-        bw_only.verts.push_back(v);
-      } else {
-        s.region[v] = rest.rid;
-        rest.verts.push_back(v);
-      }
-    }
-    std::sort(scc.begin(), scc.end());
-    out->push_back(std::move(scc));
-    for (Region* part : {&fw_only, &bw_only, &rest}) {
-      if (!part->verts.empty()) {
-        work.push_back(std::move(*part));
-      }
-    }
-  }
-}
-
-/// One level-synchronous Kahn peel over \p pool: every vertex whose live
-/// degree (out-degree when \p forward, else in-degree over live sources)
-/// reaches zero is trimmed. Each Kahn frontier round decrements degrees
-/// with a SHARDED pass over the current frontier instead of the classic
-/// single-threaded worklist walk: a vertex enters the next frontier exactly
-/// when its atomic degree makes the 1 -> 0 transition, so no vertex is
-/// trimmed twice and no locks are needed. Already-dead vertices sit at
-/// degree 0 and merely wrap around (defined for unsigned), never
-/// re-entering a frontier. Trimmed vertices are appended to *trimmed and
-/// their alive flag cleared (each vertex is written by exactly one chunk).
-void trim_peel_parallel(const Digraph& graph, const ReverseAdj& rev,
-                        ThreadPool& pool, bool forward,
-                        std::vector<std::uint8_t>& alive,
-                        std::vector<std::uint32_t>* trimmed) {
-  obs::TraceSpan peel_span(forward ? "trim_peel_forward"
-                                   : "trim_peel_backward");
-  const std::size_t n = graph.vertex_count();
-  std::vector<std::atomic<std::uint32_t>> deg(n);
-
-  // Degree census + initial frontier, sharded over the vertex range. Only
-  // edges between live vertices count: a forward peel at entry sees every
-  // vertex alive (out_degree is exact), the backward peel must ignore the
-  // vertices the forward peel already stripped.
-  const std::size_t census_grain = pool.recommended_grain(n);
-  std::vector<std::vector<std::uint32_t>> seeds(
-      (n + census_grain - 1) / census_grain);
-  {
-    obs::TraceSpan census_span("trim_census");
-    pool.parallel_for(n, census_grain,
-                      [&](std::size_t begin, std::size_t end) {
-      auto& local = seeds[begin / census_grain];
-      for (std::size_t v = begin; v < end; ++v) {
-        if (alive[v] == 0) {
-          deg[v].store(0, std::memory_order_relaxed);
-          continue;
-        }
-        std::uint32_t d = 0;
-        if (forward) {
-          d = static_cast<std::uint32_t>(graph.out_degree(v));
-        } else {
-          for (const std::uint32_t u : rev.in(v)) {
-            if (alive[u] != 0) {
-              ++d;
-            }
-          }
-        }
-        deg[v].store(d, std::memory_order_relaxed);
-        if (d == 0) {
-          local.push_back(static_cast<std::uint32_t>(v));
-        }
-      }
-    });
-  }
-  std::vector<std::uint32_t> frontier;
-  for (const auto& local : seeds) {
-    frontier.insert(frontier.end(), local.begin(), local.end());
-  }
-
-  // Kahn rounds: each round retires the whole current frontier and collects
-  // the vertices its decrements drove to zero. The barrier between rounds
-  // is parallel_for's own completion — level-synchronous by construction.
-  while (!frontier.empty()) {
-    obs::TraceSpan round_span("trim_round");
-    if (round_span.active()) {
-      round_span.set_detail("frontier " + std::to_string(frontier.size()));
-    }
-    const std::size_t grain = pool.recommended_grain(frontier.size(), 4);
-    const std::size_t shard_total = (frontier.size() + grain - 1) / grain;
-    std::vector<std::vector<std::uint32_t>> next(shard_total);
-    pool.parallel_for(
-        frontier.size(), grain, [&](std::size_t begin, std::size_t end) {
-          auto& local = next[begin / grain];
-          for (std::size_t i = begin; i < end; ++i) {
-            const std::uint32_t v = frontier[i];
-            alive[v] = 0;
-            const auto neighbours = forward ? rev.in(v) : graph.out(v);
-            for (const std::uint32_t u : neighbours) {
-              if (deg[u].fetch_sub(1, std::memory_order_acq_rel) == 1) {
-                local.push_back(u);
-              }
-            }
-          }
-        });
-    trimmed->insert(trimmed->end(), frontier.begin(), frontier.end());
-    frontier.clear();
-    for (auto& local : next) {
-      frontier.insert(frontier.end(), local.begin(), local.end());
-    }
-  }
-}
-
-/// The classic sequential dual peel (out-degree side, then in-degree side)
-/// — still the fastest shape for small graphs, and the oracle the parallel
-/// rounds must agree with.
-void trim_peel_sequential(const Digraph& graph, const ReverseAdj& rev,
-                          std::vector<std::uint8_t>& alive,
-                          std::vector<std::uint32_t>* trimmed) {
-  const std::size_t n = graph.vertex_count();
-  std::vector<std::uint32_t> deg(n);
-  std::vector<std::uint32_t> peel;
-  for (std::size_t v = 0; v < n; ++v) {
-    deg[v] = static_cast<std::uint32_t>(graph.out_degree(v));
-    if (deg[v] == 0) {
-      peel.push_back(static_cast<std::uint32_t>(v));
-    }
-  }
-  for (std::size_t head = 0; head < peel.size(); ++head) {
-    const std::uint32_t v = peel[head];
-    alive[v] = 0;
-    trimmed->push_back(v);
-    for (const std::uint32_t u : rev.in(v)) {
-      if (alive[u] != 0 && --deg[u] == 0) {
-        peel.push_back(u);
-      }
-    }
-  }
-  std::fill(deg.begin(), deg.end(), 0);
-  peel.clear();
-  for (std::size_t v = 0; v < n; ++v) {
-    if (alive[v] == 0) {
-      continue;
-    }
-    for (const std::uint32_t w : graph.out(v)) {
-      if (alive[w] != 0) {
-        ++deg[w];
-      }
-    }
-  }
-  for (std::size_t v = 0; v < n; ++v) {
-    if (alive[v] != 0 && deg[v] == 0) {
-      peel.push_back(static_cast<std::uint32_t>(v));
-    }
-  }
-  for (std::size_t head = 0; head < peel.size(); ++head) {
-    const std::uint32_t v = peel[head];
-    alive[v] = 0;
-    trimmed->push_back(v);
-    for (const std::uint32_t w : graph.out(v)) {
-      if (alive[w] != 0 && --deg[w] == 0) {
-        peel.push_back(w);
-      }
-    }
-  }
-}
-
-/// Below this vertex count the parallel trim's per-round parallel_for and
-/// atomic census cost more than the whole sequential peel.
-constexpr std::size_t kParallelTrimMin = 1 << 14;
-
-}  // namespace
-
-SccResult parallel_scc(const Digraph& graph, ThreadPool& pool) {
-  obs::TraceSpan span("parallel_scc");
-  GENOC_REQUIRE(graph.finalized(), "parallel_scc requires a finalized graph");
-  const std::size_t n = graph.vertex_count();
-  SccResult result;
-  result.component.assign(n, kNone);
-  if (n == 0) {
-    return result;
-  }
-  const ReverseAdj rev(graph);
-  std::vector<std::uint8_t> alive(n, 1);
-  std::vector<std::vector<std::size_t>> comps;
-
-  // Stage 1 — TRIM. A vertex whose live out-degree (then: in-degree) hits
-  // zero cannot lie on a cycle: it is a singleton SCC. Self-loops keep
-  // their vertex's degree positive, so they survive to the Tarjan stage.
-  // Every trimmed vertex is a singleton component regardless of the order
-  // it peeled in, so the level-synchronous rounds and the sequential
-  // worklist produce the same decomposition (ids are canonicalized below).
-  {
-    obs::TraceSpan trim_span("scc_trim");
-    std::vector<std::uint32_t> trimmed;
-    trimmed.reserve(n);
-    if (pool.thread_count() > 1 && n >= kParallelTrimMin) {
-      trim_peel_parallel(graph, rev, pool, /*forward=*/true, alive, &trimmed);
-      trim_peel_parallel(graph, rev, pool, /*forward=*/false, alive, &trimmed);
-    } else {
-      trim_peel_sequential(graph, rev, alive, &trimmed);
-    }
-    for (const std::uint32_t v : trimmed) {
-      comps.push_back({v});
-    }
-  }
-
-  // Stage 2 — weakly-connected buckets of the cyclic remainder (no edge
-  // between live vertices crosses a bucket, so stage 3's shards write
-  // disjoint scratch entries).
-  std::vector<std::vector<std::uint32_t>> buckets;
-  {
-    obs::TraceSpan bucket_span("scc_wcc_buckets");
-    std::vector<std::uint32_t> parent(n);
-    for (std::size_t v = 0; v < n; ++v) {
-      parent[v] = static_cast<std::uint32_t>(v);
-    }
-    auto find = [&parent](std::uint32_t v) {
-      while (parent[v] != v) {
-        parent[v] = parent[parent[v]];  // path halving
-        v = parent[v];
-      }
-      return v;
-    };
-    for (std::size_t v = 0; v < n; ++v) {
-      if (alive[v] == 0) {
-        continue;
-      }
-      for (const std::uint32_t w : graph.out(v)) {
-        if (alive[w] != 0) {
-          const std::uint32_t a = find(static_cast<std::uint32_t>(v));
-          const std::uint32_t b = find(w);
-          if (a != b) {
-            parent[std::max(a, b)] = std::min(a, b);
-          }
-        }
-      }
-    }
-    std::vector<std::uint32_t> bucket_of(n,
-                                         std::numeric_limits<std::uint32_t>::max());
-    for (std::size_t v = 0; v < n; ++v) {
-      if (alive[v] == 0) {
-        continue;
-      }
-      const std::uint32_t root = find(static_cast<std::uint32_t>(v));
-      if (bucket_of[root] == std::numeric_limits<std::uint32_t>::max()) {
-        bucket_of[root] = static_cast<std::uint32_t>(buckets.size());
-        buckets.emplace_back();
-      }
-      buckets[bucket_of[root]].push_back(static_cast<std::uint32_t>(v));
-    }
-  }
-
-  // Stage 3 — per-bucket SCCs on the pool.
-  std::vector<std::vector<std::vector<std::size_t>>> bucket_comps(
-      buckets.size());
-  if (!buckets.empty()) {
-    SccScratch scratch(graph, rev);
-    constexpr std::size_t kFwbwBucket = 4096;
-    pool.parallel_for(
-        buckets.size(), 1, [&](std::size_t begin, std::size_t end) {
-          for (std::size_t b = begin; b < end; ++b) {
-            obs::TraceSpan bucket_span("scc_bucket");
-            if (bucket_span.active()) {
-              bucket_span.set_detail(
-                  "bucket " + std::to_string(b) + ", " +
-                  std::to_string(buckets[b].size()) + " vertices");
-            }
-            const std::uint32_t rid = scratch.token();
-            for (const std::uint32_t v : buckets[b]) {
-              scratch.region[v] = rid;
-            }
-            if (buckets[b].size() >= kFwbwBucket) {
-              fwbw_region(scratch, buckets[b], rid, &bucket_comps[b]);
-            } else {
-              tarjan_region(scratch, buckets[b], rid, &bucket_comps[b]);
-            }
-          }
-        });
-  }
-  for (auto& list : bucket_comps) {
-    for (auto& comp : list) {
-      comps.push_back(std::move(comp));
-    }
-  }
-
-  // Canonical ids: components ordered by their smallest vertex, so every
-  // thread count produces the identical SccResult.
-  std::sort(comps.begin(), comps.end(),
-            [](const std::vector<std::size_t>& a,
-               const std::vector<std::size_t>& b) {
-              return a.front() < b.front();
-            });
-  for (std::size_t i = 0; i < comps.size(); ++i) {
-    for (const std::size_t v : comps[i]) {
-      result.component[v] = i;
-    }
-  }
-  result.components = std::move(comps);
-  return result;
-}
-
-bool has_nontrivial_scc(const Digraph& graph, ThreadPool& pool) {
-  const SccResult scc = parallel_scc(graph, pool);
-  for (const auto& comp : scc.components) {
-    if (comp.size() >= 2 || graph.has_edge(comp.front(), comp.front())) {
-      return true;
-    }
-  }
-  return false;
 }
 
 bool has_nontrivial_scc(const Digraph& graph) {

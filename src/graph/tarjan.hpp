@@ -1,7 +1,8 @@
 /// \file tarjan.hpp
 /// \brief Tarjan strongly-connected-components, used by the Taktak-style
-///        adaptive-routing deadlock detector (paper Sec. VIII) and as an
-///        alternative (C-3) discharge strategy.
+///        adaptive-routing deadlock detector (paper Sec. VIII) and as the
+///        test oracle of the (C-3) acyclicity pass, which is find_cycle()'s
+///        DFS (graph/cycle.hpp).
 #pragma once
 
 #include <cstddef>
@@ -11,13 +12,12 @@
 
 namespace genoc {
 
-class ThreadPool;
-
 /// Result of an SCC decomposition.
 struct SccResult {
-  /// component[v] = id of v's SCC; ids are in reverse topological order
-  /// (an edge u->v between different SCCs implies component[u] < ... is NOT
-  /// guaranteed; use condensation() for ordering needs).
+  /// component[v] = id of v's SCC. Ids follow the order in which Tarjan
+  /// completes the components, a reverse topological order of the
+  /// condensation: an edge u->v between different SCCs implies
+  /// component[u] > component[v].
   std::vector<std::size_t> component;
   /// components[i] = the vertices of SCC i.
   std::vector<std::vector<std::size_t>> components;
@@ -30,33 +30,6 @@ SccResult tarjan_scc(const Digraph& graph);
 /// True iff some SCC is "non-trivial": it has >= 2 vertices, or is a single
 /// vertex with a self-loop. A digraph has a cycle iff this holds.
 bool has_nontrivial_scc(const Digraph& graph);
-
-/// Parallel SCC decomposition for the large dependency graphs the
-/// per-destination builders unlock (64x64+). Three stages:
-///
-///   1. TRIM: Kahn-style peels from the zero-out-degree and then the
-///      zero-in-degree side strip every vertex that cannot lie on a cycle
-///      (for an acyclic graph this is the whole decomposition), O(V + E).
-///      Above a size threshold the peels run LEVEL-SYNCHRONOUSLY: each
-///      Kahn frontier round is a sharded atomic degree-decrement pass over
-///      \p pool instead of a single-threaded worklist walk, so the trim —
-///      formerly the sequential prefix of every large acyclic
-///      verification — scales with the pool too.
-///   2. The cyclic remainder splits into weakly-connected components,
-///      sharded across \p pool.
-///   3. Each component runs iterative Tarjan; components too large for one
-///      task go through forward-backward reachability coloring
-///      (Fleischer-Hendrickson-Pinar) with a median-id pivot, falling back
-///      to Tarjan past a recursion-depth guard.
-///
-/// The partition equals tarjan_scc()'s. Component ids are CANONICAL —
-/// assigned in increasing order of each component's smallest vertex — so
-/// the result is identical for every thread count (tarjan_scc's ids are
-/// DFS-order instead; compare partitions up to relabeling).
-SccResult parallel_scc(const Digraph& graph, ThreadPool& pool);
-
-/// True iff some SCC is non-trivial, decided on \p pool.
-bool has_nontrivial_scc(const Digraph& graph, ThreadPool& pool);
 
 /// The condensation: one vertex per SCC of \p graph, with an edge between
 /// distinct components whenever some original edge crosses them. Always a

@@ -23,16 +23,15 @@ std::vector<VerifyReport> verify_instance_reports(
   options.artifacts = store;
 
   const auto verify_one = [&](std::size_t i) {
-    // Covers instance construction too, so a trace shows the full cost of
+    // Covers context acquisition too, so a trace shows the full cost of
     // the row, not just the pipeline stages inside it.
     obs::TraceSpan span("verify_instance");
     if (span.active()) {
       span.set_detail(specs[i].name);
     }
-    const NetworkInstance instance(specs[i]);
     const std::shared_ptr<AnalysisArtifacts> artifacts =
         store->acquire(specs[i]);
-    reports[i] = pipeline.run(instance, *artifacts, options);
+    reports[i] = pipeline.run(specs[i], *artifacts, options);
   };
 
   if (runner == nullptr) {

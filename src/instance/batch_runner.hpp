@@ -4,12 +4,12 @@
 ///
 /// Two axes parallelize independently and compose:
 ///
-///   1. WITHIN one instance: build_dep_graph_parallel (deadlock/depgraph.hpp)
-///      shards the per-DESTINATION route sweeps (RouteSweeper) across the
-///      pool, each shard collecting its edge list locally; the shards are
-///      merged and canonicalized by Digraph::finalize() (sort + dedup), so
-///      the parallel graph is BIT-IDENTICAL to the sequential one — and to
-///      the generic oracle's.
+///   1. WITHIN one instance: build_dep_graph_fast (deadlock/depgraph.hpp),
+///      given the pool, shards the per-DESTINATION route sweeps
+///      (RouteSweeper), each shard collecting its edge list locally; the
+///      shards are merged and canonicalized by Digraph::finalize() (sort +
+///      dedup), so the parallel graph is BIT-IDENTICAL to the sequential
+///      one — and to the generic oracle's.
 ///   2. ACROSS instances: `genoc verify --all` verifies every registered
 ///      instance, each writing its verdict into a fixed slot, so the
 ///      report order is deterministic too.
@@ -21,10 +21,11 @@
 /// dependency graph, prime the reachability closure and decide acyclicity
 /// exactly once between them.
 ///
-/// The pool mechanics live in util/ThreadPool (so graph-level algorithms
-/// like parallel_scc can run on the same pool without depending on this
-/// subsystem); parallel_for is work-sharing, hence nested calls (an
-/// instance task sharding its own graph build) cannot deadlock the pool.
+/// The pool mechanics live in util/ThreadPool (so lower layers like the
+/// dep-graph and escape builders can run on the same pool without
+/// depending on this subsystem); parallel_for is work-sharing, hence
+/// nested calls (an instance task sharding its own graph build) cannot
+/// deadlock the pool.
 #pragma once
 
 #include <cstddef>

@@ -13,7 +13,6 @@
 #include "switching/store_forward.hpp"
 #include "switching/wormhole.hpp"
 #include "util/require.hpp"
-#include "util/thread_pool.hpp"
 #include "verify/pipeline.hpp"
 
 namespace genoc {
@@ -110,7 +109,7 @@ std::unique_ptr<SwitchingPolicy> make_switching(const std::string& name) {
 NetworkInstance::NetworkInstance(const InstanceSpec& spec) : spec_(spec) {
   const std::string invalid = validate_spec(spec_);
   GENOC_REQUIRE(invalid.empty(), "invalid instance spec: " + invalid);
-  display_name_ = spec_.name.empty() ? to_spec_string(spec_) : spec_.name;
+  display_name_ = display_name(spec_);
   topo_ = make_topology(spec_);
   routing_ = make_routing(spec_.routing, *topo_);
   if (!spec_.escape.empty()) {
@@ -136,8 +135,7 @@ std::vector<TrafficPair> NetworkInstance::make_traffic() const {
 }
 
 PortDepGraph NetworkInstance::dependency_graph(ThreadPool* runner) const {
-  return runner != nullptr ? build_dep_graph_parallel(*routing_, *runner)
-                           : build_dep_graph_fast(*routing_);
+  return build_dep_graph_fast(*routing_, runner);
 }
 
 InstanceVerdict NetworkInstance::verify(

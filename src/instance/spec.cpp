@@ -326,6 +326,10 @@ std::string to_spec_string(const InstanceSpec& spec) {
   return os.str();
 }
 
+std::string display_name(const InstanceSpec& spec) {
+  return spec.name.empty() ? to_spec_string(spec) : spec.name;
+}
+
 std::string join_failed_links(const std::vector<std::string>& links) {
   std::string joined;
   for (const std::string& token : links) {

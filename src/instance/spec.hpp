@@ -19,7 +19,8 @@
 namespace genoc {
 
 /// A fully parsed description of a network instance. Plain data: the
-/// factory that turns it into live objects is NetworkInstance.
+/// factories that turn it into live objects are AnalysisArtifacts (the
+/// verification context) and NetworkInstance (simulation).
 struct InstanceSpec {
   std::string name;     ///< registry name; empty for ad-hoc CLI specs
   std::string summary;  ///< one-line description (presets only)
@@ -131,6 +132,10 @@ std::optional<InstanceSpec> parse_instance_spec(const std::string& text,
 /// Canonical `key=value` rendering: parse_instance_spec() round-trips it
 /// (name/summary are registry metadata and are not part of the string).
 std::string to_spec_string(const InstanceSpec& spec);
+
+/// The name reports show for \p spec: spec.name for presets, the canonical
+/// spec string for ad-hoc specs.
+std::string display_name(const InstanceSpec& spec);
 
 /// Cross-field validation: dimension ranges (wrapped dimensions need >= 2
 /// nodes), torus_xy requires a wrapped topology, escape must name a

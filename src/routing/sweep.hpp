@@ -22,7 +22,7 @@
 /// and emit exactly the edge set of build_dep_graph(): every (p, q) with p
 /// route-reachable for d, q in R(p, d) and q existing, plus the same
 /// visited-port rows the reachability closure stores. One engine therefore
-/// backs build_dep_graph_fast(), build_dep_graph_parallel() and
+/// backs build_dep_graph_fast() (with or without a pool) and
 /// RoutingFunction::prime(). Repeat edge emissions are suppressed by a
 /// per-sweeper cache (Digraph::finalize would coalesce them anyway, this
 /// keeps the merge buffers near the size of the final edge set).

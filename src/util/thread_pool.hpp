@@ -1,13 +1,14 @@
 /// \file thread_pool.hpp
 /// \brief ThreadPool: the shared worker pool behind every parallel stage
-///        (dependency-graph sharding, instance sweeps, parallel SCC).
+///        (dependency-graph sharding, escape sweeps, closure priming,
+///        instance sweeps and campaign variants).
 ///
-/// Extracted from instance/BatchRunner so that lower layers (graph/) can
-/// accept a pool without depending on the instance subsystem. parallel_for
-/// is work-sharing: the calling thread claims chunks alongside the workers
-/// and completion never depends on a worker picking up the task, so nested
-/// calls (an instance task sharding its own graph build) cannot deadlock
-/// the pool.
+/// Extracted from instance/BatchRunner so that lower layers (routing/,
+/// deadlock/) can accept a pool without depending on the instance
+/// subsystem. parallel_for is work-sharing: the calling thread claims chunks
+/// alongside the workers and completion never depends on a worker picking
+/// up the task, so nested calls (an instance task sharding its own graph
+/// build) cannot deadlock the pool.
 #pragma once
 
 #include <condition_variable>
@@ -51,7 +52,7 @@ class ThreadPool {
   /// The grain every destination-sharded stage uses: ~\p chunks_per_thread
   /// chunks per thread (load balance against uneven per-item cost) but
   /// never below 1. Centralized so the dep-graph build, the escape sweep
-  /// and the trim rounds shard consistently.
+  /// and the closure prime shard consistently.
   std::size_t recommended_grain(std::size_t count,
                                 std::size_t chunks_per_thread = 8) const {
     const std::size_t chunks = thread_count() * chunks_per_thread;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "graph/tarjan.hpp"
 #include "instance/network_instance.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -145,8 +144,8 @@ const PortDepGraph& AnalysisArtifacts::dep_graph_locked(bool generic_builder,
                                                         ThreadPool* pool) {
   static KindCounters counters = kind_counters("dep_graph");
   if (dep_.has_value()) {
-    // Reused regardless of which builder produced it: the generic oracle,
-    // the fast builder and the sharded builder are bit-identical (the test
+    // Reused regardless of which builder produced it: the generic oracle
+    // and the fast builder, pooled or not, are bit-identical (the test
     // suite's standing cross-check), so the graph content cannot differ.
     ++stats_.dep_graph.hits;
     counters.hits.increment();
@@ -170,10 +169,8 @@ const PortDepGraph& AnalysisArtifacts::dep_graph_locked(bool generic_builder,
     const PortDepGraph& base_graph = base_->dep_graph(false, pool);
     dep_ = build_dep_graph_delta(base_graph, *routing_, removed_base_ports_);
     delta_builds.increment();
-  } else if (pool != nullptr) {
-    dep_ = build_dep_graph_parallel(*routing_, *pool);
   } else {
-    dep_ = build_dep_graph_fast(*routing_);
+    dep_ = build_dep_graph_fast(*routing_, pool);
   }
   return *dep_;
 }
@@ -197,7 +194,9 @@ const AcyclicityArtifact& AnalysisArtifacts::acyclicity_locked(
   counters.misses.increment();
   obs::TraceSpan span("artifact:acyclicity");
   AcyclicityArtifact result;
-  result.cycle = find_cycle(dep.graph, pool);
+  // One sequential DFS at every thread count: linear, and the witness it
+  // returns cannot depend on the pool.
+  result.cycle = find_cycle(dep.graph);
   result.acyclic = !result.cycle.has_value();
   acyclicity_ = std::move(result);
   return *acyclicity_;

@@ -5,7 +5,7 @@
 ///        topology x routing x escape prefix.
 ///
 /// Every stage consumes artifacts (the dependency graph, the primed
-/// reachability closure, the SCC/acyclicity verdict, the escape analysis,
+/// reachability closure, the acyclicity verdict, the escape analysis,
 /// the (C-1)/(C-2) reports) and none of them may be rebuilt once they
 /// exist: a stage that needs an artifact another stage already produced —
 /// or a SECOND instance in a batch sweep sharing the same prefix — gets the
@@ -62,7 +62,7 @@ struct ArtifactCacheStats {
   ArtifactCounter contexts;     ///< store-level: acquire() builds vs reuses
   ArtifactCounter primed;       ///< reachability-closure prime() passes
   ArtifactCounter dep_graph;    ///< dependency-graph builds
-  ArtifactCounter acyclicity;   ///< SCC / cycle-witness decisions
+  ArtifactCounter acyclicity;   ///< acyclicity / cycle-witness decisions
   ArtifactCounter escape;       ///< escape-lane analyses
   ArtifactCounter constraints;  ///< (C-1)/(C-2) discharges
 
@@ -144,7 +144,9 @@ class AnalysisArtifacts {
   /// build over destinations.
   const PortDepGraph& dep_graph(bool generic_builder, ThreadPool* pool);
 
-  /// The (C-3) verdict with cycle witness; computes dep_graph on demand.
+  /// The (C-3) verdict with cycle witness, decided by find_cycle()'s
+  /// sequential DFS; computes dep_graph on demand (\p pool only shards that
+  /// build, so the verdict and witness are the same at every thread count).
   const AcyclicityArtifact& acyclicity(bool generic_builder, ThreadPool* pool);
 
   /// The Duato escape-lane analysis. Requires escape_routing() != nullptr.

@@ -97,12 +97,12 @@ class BuildDepGraphCheck final : public Check {
 };
 
 /// Stage 2: Theorem 1 / (C-3) — acyclicity of the dependency graph, with a
-/// DFS cycle witness on failure (parallel SCC pre-decision on a pool).
+/// DFS cycle witness on failure.
 class SccAcyclicityCheck final : public Check {
  public:
   const char* name() const override { return "scc_acyclicity"; }
   const char* description() const override {
-    return "decide (C-3) acyclicity (Theorem 1) via DFS / parallel SCC, "
+    return "decide (C-3) acyclicity (Theorem 1) via one sequential DFS, "
            "with a cycle witness on failure";
   }
 
@@ -371,30 +371,29 @@ std::vector<std::string> VerifyPipeline::stage_names() const {
   return result;
 }
 
-VerifyReport VerifyPipeline::run(const NetworkInstance& instance,
+VerifyReport VerifyPipeline::run(const InstanceSpec& spec,
                                  AnalysisArtifacts& artifacts,
                                  const InstanceVerifyOptions& options) const {
   obs::TraceSpan run_span("verify_pipeline");
   if (run_span.active()) {
-    run_span.set_detail(instance.name());
+    run_span.set_detail(display_name(spec));
   }
   Stopwatch timer;
   CpuStopwatch cpu_timer;
   const ArtifactCacheStats before = artifacts.stats();
   VerifyReport report;
   InstanceVerdict& verdict = report.verdict;
-  verdict.instance = instance.name();
-  verdict.spec = to_spec_string(instance.spec());
-  verdict.topology = instance.spec().topology;
-  verdict.routing = instance.routing().name();
-  verdict.switching = instance.switching().name();
-  verdict.nodes = instance.topology().node_count();
-  verdict.ports = instance.topology().port_count();
-  verdict.deterministic = instance.routing().is_deterministic();
-  verdict.expected_deadlock_free = instance.spec().expect_deadlock_free;
+  verdict.instance = display_name(spec);
+  verdict.spec = to_spec_string(spec);
+  verdict.topology = spec.topology;
+  verdict.routing = artifacts.routing().name();
+  verdict.switching = make_switching(spec.switching)->name();
+  verdict.nodes = artifacts.topology().node_count();
+  verdict.ports = artifacts.topology().port_count();
+  verdict.deterministic = artifacts.routing().is_deterministic();
+  verdict.expected_deadlock_free = spec.expect_deadlock_free;
 
-  CheckContext ctx{instance.spec(), artifacts, options, options.runner,
-                   report};
+  CheckContext ctx{spec, artifacts, options, options.runner, report};
   report.stages.reserve(stages_.size());
   for (const Check* check : stages_) {
     obs::TraceSpan stage_span(check->name());
@@ -446,6 +445,12 @@ VerifyReport VerifyPipeline::run(const NetworkInstance& instance,
         .record_max(static_cast<std::int64_t>(verdict.ports));
   }
   return report;
+}
+
+VerifyReport VerifyPipeline::run(const NetworkInstance& instance,
+                                 AnalysisArtifacts& artifacts,
+                                 const InstanceVerifyOptions& options) const {
+  return run(instance.spec(), artifacts, options);
 }
 
 VerifyReport VerifyPipeline::run(const NetworkInstance& instance,

@@ -46,10 +46,16 @@ class VerifyPipeline {
   std::vector<std::string> stage_names() const;
 
   /// Runs every stage over \p artifacts and renders the report. The
-  /// verdict's header fields (names, dimensions, determinism) come from
-  /// \p instance; the analysis runs on the artifact context (identical
-  /// semantics — for store-shared artifacts, a different but spec-equal
-  /// object). cache counters are the DELTA this run caused.
+  /// verdict's header fields come from \p spec (name, spec string,
+  /// topology family, switching) and from the artifact context (routing
+  /// name, node and port counts, determinism), so no NetworkInstance is
+  /// built. \p artifacts must be a context of \p spec's analysis prefix
+  /// (AnalysisArtifacts::key). cache counters are the DELTA this run
+  /// caused.
+  VerifyReport run(const InstanceSpec& spec, AnalysisArtifacts& artifacts,
+                   const InstanceVerifyOptions& options) const;
+
+  /// Same as run(instance.spec(), artifacts, options).
   VerifyReport run(const NetworkInstance& instance,
                    AnalysisArtifacts& artifacts,
                    const InstanceVerifyOptions& options) const;

@@ -33,10 +33,11 @@ struct InstanceVerifyOptions {
   /// bit-identical, so verdicts never differ).
   bool generic_builder = false;
   /// Batch-wide artifact sharing: when set, the analysis artifacts (dep
-  /// graph, primed closure, SCC verdict, escape analysis) are acquired from
-  /// this store, keyed by the spec's topology x routing x escape prefix, so
-  /// a second instance sharing the prefix reuses them instead of
-  /// recomputing. nullptr analyzes the instance's own constituents.
+  /// graph, primed closure, acyclicity verdict, escape analysis) are
+  /// acquired from this store, keyed by the spec's topology x routing x
+  /// escape prefix, so a second instance sharing the prefix reuses them
+  /// instead of recomputing. nullptr analyzes the instance's own
+  /// constituents.
   ArtifactStore* artifacts = nullptr;
 };
 

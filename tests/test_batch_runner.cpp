@@ -81,14 +81,17 @@ TEST(BatchRunner, SingleThreadedPoolStillWorks) {
   EXPECT_EQ(sum.load(), 100);
 }
 
-/// The determinism bar from the issue: parallel results bit-identical to
-/// sequential — equal vertex counts, equal CSR edge lists.
+/// The determinism bar: pooled results bit-identical to the generic oracle
+/// and to the same builder without a pool — equal vertex counts, equal CSR
+/// edge lists.
 void expect_identical(const RoutingFunction& routing, BatchRunner& runner) {
   const PortDepGraph sequential = build_dep_graph(routing);
-  const PortDepGraph parallel = build_dep_graph_parallel(routing, runner);
+  const PortDepGraph parallel = build_dep_graph_fast(routing, &runner);
   ASSERT_EQ(parallel.graph.vertex_count(), sequential.graph.vertex_count());
   ASSERT_EQ(parallel.graph.edge_count(), sequential.graph.edge_count());
   EXPECT_EQ(parallel.graph.edges(), sequential.graph.edges())
+      << routing.name();
+  EXPECT_EQ(parallel.graph.edges(), build_dep_graph_fast(routing).graph.edges())
       << routing.name();
 }
 
@@ -112,9 +115,9 @@ TEST(BatchRunner, RepeatedParallelBuildsAreStable) {
   BatchRunner runner(4);
   const Mesh2D mesh(8, 8);
   const XYRouting routing(mesh);
-  const PortDepGraph first = build_dep_graph_parallel(routing, runner);
+  const PortDepGraph first = build_dep_graph_fast(routing, &runner);
   for (int i = 0; i < 3; ++i) {
-    const PortDepGraph again = build_dep_graph_parallel(routing, runner);
+    const PortDepGraph again = build_dep_graph_fast(routing, &runner);
     EXPECT_EQ(again.graph.edges(), first.graph.edges());
   }
 }

@@ -88,7 +88,7 @@ TEST(DepGraphFast, LargestPresetFastMatchesParallel) {
     const PortDepGraph fast = build_dep_graph_fast(instance.routing());
     BatchRunner runner(4);
     const PortDepGraph parallel =
-        build_dep_graph_parallel(instance.routing(), runner);
+        build_dep_graph_fast(instance.routing(), &runner);
     EXPECT_EQ(fast.graph.edges(), parallel.graph.edges());
   }
 }
@@ -207,7 +207,7 @@ TEST(DepGraphFast, ParallelBuildBitIdenticalAcrossThreadCounts) {
   for (const std::size_t threads : {1u, 4u, 8u}) {
     BatchRunner runner(threads);
     const PortDepGraph parallel =
-        build_dep_graph_parallel(instance.routing(), runner);
+        build_dep_graph_fast(instance.routing(), &runner);
     EXPECT_EQ(parallel.graph.edges(), fast.graph.edges())
         << threads << " threads";
   }

@@ -5,6 +5,7 @@
 #include "graph/cycle.hpp"
 #include "routing/fully_adaptive.hpp"
 #include "routing/odd_even.hpp"
+#include "routing/torus_xy.hpp"
 #include "routing/west_first.hpp"
 #include "routing/xy.hpp"
 
@@ -64,6 +65,32 @@ TEST(SccChecker, SampleBudgetIsRespected) {
   EXPECT_EQ(analyze_dependencies(dep, 0).sample_cycles.size(), 0u);
   EXPECT_EQ(analyze_dependencies(dep, 1).sample_cycles.size(), 1u);
   EXPECT_LE(analyze_dependencies(dep, 3).sample_cycles.size(), 3u);
+}
+
+TEST(SccChecker, SequentialVerdictsOnMeshAndTorus) {
+  // The fast-builder graphs the verify pipeline decides: an XY mesh is one
+  // trivial SCC per port; the torus wrap rings are non-trivial SCCs, and
+  // the aggregates agree with the acyclicity DFS.
+  const Mesh2D mesh(16, 16);
+  const PortDepGraph mesh_dep = build_dep_graph_fast(XYRouting(mesh));
+  const SccAnalysis acyclic = analyze_dependencies(mesh_dep, 4);
+  EXPECT_TRUE(acyclic.deadlock_free);
+  EXPECT_EQ(acyclic.scc_count, mesh.port_count());
+  EXPECT_EQ(acyclic.nontrivial_scc_count, 0u);
+  EXPECT_FALSE(find_cycle(mesh_dep.graph).has_value());
+
+  const Mesh2D torus(8, 8, true, true);
+  const PortDepGraph torus_dep = build_dep_graph_fast(TorusXYRouting(torus));
+  const SccAnalysis cyclic = analyze_dependencies(torus_dep, 4);
+  EXPECT_FALSE(cyclic.deadlock_free);
+  EXPECT_GT(cyclic.nontrivial_scc_count, 0u);
+  EXPECT_GE(cyclic.ports_in_cycles, cyclic.largest_scc_size);
+  EXPECT_LT(cyclic.scc_count, torus.port_count());
+  EXPECT_EQ(cyclic.sample_cycles.size(), 4u);
+  for (const CycleWitness& cycle : cyclic.sample_cycles) {
+    EXPECT_TRUE(is_valid_cycle(torus_dep.graph, cycle));
+  }
+  EXPECT_TRUE(find_cycle(torus_dep.graph).has_value());
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
+#include <optional>
 #include <set>
 #include <string>
 #include <vector>
@@ -56,12 +58,10 @@ InstanceVerdict legacy_verify(const NetworkInstance& instance,
           instance.topology().destination_count() +
       verdict.edges;
 
+  // Acyclicity by sequential Tarjan, sharing no code with the pipeline's
+  // DFS; the DFS only supplies the witness the note string names.
   std::optional<CycleWitness> cycle;
-  if (options.runner != nullptr) {
-    if (has_nontrivial_scc(dep.graph, *options.runner)) {
-      cycle = find_cycle(dep.graph);
-    }
-  } else {
+  if (has_nontrivial_scc(dep.graph)) {
     cycle = find_cycle(dep.graph);
   }
   verdict.dep_acyclic = !cycle.has_value();
@@ -117,6 +117,30 @@ void expect_verdicts_equal(const InstanceVerdict& got,
   EXPECT_EQ(got.note, want.note) << context;
   EXPECT_EQ(got.constraints_ok, want.constraints_ok) << context;
   EXPECT_EQ(got.checks, want.checks) << context;
+}
+
+/// Every VerifyReport field except the measurements (wall_ms, cpu_ms,
+/// max_rss_kb on the verdict and on each stage).
+void expect_reports_equal(const VerifyReport& got, const VerifyReport& want,
+                          const std::string& context) {
+  expect_verdicts_equal(got.verdict, want.verdict, context);
+  EXPECT_EQ(got.verdict.expected_deadlock_free,
+            want.verdict.expected_deadlock_free)
+      << context;
+  ASSERT_EQ(got.stages.size(), want.stages.size()) << context;
+  for (std::size_t i = 0; i < got.stages.size(); ++i) {
+    StageStats got_stage = got.stages[i];
+    got_stage.wall_ms = want.stages[i].wall_ms;
+    got_stage.cpu_ms = want.stages[i].cpu_ms;
+    EXPECT_EQ(got_stage, want.stages[i]) << context << " stage " << i;
+  }
+  EXPECT_EQ(got.diagnostics, want.diagnostics) << context;
+  EXPECT_EQ(got.cache.contexts, want.cache.contexts) << context;
+  EXPECT_EQ(got.cache.primed, want.cache.primed) << context;
+  EXPECT_EQ(got.cache.dep_graph, want.cache.dep_graph) << context;
+  EXPECT_EQ(got.cache.acyclicity, want.cache.acyclicity) << context;
+  EXPECT_EQ(got.cache.escape, want.cache.escape) << context;
+  EXPECT_EQ(got.cache.constraints, want.cache.constraints) << context;
 }
 
 /// The sweep population every equality test ranges over: the non-heavy
@@ -216,6 +240,50 @@ TEST(VerifyPipeline, Mesh128MatchesLegacyOnThePool) {
   const NetworkInstance instance(*spec);
   expect_verdicts_equal(instance.verify(options),
                         legacy_verify(instance, options), "mesh128-xy @4t");
+}
+
+TEST(VerifyPipeline, SpecRunMatchesInstanceRunOnPresetsAndFaultVariants) {
+  // run(spec, artifacts) builds no NetworkInstance: its header fields come
+  // from the spec and the artifact context. It must render the same report
+  // as the NetworkInstance overload over the instance's own constituents,
+  // including on fault variants whose context is delta-built from a base.
+  std::vector<InstanceSpec> specs = equality_presets();
+  for (const char* text :
+       {"topology=mesh size=8x8 routing=xy failed=9:E,20:S",
+        "topology=torus size=8x8 routing=torus_xy escape=xy "
+        "failed=0:E,27:N"}) {
+    std::string error;
+    const std::optional<InstanceSpec> variant =
+        parse_instance_spec(text, &error);
+    ASSERT_TRUE(variant.has_value()) << error;
+    specs.push_back(*variant);
+  }
+  BatchRunner runner(4);
+  InstanceVerifyOptions options;
+  options.runner = &runner;
+  std::size_t delta_built = 0;
+  for (const InstanceSpec& spec : specs) {
+    const NetworkInstance instance(spec);
+    const std::string context = instance.name();
+    const VerifyReport want =
+        VerifyPipeline::standard().run(instance, options);
+    ArtifactStore store;
+    const std::shared_ptr<AnalysisArtifacts> artifacts = store.acquire(spec);
+    const VerifyReport got =
+        VerifyPipeline::standard().run(spec, *artifacts, options);
+    expect_reports_equal(got, want, context);
+    // The header fields, straight from the constructed instance.
+    EXPECT_EQ(got.verdict.instance, instance.name()) << context;
+    EXPECT_EQ(got.verdict.routing, instance.routing().name()) << context;
+    EXPECT_EQ(got.verdict.switching, instance.switching().name()) << context;
+    EXPECT_EQ(got.verdict.nodes, instance.topology().node_count()) << context;
+    EXPECT_EQ(got.verdict.ports, instance.topology().port_count()) << context;
+    EXPECT_EQ(got.verdict.deterministic,
+              instance.routing().is_deterministic())
+        << context;
+    delta_built += store.context_count() == 2 ? 1 : 0;  // variant + base
+  }
+  EXPECT_EQ(delta_built, 2u);
 }
 
 TEST(VerifyPipeline, BatchSweepPrimesEachDistinctClosureExactlyOnce) {
