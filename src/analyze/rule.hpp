@@ -39,7 +39,7 @@ struct AnalyzeOptions {
   /// a second while covering every port of every sampled destination.
   std::uint64_t state_budget = 1ull << 23;
   /// Budget in (node, destination, port-name) probes for the
-  /// node-uniformity audit.
+  /// node-uniformity audit, per audited function (routing, escape lane).
   std::uint64_t uniformity_budget = 1ull << 23;
   /// Per-code cap on emitted findings; the summary diagnostic always
   /// carries the full violation count.

@@ -342,34 +342,72 @@ class TurnConformanceRule final : public AnalysisRule {
   }
 };
 
-/// Rule 4: the node-uniformity audit. A routing claiming node_uniform()
-/// feeds the zero-storage closure tier and the NODE-mode sweeps, where a
-/// wrong claim silently corrupts every downstream artifact — so
-/// cross-check out_mask_id() against next_hop_ids from EVERY in-port of
-/// sampled (node, destination) pairs. The contract covers all pairs, not
-/// just closure-reachable ones (the sweeps evaluate masks off-route too).
+/// Rule 4: the node-uniformity audit. A function claiming node_uniform()
+/// feeds the zero-storage closure tier, the NODE-mode sweeps and the
+/// node-granular escape analysis, where a wrong claim silently corrupts
+/// every downstream artifact — so cross-check out_mask_id() against
+/// next_hop_ids from EVERY in-port of sampled (node, destination) pairs,
+/// for the routing and (when declared) the escape lane alike, each on the
+/// full budget. The contract covers all pairs, not just closure-reachable
+/// ones (the sweeps evaluate masks off-route too).
 class UniformityRule final : public AnalysisRule {
  public:
   const char* name() const override { return "uniformity"; }
   const char* description() const override {
-    return "audit a node_uniform() claim: the per-node out-mask must equal "
-           "the hop set from every in-port of the node (protects the "
-           "zero-storage closure tier)";
+    return "audit the node_uniform() claims of the routing and the escape "
+           "lane: the per-node out-mask must equal the hop set from every "
+           "in-port of the node (protects the zero-storage closure tier and "
+           "the node-granular escape analysis)";
   }
 
   StageStats run(AnalyzeContext& ctx) const override {
     StageStats stats;
     stats.stage = name();
-    if (!ctx.routing.node_uniform()) {
+    const bool escape_claims =
+        ctx.escape != nullptr && ctx.escape->node_uniform();
+    if (!ctx.routing.node_uniform() && !escape_claims) {
       stats.ran = false;
       stats.passed = true;
       stats.skip_reason =
-          "routing does not claim node-uniformity (port-mode closure)";
+          ctx.escape == nullptr
+              ? "routing does not claim node-uniformity (port-mode closure)"
+              : "neither routing nor escape lane claims node-uniformity "
+                "(port-mode closure)";
       return stats;
     }
     stats.ran = true;
+    std::uint64_t violations = 0;
+    if (ctx.routing.node_uniform()) {
+      audit(ctx, ctx.routing, "routing", stats, violations);
+    }
+    if (escape_claims) {
+      audit(ctx, *ctx.escape, "escape", stats, violations);
+    }
+    stats.passed = violations == 0;
+    if (stats.passed) {
+      ctx.report.diagnostics.push_back(make_diagnostic(
+          name(), Severity::kInfo, "uniformity-audited",
+          "node-uniformity claim holds on " + std::to_string(stats.checks) +
+              " sampled (in-port, destination) pairs",
+          {{"pairs", std::to_string(stats.checks)}}));
+    } else {
+      ctx.report.diagnostics.push_back(make_diagnostic(
+          name(), Severity::kError, "uniformity-refuted",
+          std::to_string(violations) +
+              " (in-port, destination) pairs contradict a node_uniform() "
+              "claim — the node-granular sweeps would be corrupt",
+          {{"violations", std::to_string(violations)}}));
+    }
+    return stats;
+  }
+
+ private:
+  /// Audits one function's claim, adding to \p violations (the per-code
+  /// finding cap spans both functions).
+  void audit(AnalyzeContext& ctx, const RoutingFunction& routing,
+             const char* function, StageStats& stats,
+             std::uint64_t& violations) const {
     const Topology& topo = ctx.topology;
-    const RoutingFunction& routing = ctx.routing;
     const std::size_t dests = topo.destination_count();
     const std::size_t nodes = topo.node_count();
     const std::size_t names = topo.name_count();
@@ -379,8 +417,6 @@ class UniformityRule final : public AnalysisRule {
     std::vector<PortId> expected;
     std::vector<PortId> actual;
     std::vector<Port> port_scratch;
-    std::uint64_t violations = 0;
-
     for (std::size_t d = 0; d < dests; d += stride) {
       for (std::size_t node = 0; node < nodes; ++node) {
         std::uint64_t mask =
@@ -414,10 +450,12 @@ class UniformityRule final : public AnalysisRule {
           if (violations <= ctx.options.max_findings_per_code) {
             ctx.report.diagnostics.push_back(make_diagnostic(
                 name(), Severity::kError, "uniformity-violated",
-                "hop set from " + topo.port_label(in) + " toward " +
+                std::string(function) + " hop set from " +
+                    topo.port_label(in) + " toward " +
                     topo.port_label(topo.destination_id(d)) +
                     " differs from the node's claimed out-mask",
-                {{"in_port", topo.port_label(in)},
+                {{"function", function},
+                 {"in_port", topo.port_label(in)},
                  {"destination", topo.port_label(topo.destination_id(d))},
                  {"node", topo.node_label(node)},
                  {"mask_hops", std::to_string(expected.size())},
@@ -426,22 +464,6 @@ class UniformityRule final : public AnalysisRule {
         }
       }
     }
-    stats.passed = violations == 0;
-    if (stats.passed) {
-      ctx.report.diagnostics.push_back(make_diagnostic(
-          name(), Severity::kInfo, "uniformity-audited",
-          "node-uniformity claim holds on " + std::to_string(stats.checks) +
-              " sampled (in-port, destination) pairs",
-          {{"pairs", std::to_string(stats.checks)}}));
-    } else {
-      ctx.report.diagnostics.push_back(make_diagnostic(
-          name(), Severity::kError, "uniformity-refuted",
-          std::to_string(violations) +
-              " (in-port, destination) pairs contradict the node_uniform() "
-              "claim — the zero-storage closure tier would be corrupt",
-          {{"violations", std::to_string(violations)}}));
-    }
-    return stats;
   }
 };
 

@@ -1,12 +1,13 @@
 #include "deadlock/escape.hpp"
 
+#include <algorithm>
+#include <bit>
 #include <limits>
 #include <sstream>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
-#include "routing/sweep.hpp"
 #include "util/require.hpp"
 #include "util/thread_pool.hpp"
 
@@ -36,52 +37,53 @@ std::string EscapeAnalysis::summary() const {
 
 namespace {
 
+constexpr auto kOutSlot = static_cast<std::size_t>(Direction::kOut);
+constexpr std::uint64_t kLinkEdge = 1;  // lane bit of an OUT port's link
+/// A (destination index, in-port) state; kNoState orders after all others.
+using State = std::pair<std::size_t, PortId>;
+constexpr State kNoState{std::numeric_limits<std::size_t>::max(),
+                         kInvalidPort};
+
+/// The out-port named by the lowest set bit of \p mask in a node's slot table.
+PortId lowest_out(const PortId* slots, std::uint64_t mask) {
+  return slots[static_cast<std::size_t>(std::countr_zero(mask)) * 2 + kOutSlot];
+}
+
 /// Scratch + partial results of one shard of the destination-sharded escape
 /// sweep. Every member is private to the shard's worker, so the sweep body
 /// runs lock-free; the deterministic merge happens after the fan-in.
 struct EscapeShard {
-  explicit EscapeShard(std::size_t port_count)
-      : stamp(port_count, 0), emitted(port_count) {}
+  EscapeShard(std::size_t port_count, std::size_t node_count)
+      : stamp(port_count, 0), masks(node_count, 0), lane(port_count, 0) {}
 
-  // Flat per-destination scratch: epoch stamps instead of a rebuilt hash
-  // set, an index-walked frontier instead of std::queue, one reused hop
-  // vector instead of a fresh allocation per next_hops call. The closure
-  // scratch makes reachability row-granular AND shard-local: each shard
-  // materializes the rows of exactly the destinations it owns (lazy,
-  // locality-aware priming — no eager whole-closure build up front).
+  // Flat per-destination scratch: epoch stamps, an index-walked frontier,
+  // and the adaptive closure rows of exactly this shard's destinations.
   ClosureRowScratch reach;
   std::vector<std::uint32_t> stamp;
   std::uint32_t epoch = 0;
   std::vector<PortId> frontier;
-  std::vector<Port> hops;      // grid Port-tuple scratch
-  std::vector<PortId> hop_ids;  // next_hop_ids_into sink
-  // Escape-graph edges repeat across destinations (the lane is the same
-  // deterministic function every time); the sweep engines' shared filter
-  // keeps each shard's edge buffer near the final edge count. Shards may
-  // re-emit edges another shard saw — Digraph::finalize (sort + dedup)
-  // erases both the duplicates and the merge order.
-  EdgeDedupCache emitted;
+  std::vector<std::uint64_t> masks;  // per node: the escape out-mask
+  // Per port: the lane edges seen so far, in RouteSweeper's emitted-bit
+  // encoding (kLinkEdge on OUT ports, out-name bits on IN ports). The lane
+  // repeats across destinations, so the bits saturate; shards merge by OR.
+  std::vector<std::uint64_t> lane;
 
-  std::vector<std::pair<PortId, PortId>> edges;
   std::uint64_t states_checked = 0;
   std::uint64_t missing_states = 0;
-  // The shard's FIRST missing-escape state in (destination, in-port) sweep
-  // order; dests/ports are indices into the canonical enumeration, so the
-  // global minimum over shards is exactly the sequential witness.
-  std::size_t missing_dest = std::numeric_limits<std::size_t>::max();
-  std::size_t missing_port = std::numeric_limits<std::size_t>::max();
-  std::string missing_witness;
+  std::uint64_t entry_nodes = 0;
+  std::uint64_t lane_ports = 0;
+  // The shard's minimum missing-escape state; the minimum over shards is
+  // exactly the sequential witness.
+  State missing = kNoState;
 };
 
 /// Explores every escape-lane state for destination \p dest_index:
 /// availability of the escape entries from the adaptive-reachable in-ports,
-/// then the lane's own closure and dependency edges. Identical to one
-/// iteration of the original sequential loop.
+/// then the lane's own closure and dependency edges.
 void sweep_escape_destination(const RoutingFunction& adaptive,
                               const RoutingFunction& escape,
-                              const Topology& topo,
-                              const std::vector<PortId>& in_ports,
-                              std::size_t dest_index, EscapeShard& shard) {
+                              const Topology& topo, std::size_t dest_index,
+                              EscapeShard& shard) {
   ++shard.epoch;
   shard.frontier.clear();
   const std::uint32_t epoch = shard.epoch;
@@ -91,62 +93,64 @@ void sweep_escape_destination(const RoutingFunction& adaptive,
       shard.frontier.push_back(pid);
     }
   };
+  auto seed_mask = [&](std::size_t node, std::uint64_t mask) {
+    for (; mask != 0; mask &= mask - 1) {
+      seed(lowest_out(topo.node_slots(node), mask));
+    }
+  };
 
   // Escape entries: every adaptive-reachable in-port state. A packet
   // transfers into the escape lane at the out-port the escape function
   // picks from its current (adaptive-lane) in-port; that transfer is not a
   // dependency between escape resources — the escape-lane graph contains
   // only the dependencies among escape-lane ports themselves, which is
-  // what Duato's condition constrains. The entry hops seed the closure.
-  // One row read per destination replaces |in_ports| virtual reachability
-  // calls (84M of them on torus64); the row is built on first touch by
-  // this shard, for the destinations this shard owns.
+  // what Duato's condition constrains. The escape function is node-uniform,
+  // so one existence-filtered mask per node decides every in-port of the
+  // node: its reachable in-ports are all available or all missing.
   const std::uint64_t* reach_row =
       adaptive.closure_row(dest_index, shard.reach);
-  for (std::size_t pi = 0; pi < in_ports.size(); ++pi) {
-    const PortId p = in_ports[pi];
-    if (((reach_row[p >> 6] >> (p & 63)) & 1u) == 0) {
+  escape.fill_node_masks(dest_index, shard.masks.data());
+  for (std::size_t node = 0; node < shard.masks.size(); ++node) {
+    const std::uint64_t mask = shard.masks[node] & topo.out_exists_mask(node);
+    shard.masks[node] = mask;
+    std::uint64_t reachable = 0;
+    PortId lowest = kInvalidPort;
+    for (std::size_t name = 0; name < topo.name_count(); ++name) {
+      const PortId p = topo.slot_id(node, name, Direction::kIn);
+      if (p != kInvalidPort && ((reach_row[p >> 6] >> (p & 63)) & 1u) != 0) {
+        lowest = std::min(lowest, p);
+        ++reachable;
+      }
+    }
+    if (reachable == 0) {
       continue;
     }
-    ++shard.states_checked;
-    shard.hop_ids.clear();
-    // The id layer filters non-existent hops, so every returned id is an
-    // available escape entry.
-    escape.next_hop_ids_into(p, dest_index, shard.hop_ids, shard.hops);
-    for (const PortId hid : shard.hop_ids) {
-      seed(hid);
+    ++shard.entry_nodes;
+    shard.states_checked += reachable;
+    if (mask == 0) {
+      shard.missing_states += reachable;
+      shard.missing = std::min(shard.missing, State{dest_index, lowest});
     }
-    if (shard.hop_ids.empty()) {
-      ++shard.missing_states;
-      if (shard.missing_witness.empty()) {
-        shard.missing_dest = dest_index;
-        shard.missing_port = pi;
-        shard.missing_witness =
-            topo.port_label(p) + " / " +
-            topo.port_label(topo.destination_id(dest_index));
-      }
-    }
+    seed_mask(node, mask);
   }
 
-  // Escape continuation: follow the (deterministic) escape function from
-  // every escape-lane state until consumption, collecting the lane's own
-  // dependency edges.
+  // Escape continuation: follow the escape function from every escape-lane
+  // state until consumption — OUT ports along their link, IN ports to
+  // their node's mask — recording the lane's own dependency edges.
+  const std::uint64_t terminal = topo.terminal_name_mask();
   for (std::size_t head = 0; head < shard.frontier.size(); ++head) {
     const PortId pid = shard.frontier[head];
-    if (topo.dir_of(pid) == Direction::kOut &&
-        ((topo.terminal_name_mask() >> topo.name_of(pid)) & 1) != 0) {
+    if (topo.dir_of(pid) == Direction::kIn) {
+      const std::size_t node = topo.node_of(pid);
+      shard.lane[pid] |= shard.masks[node];
+      seed_mask(node, shard.masks[node]);
+    } else if (((terminal >> topo.name_of(pid)) & 1) != 0) {
       continue;  // consumed
+    } else {
+      shard.lane[pid] |= kLinkEdge;
+      seed(topo.link_target(pid));
     }
-    shard.hop_ids.clear();
-    // Malformed mid-lane hops (non-existent ports) are filtered by the id
-    // layer and surface as missing edges.
-    escape.next_hop_ids_into(pid, dest_index, shard.hop_ids, shard.hops);
-    for (const PortId hid : shard.hop_ids) {
-      if (shard.emitted.fresh(pid, hid)) {
-        shard.edges.emplace_back(pid, hid);
-      }
-      seed(hid);
-    }
+    ++shard.lane_ports;
   }
 }
 
@@ -161,96 +165,89 @@ EscapeAnalysis analyze_escape(const RoutingFunction& adaptive,
   GENOC_REQUIRE(escape.is_deterministic(),
                 "the escape function must be deterministic");
   const Topology& topo = adaptive.topology();
+  GENOC_REQUIRE(escape.node_uniform() && topo.name_count() <= 64,
+                "the escape function must be node-uniform (one out-mask per "
+                "node and destination)");
   const std::size_t port_count = topo.port_count();
+  const std::size_t dest_count = topo.destination_count();
 
   EscapeAnalysis result;
   result.escape_graph.topo = &topo;
   result.escape_graph.mesh = dynamic_cast<const Mesh2D*>(&topo);
   result.escape_graph.graph = Digraph(port_count);
 
-  // The adaptive-lane in-ports (the escape entry states), shared read-only
-  // by every shard.
-  std::vector<PortId> in_ports;
-  for (PortId pid = 0; pid < port_count; ++pid) {
-    if (topo.dir_of(pid) == Direction::kIn) {
-      in_ports.push_back(pid);
-    }
-  }
-  const std::size_t dest_count = topo.destination_count();
+  // Sequential: one shard sweeps every destination in order.
+  const std::size_t grain = pool == nullptr
+                                ? std::max<std::size_t>(dest_count, 1)
+                                : pool->recommended_grain(dest_count);
   std::vector<EscapeShard> shards;
+  while (shards.empty() || shards.size() * grain < dest_count) {
+    shards.emplace_back(port_count, topo.node_count());
+  }
+  auto sweep_range = [&](std::size_t begin, std::size_t end) {
+    obs::TraceSpan shard_span(pool == nullptr ? "escape_sweep"
+                                              : "escape_shard");
+    if (shard_span.active()) {
+      shard_span.set_detail("dests " + std::to_string(begin) + ".." +
+                            std::to_string(end));
+    }
+    for (std::size_t dest = begin; dest < end; ++dest) {
+      sweep_escape_destination(adaptive, escape, topo, dest,
+                               shards[begin / grain]);
+    }
+  };
   if (pool == nullptr) {
-    // Sequential: one shard sweeps every destination in order.
-    obs::TraceSpan sweep_span("escape_sweep");
-    shards.emplace_back(port_count);
-    for (std::size_t dest = 0; dest < dest_count; ++dest) {
-      sweep_escape_destination(adaptive, escape, topo, in_ports, dest,
-                               shards.front());
-    }
+    sweep_range(0, dest_count);
   } else {
-    const std::size_t grain = pool->recommended_grain(dest_count);
-    const std::size_t shard_total = (dest_count + grain - 1) / grain;
-    shards.reserve(shard_total);
-    for (std::size_t i = 0; i < shard_total; ++i) {
-      shards.emplace_back(port_count);
-    }
-    pool->parallel_for(
-        dest_count, grain, [&](std::size_t begin, std::size_t end) {
-          obs::TraceSpan shard_span("escape_shard");
-          if (shard_span.active()) {
-            shard_span.set_detail("dests " + std::to_string(begin) + ".." +
-                                  std::to_string(end));
-          }
-          EscapeShard& shard = shards[begin / grain];
-          for (std::size_t dest = begin; dest < end; ++dest) {
-            sweep_escape_destination(adaptive, escape, topo, in_ports, dest,
-                                     shard);
-          }
-        });
+    pool->parallel_for(dest_count, grain, sweep_range);
   }
 
-  // Deterministic merge: counters are sums, the witness is the minimum in
-  // (destination, in-port) order, and the edge union is canonicalized by
-  // finalize() — the result never depends on shard count or interleaving.
+  // Deterministic merge: counters are sums (so metric snapshots match at
+  // any thread count), the witness is the minimum state, and the OR-ed lane
+  // bits are emitted in port order.
   obs::TraceSpan merge_span("escape_merge");
-  std::size_t total_edges = 0;
-  for (const EscapeShard& shard : shards) {
-    total_edges += shard.edges.size();
-  }
-  result.escape_graph.graph.reserve_edges(total_edges);
-  const EscapeShard* first_missing = nullptr;
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  static obs::Counter& entries = metrics.counter("escape.entry_nodes");
+  static obs::Counter& lane_ports = metrics.counter("escape.lane_ports");
+  std::vector<std::uint64_t>& lane = shards.front().lane;
+  State missing = kNoState;
   for (const EscapeShard& shard : shards) {
     result.states_checked += shard.states_checked;
     result.missing_states += shard.missing_states;
-    for (const auto& [from, to] : shard.edges) {
-      result.escape_graph.graph.add_edge(from, to);
-    }
-    if (shard.missing_states != 0 &&
-        (first_missing == nullptr ||
-         std::pair(shard.missing_dest, shard.missing_port) <
-             std::pair(first_missing->missing_dest,
-                       first_missing->missing_port))) {
-      first_missing = &shard;
+    entries.add(shard.entry_nodes);
+    lane_ports.add(shard.lane_ports);
+    missing = std::min(missing, shard.missing);
+    for (std::size_t pid = 0; pid < port_count; ++pid) {
+      lane[pid] |= shard.lane[pid];  // a no-op for the front shard
     }
   }
   result.escape_always_available = result.missing_states == 0;
-  if (first_missing != nullptr) {
-    result.missing_escape = first_missing->missing_witness;
+  if (missing != kNoState) {
+    result.missing_escape =
+        topo.port_label(missing.second) + " / " +
+        topo.port_label(topo.destination_id(missing.first));
   }
-
-  result.escape_graph.graph.finalize();
-  result.escape_graph_acyclic = is_acyclic(result.escape_graph.graph);
+  Digraph& graph = result.escape_graph.graph;
+  for (PortId pid = 0; pid < port_count; ++pid) {
+    if (topo.dir_of(pid) == Direction::kOut) {
+      if (lane[pid] != 0) {
+        graph.add_edge(pid, topo.link_target(pid));
+      }
+      continue;
+    }
+    const PortId* slots = topo.node_slots(topo.node_of(pid));
+    for (std::uint64_t bits = lane[pid]; bits != 0; bits &= bits - 1) {
+      graph.add_edge(pid, lowest_out(slots, bits));
+    }
+  }
+  graph.finalize();
+  result.escape_graph_acyclic = is_acyclic(graph);
   result.deadlock_free =
       result.escape_always_available && result.escape_graph_acyclic;
-  {
-    // Shard sums are deterministic at any thread count — safe to compare
-    // across 1/4/8-thread snapshots.
-    obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
-    static obs::Counter& states =
-        metrics.counter("escape.states_checked");
-    states.add(result.states_checked);
-    metrics.gauge("escape.max_states")
-        .record_max(static_cast<std::int64_t>(result.states_checked));
-  }
+  static obs::Counter& states = metrics.counter("escape.states_checked");
+  states.add(result.states_checked);
+  metrics.gauge("escape.max_states")
+      .record_max(static_cast<std::int64_t>(result.states_checked));
   return result;
 }
 

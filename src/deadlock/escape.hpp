@@ -44,9 +44,7 @@ struct EscapeAnalysis {
   /// Number of states WITHOUT an escape hop (0 when (1) holds).
   std::uint64_t missing_states = 0;
   /// The FIRST state without an escape hop in canonical (destination-major,
-  /// in-port-minor) sweep order, if any ("<port> / <dest>"). Sharding never
-  /// changes this witness: every shard reports its locally first state and
-  /// the merge keeps the globally smallest (destination, port) pair.
+  /// in-port-minor) order, if any ("<port> / <dest>"), at any shard count.
   std::string missing_escape;
   /// (2): the escape-lane dependency graph (over the escape closure).
   PortDepGraph escape_graph;
@@ -61,17 +59,18 @@ struct EscapeAnalysis {
 };
 
 /// Runs the analysis: \p adaptive is the (possibly cyclic) routing function
-/// packets normally use; \p escape is a deterministic function whose
-/// next-hop *formula* is total on in-ports (like the paper's Rxy case
-/// split). Both must live on the same mesh.
+/// packets normally use; \p escape is a deterministic function like the
+/// paper's Rxy, on the same topology. \p escape must also be node-uniform
+/// (name tables of <= 64 names; the registry's xy/yx lanes are): availability
+/// is NODE-granular — one existence-filtered out-mask per (node,
+/// destination) decides every adaptive-reachable in-port of the node, and
+/// the lane walk reads the same masks. The analysis trusts that mask; the
+/// analyzer's `uniformity` rule audits the claim.
 ///
-/// With a \p pool the per-destination sweeps are sharded across its
-/// threads, each shard on private scratch (stamp epochs, frontier, hop
-/// buffer, edge-dedup cache); the merged result is BIT-IDENTICAL to the
-/// sequential analysis at every thread count (Digraph::finalize
-/// canonicalizes the edge set, counters are order-free sums, and the
-/// missing-escape witness is the canonical minimum). pool == nullptr runs
-/// the classic sequential sweep.
+/// With a \p pool the destinations are sharded across its threads. Each
+/// shard records the lane's edges as per-port out-name bits; the merge ORs
+/// them and emits the escape graph once, so the result is BIT-IDENTICAL to
+/// pool == nullptr (one shard) at every thread count.
 EscapeAnalysis analyze_escape(const RoutingFunction& adaptive,
                               const RoutingFunction& escape,
                               ThreadPool* pool = nullptr);

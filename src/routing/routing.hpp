@@ -159,9 +159,9 @@ class RoutingFunction {
   virtual bool id_native() const { return false; }
 
   /// The primitive grid subclasses implement: appends R(current, dest) to
-  /// \p out WITHOUT clearing it. Hot loops (the per-destination sweeps, the
-  /// closure build, the escape analysis) reuse one scratch vector across
-  /// calls, so the steady state allocates nothing. The appended ports
+  /// \p out WITHOUT clearing it. Hot loops (the port-mode sweeps, the
+  /// closure build) reuse one scratch vector across calls, so the steady
+  /// state allocates nothing. The appended ports
   /// follow the routing formula literally; for reachable inputs they exist
   /// in the mesh (that existence is part of what constraint (C-1) checks).
   /// id-native functions implement append_next_hop_ids() instead.
@@ -251,7 +251,7 @@ class RoutingFunction {
     return closure_reachable(s, d);
   }
 
-  /// id-based s R d used by the generic builder and the escape analysis:
+  /// id-based s R d used by the generic builder:
   /// grid functions dispatch through the virtual reachable() (closed-form
   /// overrides stay authoritative, exactly as the Port-tuple oracle always
   /// honored them); id-native functions read the semantic closure.

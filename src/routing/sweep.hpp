@@ -39,12 +39,12 @@
 
 namespace genoc {
 
-/// First-N-distinct-targets edge filter shared by the sweep engines (the
-/// port-mode dependency sweep, the escape-lane analysis): a port emits at
-/// most a node's worth of distinct out-targets (or one link target), so
-/// kSlots slots suppress virtually every repeat emission across
-/// destinations; on overflow the edge is simply emitted again and
-/// Digraph::finalize coalesces it.
+/// First-N-distinct-targets edge filter of the port-mode dependency sweep
+/// (the node-granular escape-lane analysis needs none: it records edges as
+/// per-port name bits): a port emits at most a node's worth of distinct
+/// out-targets (or one link target), so kSlots slots suppress virtually
+/// every repeat emission across destinations; on overflow the edge is
+/// simply emitted again and Digraph::finalize coalesces it.
 class EdgeDedupCache {
  public:
   explicit EdgeDedupCache(std::size_t port_count)

@@ -171,8 +171,9 @@ class AlwaysEast final : public GridMutant {
   }
 };
 
-/// Escape mutant 2: an XY escape lane whose published mask selects nothing
-/// at node (1,1) — a coverage hole in the claimed sub-network.
+/// Escape mutant 2: an XY escape lane that selects nothing at node (1,1) —
+/// a coverage hole in the claimed sub-network. Mask and hops agree, so the
+/// node-uniformity claim itself holds.
 class HoleyEscape final : public GridMutant {
  public:
   explicit HoleyEscape(const Mesh2D& mesh) : GridMutant(mesh), inner_(mesh) {}
@@ -180,6 +181,9 @@ class HoleyEscape final : public GridMutant {
   bool node_uniform() const override { return true; }
   void append_next_hops(const Port& p, const Port& d,
                         std::vector<Port>& out) const override {
+    if (p.dir == Direction::kIn && p.x == 1 && p.y == 1) {
+      return;
+    }
     inner_.append_next_hops(p, d, out);
   }
   std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
@@ -187,6 +191,31 @@ class HoleyEscape final : public GridMutant {
     if (x == 1 && y == 1) {
       return 0;
     }
+    return inner_.node_out_mask(x, y, dest);
+  }
+
+ private:
+  XYRouting inner_;
+};
+
+/// Escape mutant 3: an XY escape lane whose hops from the in-ports of node
+/// (2,2) are dropped while its published mask stays XY's — the lie the
+/// node-granular escape analysis would silently trust.
+class LyingEscapeHops final : public GridMutant {
+ public:
+  explicit LyingEscapeHops(const Mesh2D& mesh)
+      : GridMutant(mesh), inner_(mesh) {}
+  std::string name() const override { return "lying-escape-hops"; }
+  bool node_uniform() const override { return true; }
+  void append_next_hops(const Port& p, const Port& d,
+                        std::vector<Port>& out) const override {
+    if (p.dir == Direction::kIn && p.x == 2 && p.y == 2) {
+      return;
+    }
+    inner_.append_next_hops(p, d, out);
+  }
+  std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
+                             const Port& dest) const override {
     return inner_.node_out_mask(x, y, dest);
   }
 
@@ -471,6 +500,39 @@ TEST(AnalyzerMutant, EscapeCoverageHoleTripsEscapeCoverage) {
   EXPECT_TRUE(has_code(report, "escape-uncovered"));
   EXPECT_TRUE(findings_only_from(report, "escape"))
       << analyze_report_json(report);
+}
+
+TEST(AnalyzerMutant, LyingEscapeMaskTripsUniformity) {
+  const InstanceSpec spec =
+      spec_or_die("topology=mesh size=4x4 routing=fully_adaptive escape=xy");
+  const Mesh2D mesh(4, 4);
+  const XYRouting routing(mesh);
+  const LyingEscapeHops escape(mesh);
+  const AnalyzeReport report =
+      Analyzer::standard().run(spec, mesh, routing, &escape);
+  EXPECT_FALSE(report.clean());
+  EXPECT_TRUE(has_code(report, "uniformity-refuted"));
+  EXPECT_TRUE(findings_only_from(report, "uniformity"))
+      << analyze_report_json(report);
+  // Every finding blames the escape lane; the routing audits clean.
+  std::size_t violated = 0;
+  for (const Diagnostic& d : report.diagnostics) {
+    if (d.code != "uniformity-violated") {
+      continue;
+    }
+    ++violated;
+    const auto function =
+        std::find(d.witness.begin(), d.witness.end(),
+                  std::pair<std::string, std::string>("function", "escape"));
+    EXPECT_NE(function, d.witness.end()) << analyze_report_json(report);
+  }
+  EXPECT_GT(violated, 0u);
+  // Each audited function gets the full budget: twice the routing-only
+  // pair count.
+  const AnalyzeReport routing_only =
+      Analyzer::standard().run(spec, mesh, routing, nullptr);
+  EXPECT_EQ(stats_of(report, "uniformity").checks,
+            2 * stats_of(routing_only, "uniformity").checks);
 }
 
 // ---------------------------------------------------------------------------

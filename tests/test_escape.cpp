@@ -64,6 +64,29 @@ TEST(Escape, CyclicEscapeFunctionIsRejected) {
   EXPECT_THROW(analyze_escape(adaptive, adaptive), ContractViolation);
 }
 
+/// XY hops without the node-uniformity claim: deterministic, but the
+/// node-granular analysis has no mask it may trust.
+class PortModeXY final : public RoutingFunction {
+ public:
+  explicit PortModeXY(const Mesh2D& mesh) : RoutingFunction(mesh), xy_(mesh) {}
+  std::string name() const override { return "XY (port mode)"; }
+  bool is_deterministic() const override { return true; }
+  void append_next_hops(const Port& current, const Port& dest,
+                        std::vector<Port>& out) const override {
+    xy_.append_next_hops(current, dest, out);
+  }
+
+ private:
+  XYRouting xy_;
+};
+
+TEST(Escape, NonNodeUniformEscapeIsRejected) {
+  const Mesh2D mesh(3, 3);
+  const FullyAdaptiveRouting adaptive(mesh);
+  const PortModeXY escape(mesh);
+  EXPECT_THROW(analyze_escape(adaptive, escape), ContractViolation);
+}
+
 TEST(Escape, MeshMismatchIsRejected) {
   const Mesh2D a(2, 2);
   const Mesh2D b(3, 3);

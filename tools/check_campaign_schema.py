@@ -10,6 +10,7 @@ matrix job so a field rename or a variant that silently drops out of the
 accounting fails the build.
 
 Usage: tools/check_campaign_schema.py report.json [--require-free]
+           [--expect-free N]
 """
 import argparse
 import collections
@@ -109,6 +110,10 @@ def main() -> int:
     parser.add_argument("--require-free", action="store_true",
                         help="additionally fail when any verified variant "
                              "deadlocks (the mesh16-xy single-fault CI gate)")
+    parser.add_argument("--expect-free", type=int, metavar="N",
+                        help="additionally fail unless exactly N verified "
+                             "variants are deadlock-free (the torus8-xy "
+                             "escape campaign CI gate)")
     args = parser.parse_args()
 
     try:
@@ -167,6 +172,9 @@ def main() -> int:
         bad = [row["faults"] for row in doc["variants"]
                if not row["screened"] and not row["deadlock_free"]]
         fail("top level", f"--require-free: deadlocks on failed={bad}")
+    if args.expect_free is not None and doc["deadlock_free"] != args.expect_free:
+        fail("top level", f"--expect-free {args.expect_free}: "
+                          f"{doc['deadlock_free']} variants are deadlock-free")
 
     print(f"check_campaign_schema: OK — schema_version {SCHEMA_VERSION}, "
           f"plan {doc['plan']} over {doc['instance']}: "
