@@ -99,7 +99,8 @@ std::vector<std::string> Analyzer::rule_names() const {
 AnalyzeReport Analyzer::run(const InstanceSpec& spec, const Topology& topology,
                             const RoutingFunction& routing,
                             const RoutingFunction* escape,
-                            const AnalyzeOptions& options) const {
+                            const AnalyzeOptions& options,
+                            ThreadPool* pool) const {
   obs::TraceSpan run_span("analyze");
   Stopwatch timer;
 
@@ -112,7 +113,7 @@ AnalyzeReport Analyzer::run(const InstanceSpec& spec, const Topology& topology,
   report.ports = topology.port_count();
   report.rules.reserve(rules_.size());
 
-  AnalyzeContext ctx{spec, topology, routing, escape, options, report};
+  AnalyzeContext ctx{spec, topology, routing, escape, options, report, pool};
   for (const AnalysisRule* rule : rules_) {
     obs::TraceSpan rule_span(rule->name());
     Stopwatch rule_timer;
@@ -145,15 +146,17 @@ AnalyzeReport Analyzer::run(const InstanceSpec& spec, const Topology& topology,
 
 AnalyzeReport Analyzer::run(const InstanceSpec& spec,
                             AnalysisArtifacts& artifacts,
-                            const AnalyzeOptions& options) const {
+                            const AnalyzeOptions& options,
+                            ThreadPool* pool) const {
   return run(spec, artifacts.topology(), artifacts.routing(),
-             artifacts.escape_routing(), options);
+             artifacts.escape_routing(), options, pool);
 }
 
 AnalyzeReport Analyzer::run(const InstanceSpec& spec,
-                            const AnalyzeOptions& options) const {
+                            const AnalyzeOptions& options,
+                            ThreadPool* pool) const {
   AnalysisArtifacts artifacts(spec);
-  return run(spec, artifacts, options);
+  return run(spec, artifacts, options, pool);
 }
 
 }  // namespace genoc

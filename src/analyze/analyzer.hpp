@@ -34,7 +34,10 @@ class Analyzer {
   /// The cheap pre-screen subset `verify --all` attaches per instance:
   /// spec_sanity, dead_ports, turns and uniformity — the rules whose cost
   /// is O(ports) or destination-sampled, leaving the closure-heavier
-  /// totality/escape sweeps to an explicit `genoc analyze`.
+  /// totality/escape sweeps to an explicit `genoc analyze`. `genoc verify`
+  /// runs it on the verify's own pool, over which `turns` and `uniformity`
+  /// shard their sampled destinations; `genoc analyze` and the campaign
+  /// screen pass no pool and stay sequential.
   static const Analyzer& cheap();
   static const std::vector<std::string>& cheap_rule_names();
 
@@ -51,24 +54,29 @@ class Analyzer {
 
   /// Runs every rule over the given model constituents. \p escape may be
   /// nullptr. This is the injection point for seeded-mutant tests: any
-  /// RoutingFunction/Topology pair analyzes, registered or not.
+  /// RoutingFunction/Topology pair analyzes, registered or not. Every
+  /// overload takes an optional \p pool for the destination-sampled rules
+  /// (AnalyzeContext::pool); the report is the same without one.
   AnalyzeReport run(const InstanceSpec& spec, const Topology& topology,
                     const RoutingFunction& routing,
                     const RoutingFunction* escape,
-                    const AnalyzeOptions& options = {}) const;
+                    const AnalyzeOptions& options = {},
+                    ThreadPool* pool = nullptr) const;
 
   /// Runs over an existing artifact context (the `verify --all`
   /// integration: the batch's ArtifactStore already owns the
   /// topology/routing/escape for this spec prefix — analyze the same
   /// objects instead of rebuilding them).
   AnalyzeReport run(const InstanceSpec& spec, AnalysisArtifacts& artifacts,
-                    const AnalyzeOptions& options = {}) const;
+                    const AnalyzeOptions& options = {},
+                    ThreadPool* pool = nullptr) const;
 
   /// Convenience: builds the constituents from the spec's analysis prefix
   /// and analyzes them. Requires a valid spec (throws ContractViolation
   /// otherwise, like the owning AnalysisArtifacts constructor it uses).
   AnalyzeReport run(const InstanceSpec& spec,
-                    const AnalyzeOptions& options = {}) const;
+                    const AnalyzeOptions& options = {},
+                    ThreadPool* pool = nullptr) const;
 
  private:
   explicit Analyzer(std::vector<const AnalysisRule*> rules);

@@ -29,14 +29,22 @@
 
 namespace genoc {
 
+class ThreadPool;
+
 /// Work bounds of one analyzer run. Rules that sweep a (port x destination)
 /// or (node x destination) product sample destinations with a deterministic
 /// stride so the analyzer stays interactive on every registry preset
-/// (mesh256-xy included) — a lint pass, not a proof.
+/// (mesh256-xy included) — a lint pass, not a proof. The budgets fix WHICH
+/// destinations are sampled; the thread pool an Analyzer::run is given
+/// (AnalyzeContext::pool) only decides who scans them. The `turns` and
+/// `uniformity` rules shard their sampled destinations over it and merge
+/// in destination order, so pair counts and findings are the same with or
+/// without a pool, at any thread count.
 struct AnalyzeOptions {
   /// Budget in elementary (port, destination) probes for the sweeping
-  /// rules (totality, turn conformance). ~8M keeps the 256x256 mesh under
-  /// a second while covering every port of every sampled destination.
+  /// rules (totality, turn conformance), covering every port of every
+  /// sampled destination. ~8M samples 13 of mesh256-xy's 65,536
+  /// destinations.
   std::uint64_t state_budget = 1ull << 23;
   /// Budget in (node, destination, port-name) probes for the
   /// node-uniformity audit, per audited function (routing, escape lane).
@@ -92,6 +100,9 @@ struct AnalyzeContext {
   /// The report under construction: rules append to report.diagnostics.
   /// (report.rules is managed by the Analyzer.)
   AnalyzeReport& report;
+  /// Pool the destination-sampled rules shard over, or nullptr to scan
+  /// sequentially. Never changes what a rule reports.
+  ThreadPool* pool = nullptr;
 };
 
 /// One analyzer rule. Implementations are stateless singletons owned by

@@ -21,6 +21,7 @@
 #include "routing/turns.hpp"
 #include "topology/mesh.hpp"
 #include "topology/port.hpp"
+#include "util/thread_pool.hpp"
 
 namespace genoc {
 
@@ -49,6 +50,70 @@ std::size_t stride_for(std::size_t count, std::uint64_t cost_per,
   return static_cast<std::size_t>((total + budget - 1) / budget);
 }
 
+/// One sampled destination's share of a destination-sampled rule: its
+/// probes, its violations, and the first max_findings_per_code of those as
+/// plain records (rendered into Diagnostics only when merged).
+template <class Finding>
+struct DestinationTally {
+  std::uint64_t checks = 0;
+  std::uint64_t violations = 0;
+  std::vector<Finding> findings;
+
+  /// Counts one violation; true iff its record falls within \p cap and
+  /// must be kept.
+  bool violate(std::uint64_t cap) { return ++violations <= cap; }
+};
+
+/// Per-shard scratch of the destination-sampled rules, reused across the
+/// shard's destinations.
+struct ShardScratch {
+  ClosureRowScratch reach;
+  std::vector<PortId> hop_ids;
+  std::vector<Port> hop_ports;
+};
+
+/// The shard-and-merge of the destination-sampled rules. Every stride-th
+/// destination is scanned by scan(dest_index, scratch, tally) into its own
+/// tally, with the sampled destinations sharded over \p pool when there is
+/// one to share (one ShardScratch per shard). The tallies then merge in
+/// destination order: checks add into \p stats.checks, violations into
+/// \p violations, and each kept finding goes to emit(dest_index, finding)
+/// while the running violation count is within \p cap. Findings thus come
+/// out in (destination, scan) order under one cap, exactly as a sequential
+/// scan emits them, at any thread count; two merges into the same
+/// \p violations share the cap.
+template <class Finding, class Scan, class Emit>
+void sweep_sampled(ThreadPool* pool, std::size_t dests, std::size_t stride,
+                   std::uint64_t cap, const Scan& scan, const Emit& emit,
+                   StageStats& stats, std::uint64_t& violations) {
+  const std::size_t sampled = (dests + stride - 1) / stride;
+  std::vector<DestinationTally<Finding>> tallies(sampled);
+  const auto scan_range = [&](std::size_t begin, std::size_t end) {
+    ShardScratch scratch;
+    for (std::size_t i = begin; i < end; ++i) {
+      scan(i * stride, scratch, tallies[i]);
+    }
+  };
+  // A one-thread pool has no one to share with: one shard, one scratch.
+  if (pool == nullptr || pool->thread_count() == 1) {
+    scan_range(0, sampled);
+  } else {
+    pool->parallel_for(sampled, pool->recommended_grain(sampled), scan_range);
+  }
+  for (std::size_t i = 0; i < sampled; ++i) {
+    const DestinationTally<Finding>& tally = tallies[i];
+    stats.checks += tally.checks;
+    std::uint64_t index = violations;
+    for (const Finding& finding : tally.findings) {
+      if (++index > cap) {
+        break;
+      }
+      emit(i * stride, finding);
+    }
+    violations += tally.violations;
+  }
+}
+
 /// Wrap-aware hop distance between two nodes of a grid (the metric a
 /// minimal routing must strictly decrease).
 std::int64_t grid_distance(const Mesh2D& mesh, const Port& a, const Port& b) {
@@ -61,6 +126,73 @@ std::int64_t grid_distance(const Mesh2D& mesh, const Port& a, const Port& b) {
     dy = std::min(dy, mesh.height() - dy);
   }
   return dx + dy;
+}
+
+/// One in-port's hops folded into out-port name bits (the uniformity
+/// kernel): \p mask holds the names of its own-node out-port hops, \p hops
+/// counts every existing hop, and \p exact turns false on a repeated name
+/// or an existing hop that is not one of the node's out-ports.
+struct HopFold {
+  std::uint64_t mask = 0;
+  std::size_t hops = 0;
+  bool exact = true;
+
+  void add_name(std::uint64_t bit) {
+    exact = exact && (mask & bit) == 0;
+    mask |= bit;
+    ++hops;
+  }
+  void add_foreign() {
+    exact = false;
+    ++hops;
+  }
+};
+
+/// Grid functions: R(in, dest) in the Port tuple. An own-node OUT hop is
+/// a name bit, dropped when that out-port does not exist; any other hop is
+/// foreign, dropped when try_id finds no such port. This is the existence
+/// filter of next_hop_ids_into with the own-node lookup replaced by the
+/// node's existence mask. fold_id_hops would give the same verdict for a
+/// grid function; this path exists for speed alone (sequential `genoc
+/// analyze --rules uniformity`, 4-vCPU VM, 10 alternating runs: mesh256-xy
+/// 70 -> 45 ms, torus64-xy-escape 143 -> 102 ms).
+HopFold fold_grid_hops(const RoutingFunction& routing, const Mesh2D& grid,
+                       const Port& in, const Port& dest, std::uint64_t exists,
+                       std::vector<Port>& scratch) {
+  HopFold fold;
+  scratch.clear();
+  routing.append_next_hops(in, dest, scratch);
+  for (const Port& hop : scratch) {
+    if (hop.x == in.x && hop.y == in.y && hop.dir == Direction::kOut) {
+      const std::uint64_t bit = port_name_bit(hop.name);
+      if ((exists & bit) != 0) {
+        fold.add_name(bit);
+      }
+    } else if (grid.try_id(hop) >= 0) {
+      fold.add_foreign();
+    }
+  }
+  return fold;
+}
+
+/// id-native functions emit existing ports only, so every hop counts (an id
+/// past the port table is foreign, not a lookup); only own-node OUT hops
+/// are name bits.
+HopFold fold_id_hops(const RoutingFunction& routing, const Topology& topo,
+                     PortId in, std::size_t node, std::size_t dest_index,
+                     std::vector<PortId>& hops, std::vector<Port>& scratch) {
+  HopFold fold;
+  hops.clear();
+  routing.next_hop_ids_into(in, dest_index, hops, scratch);
+  for (const PortId hop : hops) {
+    if (hop < topo.port_count() && topo.node_of(hop) == node &&
+        topo.dir_of(hop) == Direction::kOut) {
+      fold.add_name(std::uint64_t{1} << topo.name_of(hop));
+    } else {
+      fold.add_foreign();
+    }
+  }
+  return fold;
 }
 
 /// Rule 6 in registry order 1: structural spec lint. Contradictory or
@@ -241,8 +373,16 @@ class DeadPortsRule final : public AnalysisRule {
 /// Rule 3: turn-model conformance. Enumerates the turns the routing
 /// actually emits on closure-reachable states (travel direction = opposite
 /// of the in-port name) and lints them against the discipline's static
-/// prohibited-turn set from routing/turns.hpp. Destination-sampled.
+/// prohibited-turn set from routing/turns.hpp. Destination-sampled and
+/// sharded by sampled destination (sweep_sampled), each shard building the
+/// closure rows it reads in its own scratch.
 class TurnConformanceRule final : public AnalysisRule {
+  /// One prohibited turn, rendered at the merge.
+  struct TurnFinding {
+    Port in;
+    Port out;
+  };
+
  public:
   const char* name() const override { return "turns"; }
   const char* description() const override {
@@ -264,19 +404,15 @@ class TurnConformanceRule final : public AnalysisRule {
     stats.ran = true;
     const Topology& topo = ctx.topology;
     const RoutingFunction& routing = ctx.routing;
-    const std::size_t dests = topo.destination_count();
-    const std::size_t stride =
-        stride_for(dests, topo.port_count(), ctx.options.state_budget);
+    const std::string& discipline = ctx.spec.routing;
+    const std::uint64_t cap = ctx.options.max_findings_per_code;
     const std::size_t words = routing.closure_row_words();
-    ClosureRowScratch scratch;
-    std::vector<PortId> hops;
-    std::vector<Port> port_scratch;
-    std::uint64_t violations = 0;
 
-    for (std::size_t d = 0; d < dests; d += stride) {
-      const std::uint64_t* row = routing.closure_row(d, scratch);
+    const auto scan = [&](std::size_t d, ShardScratch& scratch,
+                          DestinationTally<TurnFinding>& tally) {
+      const std::uint64_t* row = routing.closure_row(d, scratch.reach);
       const PortId dest_id = topo.destination_id(d);
-      const Port dest = mesh->port(dest_id);
+      std::vector<PortId>& hops = scratch.hop_ids;
       for (std::size_t w = 0; w < words; ++w) {
         std::uint64_t bits = row[w];
         while (bits != 0) {
@@ -292,8 +428,8 @@ class TurnConformanceRule final : public AnalysisRule {
           }
           const PortName travel = opposite(in.name);
           hops.clear();
-          routing.next_hop_ids_into(pid, d, hops, port_scratch);
-          ++stats.checks;
+          routing.next_hop_ids_into(pid, d, hops, scratch.hop_ports);
+          ++tally.checks;
           for (const PortId hop : hops) {
             if (topo.dir_of(hop) != Direction::kOut ||
                 topo.node_of(hop) != topo.node_of(pid)) {
@@ -301,41 +437,52 @@ class TurnConformanceRule final : public AnalysisRule {
             }
             const Port out = mesh->port(hop);
             if (out.name == PortName::kLocal ||
-                !turn_prohibited(ctx.spec.routing, in.x, travel, out.name)) {
+                !turn_prohibited(discipline, in.x, travel, out.name)) {
               continue;
             }
-            ++violations;
-            if (violations <= ctx.options.max_findings_per_code) {
-              ctx.report.diagnostics.push_back(make_diagnostic(
-                  name(), Severity::kError,
-                  out.name == opposite(travel) ? "turn-reversal"
-                                               : "turn-prohibited",
-                  std::string("prohibited ") + port_name_letter(travel) +
-                      "->" + port_name_letter(out.name) + " turn at " +
-                      to_string(in) + " routing to " + to_string(dest),
-                  {{"in_port", to_string(in)},
-                   {"out_port", to_string(out)},
-                   {"destination", to_string(dest)},
-                   {"travel", std::string(1, port_name_letter(travel))},
-                   {"column", std::to_string(in.x)}}));
+            if (tally.violate(cap)) {
+              tally.findings.push_back({in, out});
             }
           }
         }
       }
-    }
+    };
+    const auto emit = [&](std::size_t d, const TurnFinding& finding) {
+      const Port dest = mesh->port(topo.destination_id(d));
+      const Port& in = finding.in;
+      const Port& out = finding.out;
+      const PortName travel = opposite(in.name);
+      ctx.report.diagnostics.push_back(make_diagnostic(
+          name(), Severity::kError,
+          out.name == opposite(travel) ? "turn-reversal" : "turn-prohibited",
+          std::string("prohibited ") + port_name_letter(travel) + "->" +
+              port_name_letter(out.name) + " turn at " + to_string(in) +
+              " routing to " + to_string(dest),
+          {{"in_port", to_string(in)},
+           {"out_port", to_string(out)},
+           {"destination", to_string(dest)},
+           {"travel", std::string(1, port_name_letter(travel))},
+           {"column", std::to_string(in.x)}}));
+    };
+    std::uint64_t violations = 0;
+    sweep_sampled<TurnFinding>(
+        ctx.pool, topo.destination_count(),
+        stride_for(topo.destination_count(), topo.port_count(),
+                   ctx.options.state_budget),
+        cap, scan, emit, stats, violations);
     stats.passed = violations == 0;
     if (stats.passed) {
       ctx.report.diagnostics.push_back(make_diagnostic(
           name(), Severity::kInfo, "turns-conform",
           "no prohibited turn over " + std::to_string(stats.checks) +
-              " reachable states (" + ctx.spec.routing + " discipline)",
+              " reachable states (" + discipline + " discipline)",
           {{"states", std::to_string(stats.checks)},
-           {"discipline", ctx.spec.routing}}));
+           {"discipline", discipline}}));
     } else {
       ctx.report.diagnostics.push_back(make_diagnostic(
           name(), Severity::kError, "turns-violated",
           std::to_string(violations) + " prohibited turns emitted (" +
-              ctx.spec.routing + " discipline)",
+              discipline + " discipline)",
           {{"violations", std::to_string(violations)}}));
     }
     return stats;
@@ -345,11 +492,23 @@ class TurnConformanceRule final : public AnalysisRule {
 /// Rule 4: the node-uniformity audit. A function claiming node_uniform()
 /// feeds the zero-storage closure tier, the NODE-mode sweeps and the
 /// node-granular escape analysis, where a wrong claim silently corrupts
-/// every downstream artifact — so cross-check out_mask_id() against
-/// next_hop_ids from EVERY in-port of sampled (node, destination) pairs,
-/// for the routing and (when declared) the escape lane alike, each on the
-/// full budget. The contract covers all pairs, not just closure-reachable
-/// ones (the sweeps evaluate masks off-route too).
+/// every downstream artifact — so cross-check out_mask_id() against the
+/// hops from EVERY in-port of sampled (node, destination) pairs, for the
+/// routing and (when declared) the escape lane alike, each on the full
+/// budget. The contract covers all pairs, not just closure-reachable ones
+/// (the sweeps evaluate masks off-route too).
+///
+/// The kernel compares 64-bit out-name masks. The claim is the node's
+/// existing out-ports `out_mask_id(node, d) & out_exists_mask(node)`; an
+/// in-port agrees iff its existing hops are exactly those ports, each once.
+/// fold_grid_hops / fold_id_hops fold the hops into a name mask and clear
+/// `exact` on a repeated name or on an existing hop off the node's out-
+/// ports; a hop to a port that does not exist is dropped, as the id
+/// adapter next_hop_ids_into drops it. So `exact && mask == claim` holds
+/// iff the sorted hop ids equal the sorted claimed out-port ids, which is
+/// what the test oracle (tests/uniformity_oracle.hpp) compares. Sampled
+/// destinations shard over the pool (sweep_sampled); the finding cap spans
+/// both audits.
 class UniformityRule final : public AnalysisRule {
  public:
   const char* name() const override { return "uniformity"; }
@@ -402,6 +561,14 @@ class UniformityRule final : public AnalysisRule {
   }
 
  private:
+  /// One in-port whose hop set contradicts its node's mask, rendered at
+  /// the merge.
+  struct UniformityFinding {
+    PortId in;
+    std::size_t mask_hops;
+    std::size_t in_port_hops;
+  };
+
   /// Audits one function's claim, adding to \p violations (the per-code
   /// finding cap spans both functions).
   void audit(AnalyzeContext& ctx, const RoutingFunction& routing,
@@ -411,27 +578,16 @@ class UniformityRule final : public AnalysisRule {
     const std::size_t dests = topo.destination_count();
     const std::size_t nodes = topo.node_count();
     const std::size_t names = topo.name_count();
-    const std::size_t stride = stride_for(
-        dests, static_cast<std::uint64_t>(nodes) * names,
-        ctx.options.uniformity_budget);
-    std::vector<PortId> expected;
-    std::vector<PortId> actual;
-    std::vector<Port> port_scratch;
-    for (std::size_t d = 0; d < dests; d += stride) {
+    const std::uint64_t cap = ctx.options.max_findings_per_code;
+    const Mesh2D* grid = routing.id_native() ? nullptr : &routing.mesh();
+
+    const auto scan = [&](std::size_t d, ShardScratch& scratch,
+                          DestinationTally<UniformityFinding>& tally) {
+      const Port dest =
+          grid != nullptr ? grid->port(topo.destination_id(d)) : Port{};
       for (std::size_t node = 0; node < nodes; ++node) {
-        std::uint64_t mask =
-            routing.out_mask_id(node, d) & topo.out_exists_mask(node);
-        expected.clear();
-        while (mask != 0) {
-          const std::size_t name_index =
-              static_cast<std::size_t>(std::countr_zero(mask));
-          mask &= mask - 1;
-          const PortId out = topo.slot_id(node, name_index, Direction::kOut);
-          if (out != kInvalidPort) {
-            expected.push_back(out);
-          }
-        }
-        std::sort(expected.begin(), expected.end());
+        const std::uint64_t exists = topo.out_exists_mask(node);
+        const std::uint64_t claim = routing.out_mask_id(node, d) & exists;
         const PortId* slots = topo.node_slots(node);
         for (std::size_t name_index = 0; name_index < names; ++name_index) {
           const PortId in =
@@ -439,31 +595,43 @@ class UniformityRule final : public AnalysisRule {
           if (in == kInvalidPort) {
             continue;
           }
-          actual.clear();
-          routing.next_hop_ids_into(in, d, actual, port_scratch);
-          std::sort(actual.begin(), actual.end());
-          ++stats.checks;
-          if (actual == expected) {
+          const HopFold fold =
+              grid != nullptr
+                  ? fold_grid_hops(routing, *grid, grid->port(in), dest,
+                                   exists, scratch.hop_ports)
+                  : fold_id_hops(routing, topo, in, node, d, scratch.hop_ids,
+                                 scratch.hop_ports);
+          ++tally.checks;
+          if (fold.exact && fold.mask == claim) {
             continue;
           }
-          ++violations;
-          if (violations <= ctx.options.max_findings_per_code) {
-            ctx.report.diagnostics.push_back(make_diagnostic(
-                name(), Severity::kError, "uniformity-violated",
-                std::string(function) + " hop set from " +
-                    topo.port_label(in) + " toward " +
-                    topo.port_label(topo.destination_id(d)) +
-                    " differs from the node's claimed out-mask",
-                {{"function", function},
-                 {"in_port", topo.port_label(in)},
-                 {"destination", topo.port_label(topo.destination_id(d))},
-                 {"node", topo.node_label(node)},
-                 {"mask_hops", std::to_string(expected.size())},
-                 {"in_port_hops", std::to_string(actual.size())}}));
+          if (tally.violate(cap)) {
+            tally.findings.push_back(
+                {in, static_cast<std::size_t>(std::popcount(claim)),
+                 fold.hops});
           }
         }
       }
-    }
+    };
+    const auto emit = [&](std::size_t d, const UniformityFinding& finding) {
+      const std::string in_label = topo.port_label(finding.in);
+      const std::string dest_label = topo.port_label(topo.destination_id(d));
+      ctx.report.diagnostics.push_back(make_diagnostic(
+          name(), Severity::kError, "uniformity-violated",
+          std::string(function) + " hop set from " + in_label + " toward " +
+              dest_label + " differs from the node's claimed out-mask",
+          {{"function", function},
+           {"in_port", in_label},
+           {"destination", dest_label},
+           {"node", topo.node_label(topo.node_of(finding.in))},
+           {"mask_hops", std::to_string(finding.mask_hops)},
+           {"in_port_hops", std::to_string(finding.in_port_hops)}}));
+    };
+    sweep_sampled<UniformityFinding>(
+        ctx.pool, dests,
+        stride_for(dests, static_cast<std::uint64_t>(nodes) * names,
+                   ctx.options.uniformity_budget),
+        cap, scan, emit, stats, violations);
   }
 };
 

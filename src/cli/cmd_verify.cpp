@@ -38,6 +38,7 @@
 #include "instance/registry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/stopwatch.hpp"
 #include "util/table.hpp"
 #include "verify/pipeline.hpp"
 
@@ -326,11 +327,20 @@ void print_baseline_table(const BaselineComparison& trend) {
   std::cout << "\n";
 }
 
+/// Wall-clock split of one instance-mode run: the analyzer pre-screen
+/// (context construction included — the verify reuses those contexts), and
+/// everything from argument resolution to the report.
+struct RunWall {
+  double prescreen_ms = 0.0;
+  double total_ms = 0.0;
+};
+
 int report_instances(const std::vector<VerifyReport>& reports,
                      const VerifyPipeline& pipeline, bool constraints,
                      const ArtifactCacheStats& cache,
                      const std::vector<AnalyzeReport>& analyses, bool as_json,
                      const std::string& mode, std::size_t threads,
+                     const RunWall& wall,
                      const std::optional<BaselineComparison>& trend) {
   bool all_free = true;
   bool all_expected = true;
@@ -366,6 +376,8 @@ int report_instances(const std::vector<VerifyReport>& reports,
         .add("constraints", constraints)
         .add("instances_total", static_cast<std::uint64_t>(reports.size()))
         .add("analysis_prescreen", !analyses.empty())
+        .add("prescreen_wall_ms", wall.prescreen_ms)
+        .add("total_wall_ms", wall.total_ms)
         .add("all_deadlock_free", all_free)
         .add("all_as_expected", all_expected)
         .add_raw("cache", cache_stats_json(cache))
@@ -430,6 +442,9 @@ int report_instances(const std::vector<VerifyReport>& reports,
       }
     }
   }
+  std::cout << "  wall: analyzer pre-screen "
+            << format_double(wall.prescreen_ms, 1) << " ms of "
+            << format_double(wall.total_ms, 1) << " ms total\n";
   std::cout << "\n";
   if (trend.has_value()) {
     print_baseline_table(*trend);
@@ -452,6 +467,7 @@ int run_instance_mode(const std::string& instance, bool all, bool heavy,
                       const std::string& baseline_path,
                       const std::string& trace_path, bool no_analyze,
                       bool as_json) {
+  const Stopwatch total_timer;
   const InstanceRegistry& registry = InstanceRegistry::global();
   std::vector<InstanceSpec> specs;
   if (all) {
@@ -521,23 +537,28 @@ int run_instance_mode(const std::string& instance, bool all, bool heavy,
   ArtifactStore store;
   options.artifacts = &store;
 
-  // The analyzer pre-screen: the cheap static rules run FIRST, per
-  // instance, so a structurally broken model variant surfaces typed
-  // diagnostics before any verify effort is spent on it. Warms the same
-  // store the pipeline reads, so no artifact is built twice.
-  std::vector<AnalyzeReport> analyses;
-  if (!no_analyze) {
-    obs::TraceSpan analyze_span("verify_prescreen");
-    const Analyzer& analyzer = Analyzer::cheap();
-    analyses.reserve(specs.size());
-    for (const InstanceSpec& spec : specs) {
-      analyses.push_back(analyzer.run(spec, *store.acquire(spec)));
-    }
-  }
-
   std::optional<BatchRunner> runner;
   if (!sequential) {
     runner.emplace(threads);
+  }
+
+  // The analyzer pre-screen: the cheap static rules run FIRST, per
+  // instance, so a structurally broken model variant surfaces typed
+  // diagnostics before any verify effort is spent on it. Warms the same
+  // store the pipeline reads, so no artifact is built twice, and shards
+  // the sampled rules over the same pool the verify uses.
+  std::vector<AnalyzeReport> analyses;
+  RunWall wall;
+  if (!no_analyze) {
+    obs::TraceSpan analyze_span("verify_prescreen");
+    const Stopwatch prescreen_timer;
+    const Analyzer& analyzer = Analyzer::cheap();
+    analyses.reserve(specs.size());
+    for (const InstanceSpec& spec : specs) {
+      analyses.push_back(analyzer.run(spec, *store.acquire(spec), {},
+                                      runner ? &*runner : nullptr));
+    }
+    wall.prescreen_ms = prescreen_timer.elapsed_ms();
   }
   std::vector<VerifyReport> reports;
   {
@@ -568,9 +589,10 @@ int run_instance_mode(const std::string& instance, bool all, bool heavy,
   if (!baseline_path.empty()) {
     trend = compare_against_baseline(reports, baseline, baseline_path);
   }
+  wall.total_ms = total_timer.elapsed_ms();
   return report_instances(reports, *pipeline, run_constraints, store.stats(),
                           analyses, as_json, all ? "all" : "instance",
-                          runner ? runner->thread_count() : 1, trend);
+                          runner ? runner->thread_count() : 1, wall, trend);
 }
 
 int run_hermes_mode(std::int32_t width, std::int32_t height,

@@ -29,6 +29,8 @@ TOP_LEVEL = {
     "instances_total": int,
     "all_deadlock_free": bool,
     "analysis_prescreen": bool,
+    "prescreen_wall_ms": (int, float),
+    "total_wall_ms": (int, float),
     "cache": dict,
     "metrics": dict,
     "instances": list,
@@ -191,6 +193,12 @@ def main() -> int:
         fail("top level", f"command '{doc['command']}', wanted 'verify'")
     if len(doc["instances"]) != doc["instances_total"]:
         fail("top level", "instances_total does not match the array length")
+    # The run's wall split: the analyzer pre-screen is part of the total.
+    for key in ("prescreen_wall_ms", "total_wall_ms"):
+        if isinstance(doc[key], bool) or doc[key] < 0:
+            fail("top level", f"'{key}' must be a non-negative number")
+    if doc["prescreen_wall_ms"] > doc["total_wall_ms"]:
+        fail("top level", "prescreen_wall_ms exceeds total_wall_ms")
     check_cache(doc["cache"], "top level")
     check_metrics(doc["metrics"], "metrics")
     stage_names = set(doc["stages"])
