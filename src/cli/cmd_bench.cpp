@@ -127,10 +127,10 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
                        const PortDepGraph dep = build_dep_graph(*routing);
                        keep(dep.graph.edge_count());
                      }});
-    // The headline of this perf pass: the per-destination fast builder
-    // against the generic oracle above. CI guards the >= 10x ratio.
+    // The fast builder (analytic on unwrapped XY meshes) against the
+    // generic oracle above. CI guards the >= 10x ratio.
     suite.push_back({"depgraph_fast_8x8",
-                     "per-destination build_dep_graph_fast on 8x8",
+                     "analytic O(ports) build_dep_graph_fast on 8x8",
                      [mesh, routing] {
                        const PortDepGraph dep = build_dep_graph_fast(*routing);
                        keep(dep.graph.edge_count());
@@ -161,9 +161,9 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
 
   {
     // The ROADMAP's scaling axis. depgraph_generic_8x8 above is the PR-1
-    // baseline (~1.2 ms/op); these trace the per-destination fast builder
-    // sequentially and destination-sharded up to 64x64, plus the
-    // sequential acyclicity pass against Tarjan at that scale.
+    // baseline (~1.2 ms/op); these trace the fast builder (analytic on XY,
+    // with or without a pool) up to 64x64, plus the sequential acyclicity
+    // pass against Tarjan at that scale.
     auto pool = std::make_shared<BatchRunner>(threads);
     auto mesh16 = std::make_shared<Mesh2D>(16, 16);
     auto routing16 = std::make_shared<XYRouting>(*mesh16);
@@ -174,7 +174,7 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
                        keep(dep.graph.edge_count());
                      }});
     suite.push_back({"depgraph_parallel_16x16",
-                     "fast builder on 16x16, destination-sharded",
+                     "fast builder on 16x16 with a pool (XY: analytic)",
                      [mesh16, routing16, pool] {
                        const PortDepGraph dep =
                            build_dep_graph_fast(*routing16, pool.get());
@@ -183,7 +183,7 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
     auto mesh32 = std::make_shared<Mesh2D>(32, 32);
     auto routing32 = std::make_shared<XYRouting>(*mesh32);
     suite.push_back({"depgraph_parallel_32x32",
-                     "fast builder on 32x32, destination-sharded",
+                     "fast builder on 32x32 with a pool (XY: analytic)",
                      [mesh32, routing32, pool] {
                        const PortDepGraph dep =
                            build_dep_graph_fast(*routing32, pool.get());
@@ -192,14 +192,14 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
     auto mesh64 = std::make_shared<Mesh2D>(64, 64);
     auto routing64 = std::make_shared<XYRouting>(*mesh64);
     suite.push_back({"depgraph_fast_64x64",
-                     "per-destination build_dep_graph_fast on 64x64",
+                     "analytic O(ports) build_dep_graph_fast on 64x64",
                      [mesh64, routing64] {
                        const PortDepGraph dep =
                            build_dep_graph_fast(*routing64);
                        keep(dep.graph.edge_count());
                      }});
     suite.push_back({"depgraph_parallel_64x64",
-                     "fast builder on 64x64, destination-sharded",
+                     "fast builder on 64x64 with a pool (XY: analytic)",
                      [mesh64, routing64, pool] {
                        const PortDepGraph dep =
                            build_dep_graph_fast(*routing64, pool.get());
@@ -274,6 +274,13 @@ std::vector<MicroBench> build_suite(std::size_t threads) {
                        const EscapeAnalysis analysis = analyze_escape(
                            *torus64_routing, *torus64_escape, pool.get());
                        keep(analysis.deadlock_free ? 1 : 0);
+                     }});
+    suite.push_back({"depgraph_fast_torus64",
+                     "analytic build_dep_graph_fast on the 64x64 torus",
+                     [torus64, torus64_routing] {
+                       const PortDepGraph dep =
+                           build_dep_graph_fast(*torus64_routing);
+                       keep(dep.graph.edge_count());
                      }});
 
     // This PR's perf pass: the tiered reachability closure and the

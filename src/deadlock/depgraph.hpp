@@ -4,16 +4,18 @@
 /// Vertices are the ports of the interconnection network; edges are the
 /// pairs of ports connected by the routing function. Theorem 1: a
 /// (deterministic) routing function is deadlock-free iff this graph is
-/// acyclic. The graph is built in three independent ways:
+/// acyclic. The graph is built in four independent ways:
 ///
 ///  1. build_dep_graph(): the *generic* construction — enumerate every pair
 ///     (p, d) with p R d and add an edge (p, q) for every q in R(p, d).
 ///     This works for any routing function, including the adaptive
-///     extensions, and serves as the oracle for the fast builder.
+///     extensions, and serves as the oracle for the fast builders.
 ///  2. build_dep_graph_fast(): the *per-destination* construction
 ///     (routing/sweep.hpp) — one sweep per destination over the ports its
-///     routes visit; bit-identical to 1. and what every driver uses.
-///  3. build_exy_dep(): the paper's *closed-form* Exy_dep for XY routing
+///     routes visit; bit-identical to 1. and what every driver calls.
+///  3. build_dep_graph_analytic(): O(ports) from exact in-port unions
+///     (XY, YX, Torus-XY); build_dep_graph_fast() dispatches there.
+///  4. build_exy_dep(): the paper's *closed-form* Exy_dep for XY routing
 ///     (function next_outs, Sec. V.6), restricted to ports that exist.
 ///
 /// Their pairwise equality on every mesh is the executable content of

@@ -70,8 +70,8 @@ class NetworkInstance {
   std::vector<TrafficPair> make_traffic() const;
 
   /// The port dependency graph of the instance's routing function, built
-  /// by the per-destination fast builder — sharded over destinations on
-  /// \p runner when given. Bit-identical to the generic construction.
+  /// by build_dep_graph_fast (analytic, else per destination and sharded
+  /// on \p runner when given). Bit-identical to the generic construction.
   PortDepGraph dependency_graph(ThreadPool* runner = nullptr) const;
 
   /// Verifies deadlock freedom: builds the dependency graph, checks (C-3);

@@ -120,6 +120,62 @@ std::uint64_t RoutingFunction::in_port_union(std::size_t /*node*/,
   return 0;
 }
 
+namespace {
+
+/// One dimension of a dimension-order route at coordinate c of extent n.
+/// any_pos: some destination lies toward growing c (East/South); pos_live:
+/// the in-port facing shrinking c (W,IN or N,IN) ever holds such a packet;
+/// pos_cont: it can move on. The neg_* flags mirror them.
+struct Axis {
+  bool any_pos, any_neg, pos_live, pos_cont, neg_live, neg_cont;
+};
+
+Axis make_axis(std::size_t n, std::size_t c, bool wrap) {
+  if (wrap) {  // shortest-way deltas 1..n/2 and -1..-(ceil(n/2)-1)
+    return {n >= 2, n >= 3, n >= 2, n >= 4, n >= 3, n >= 5};
+  }
+  return {c + 1 < n, c > 0, c > 0, c + 1 < n, c + 1 < n, c > 0};
+}
+
+std::uint64_t bit_if(bool on, PortName name) {
+  return on ? port_name_bit(name) : 0;
+}
+
+}  // namespace
+
+std::uint64_t dimension_order_in_port_union(const Mesh2D& mesh,
+                                            std::size_t node,
+                                            std::size_t in_name, bool x_first,
+                                            bool wrap) {
+  const auto width = static_cast<std::size_t>(mesh.width());
+  const std::size_t row = node / width;
+  const Axis x = make_axis(width, node - row * width, wrap && mesh.wraps_x());
+  const Axis y = make_axis(static_cast<std::size_t>(mesh.height()), row,
+                           wrap && mesh.wraps_y());
+  const std::uint64_t local = port_name_bit(PortName::kLocal);
+  const std::uint64_t start_x =
+      bit_if(x.any_pos, PortName::kEast) | bit_if(x.any_neg, PortName::kWest);
+  const std::uint64_t start_y =
+      bit_if(y.any_pos, PortName::kSouth) | bit_if(y.any_neg, PortName::kNorth);
+  // An in-port of the first dimension may still turn into the second; one
+  // of the second dimension only continues or delivers.
+  const std::uint64_t after_x = local | (x_first ? start_y : 0);
+  const std::uint64_t after_y = local | (x_first ? 0 : start_x);
+  switch (static_cast<PortName>(in_name)) {
+    case PortName::kLocal:
+      return start_x | start_y | local;
+    case PortName::kWest:  // eastbound
+      return x.pos_live ? bit_if(x.pos_cont, PortName::kEast) | after_x : 0;
+    case PortName::kEast:  // westbound
+      return x.neg_live ? bit_if(x.neg_cont, PortName::kWest) | after_x : 0;
+    case PortName::kNorth:  // southbound
+      return y.pos_live ? bit_if(y.pos_cont, PortName::kSouth) | after_y : 0;
+    case PortName::kSouth:  // northbound
+      return y.neg_live ? bit_if(y.neg_cont, PortName::kNorth) | after_y : 0;
+  }
+  return 0;
+}
+
 bool RoutingFunction::reachable_id(PortId s, std::size_t dest_index) const {
   if (!id_native() && grid_ != nullptr) {
     return reachable(grid_->port(s),

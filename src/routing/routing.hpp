@@ -237,11 +237,11 @@ class RoutingFunction {
 
   /// The EXACT union over all destinations of the out-port names this
   /// function ever emits from in-port (node, in_name), before the
-  /// existence filter. Only position-independent closed forms qualify
-  /// (XY/YX: the paper's Sec. V.6 next_outs table); an over-approximation
-  /// would add phantom dependency edges and an under-approximation would
-  /// drop real ones — the standing fast-vs-generic bit-identity tests pin
-  /// correctness on every preset.
+  /// existence filter; 0 for an in-port no route fills. It may depend on
+  /// the position (dimension_order_in_port_union: XY, YX, Torus-XY). An
+  /// over-approximation would add phantom dependency edges and an
+  /// under-approximation drop real ones — the fast-vs-generic bit-identity
+  /// tests pin correctness on every preset.
   virtual std::uint64_t in_port_union(std::size_t node,
                                       std::size_t in_name) const;
 
@@ -370,5 +370,14 @@ class RoutingFunction {
   mutable std::atomic<std::uint64_t> rows_built_{0};
   mutable std::atomic<std::uint64_t> bytes_{0};
 };
+
+/// The exact in_port_union of dimension-order routing on \p mesh, x first
+/// (XY, Torus-XY) or y first (YX). With \p wrap, wrapped dimensions go the
+/// shorter way round, ties positive, so the table depends on their extent;
+/// on unwrapped dimensions it depends on the node's coordinate.
+std::uint64_t dimension_order_in_port_union(const Mesh2D& mesh,
+                                            std::size_t node,
+                                            std::size_t in_name, bool x_first,
+                                            bool wrap);
 
 }  // namespace genoc

@@ -32,6 +32,15 @@ class TorusXYRouting final : public RoutingFunction {
   std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
                              const Port& dest) const override;
 
+  /// Exact next_outs table for the O(ports) analytic dependency-graph
+  /// build. Faulted grids stay on the per-destination sweep.
+  bool has_in_port_unions() const override { return !mesh().has_faults(); }
+  std::uint64_t in_port_union(std::size_t node,
+                              std::size_t in_name) const override {
+    return dimension_order_in_port_union(mesh(), node, in_name,
+                                         /*x_first=*/true, /*wrap=*/true);
+  }
+
  private:
   /// Signed shortest displacement from \p from to \p to along a dimension
   /// of size \p extent (wrapping): result in (-extent/2, extent/2], ties

@@ -41,40 +41,6 @@ std::uint8_t XYRouting::node_out_mask(std::int32_t x, std::int32_t y,
   return port_name_bit(PortName::kLocal);
 }
 
-std::uint64_t XYRouting::in_port_union(std::size_t node,
-                                       std::size_t in_name) const {
-  // Union over every destination of node_out_mask restricted to the dests
-  // reachable through this in-port (the paper's next_outs table), made
-  // position-exact: a direction only appears when some destination lies
-  // that way, so the table never claims a boundary (or wrap) out-port a
-  // route can select. Horizontal phase first: vertical in-ports have
-  // already corrected x, so they only continue vertically or deliver.
-  const Mesh2D& m = mesh();
-  const auto width = static_cast<std::size_t>(m.width());
-  const auto height = static_cast<std::size_t>(m.height());
-  const std::size_t x = node % width;
-  const std::size_t y = node / width;
-  const std::uint64_t west = x > 0 ? port_name_bit(PortName::kWest) : 0;
-  const std::uint64_t east = x + 1 < width ? port_name_bit(PortName::kEast) : 0;
-  const std::uint64_t north = y > 0 ? port_name_bit(PortName::kNorth) : 0;
-  const std::uint64_t south =
-      y + 1 < height ? port_name_bit(PortName::kSouth) : 0;
-  const std::uint64_t local = port_name_bit(PortName::kLocal);
-  switch (static_cast<PortName>(in_name)) {
-    case PortName::kLocal:  // any destination
-      return west | east | north | south | local;
-    case PortName::kWest:  // eastbound: x(d) >= x
-      return east | north | south | local;
-    case PortName::kEast:  // westbound: x(d) <= x
-      return west | north | south | local;
-    case PortName::kNorth:  // southbound, column locked: only S or deliver
-      return south | local;
-    case PortName::kSouth:  // northbound, column locked
-      return north | local;
-  }
-  return 0;
-}
-
 bool XYRouting::reachable(const Port& s, const Port& d) const {
   // The closed form assumes every route of the full grid exists; with
   // failed links routes dead-end at the fault, so ports past it are

@@ -64,7 +64,10 @@ class XYRouting final : public RoutingFunction {
     return topology().family() == "mesh" && !mesh().has_faults();
   }
   std::uint64_t in_port_union(std::size_t node,
-                              std::size_t in_name) const override;
+                              std::size_t in_name) const override {
+    return dimension_order_in_port_union(mesh(), node, in_name,
+                                         /*x_first=*/true, /*wrap=*/false);
+  }
 };
 
 }  // namespace genoc

@@ -40,37 +40,6 @@ std::uint8_t YXRouting::node_out_mask(std::int32_t x, std::int32_t y,
   return port_name_bit(PortName::kLocal);
 }
 
-std::uint64_t YXRouting::in_port_union(std::size_t node,
-                                       std::size_t in_name) const {
-  // Mirror of XYRouting::in_port_union: vertical phase first, so the
-  // horizontal in-ports have a locked row and only continue horizontally
-  // or deliver. Position-exact like the XY table.
-  const Mesh2D& m = mesh();
-  const auto width = static_cast<std::size_t>(m.width());
-  const auto height = static_cast<std::size_t>(m.height());
-  const std::size_t x = node % width;
-  const std::size_t y = node / width;
-  const std::uint64_t west = x > 0 ? port_name_bit(PortName::kWest) : 0;
-  const std::uint64_t east = x + 1 < width ? port_name_bit(PortName::kEast) : 0;
-  const std::uint64_t north = y > 0 ? port_name_bit(PortName::kNorth) : 0;
-  const std::uint64_t south =
-      y + 1 < height ? port_name_bit(PortName::kSouth) : 0;
-  const std::uint64_t local = port_name_bit(PortName::kLocal);
-  switch (static_cast<PortName>(in_name)) {
-    case PortName::kLocal:  // any destination
-      return west | east | north | south | local;
-    case PortName::kNorth:  // southbound: y(d) >= y
-      return south | west | east | local;
-    case PortName::kSouth:  // northbound: y(d) <= y
-      return north | west | east | local;
-    case PortName::kWest:  // eastbound, row locked: only E or deliver
-      return east | local;
-    case PortName::kEast:  // westbound, row locked
-      return west | local;
-  }
-  return 0;
-}
-
 bool YXRouting::reachable(const Port& s, const Port& d) const {
   // Mirror of XYRouting::reachable: the closed form is a full-grid claim,
   // so faulted meshes fall back to the semantic closure.

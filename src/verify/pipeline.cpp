@@ -69,7 +69,7 @@ class BuildDepGraphCheck final : public Check {
   const char* name() const override { return "build_depgraph"; }
   const char* description() const override {
     return "materialize the channel-dependency graph (Sec. IV.A); "
-           "per-destination fast builder, destination-sharded on the pool";
+           "analytic O(ports) builder, else per-destination on the pool";
   }
 
   StageStats run(CheckContext& ctx) const override {

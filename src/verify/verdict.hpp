@@ -28,9 +28,9 @@ struct InstanceVerifyOptions {
   ThreadPool* runner = nullptr;
   /// Additionally discharge (C-1)/(C-2) (quadratic-ish; off for sweeps).
   bool check_constraints = false;
-  /// Build the graph with the quadratic generic oracle instead of the
-  /// per-destination fast builder (cross-check escape hatch; the two are
-  /// bit-identical, so verdicts never differ).
+  /// Build the graph with the quadratic generic oracle instead of the fast
+  /// builder, analytic or per-destination (cross-check escape hatch; they
+  /// are bit-identical, so verdicts never differ).
   bool generic_builder = false;
   /// Batch-wide artifact sharing: when set, the analysis artifacts (dep
   /// graph, primed closure, acyclicity verdict, escape analysis) are

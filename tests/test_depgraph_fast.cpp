@@ -10,6 +10,9 @@
 // uniformity claim the node sweep rests on.
 #include <gtest/gtest.h>
 
+#include <initializer_list>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "deadlock/depgraph.hpp"
@@ -17,6 +20,9 @@
 #include "instance/network_instance.hpp"
 #include "instance/registry.hpp"
 #include "routing/sweep.hpp"
+#include "routing/torus_xy.hpp"
+#include "routing/xy.hpp"
+#include "routing/yx.hpp"
 
 namespace genoc {
 namespace {
@@ -70,6 +76,64 @@ TEST(DepGraphFast, BitIdenticalToGenericAt64x64Torus) {
       InstanceRegistry::global().resolve("torus64-xy-escape", &error);
   ASSERT_TRUE(spec.has_value()) << error;
   expect_fast_equals_generic(*spec);
+}
+
+// dimension_order_in_port_union is exact per position, and the torus
+// table turns on odd and sub-4 wrapped extents (shortest-way ties break
+// positive), which no preset has: every W x H up to 7 x 7 under every wrap
+// combination Mesh2D accepts pins the closed form against the oracle.
+TEST(DepGraphFast, DimensionOrderUnionsMatchOracleOnEverySmallGrid) {
+  for (std::int32_t w = 1; w <= 7; ++w) {
+    for (std::int32_t h = 1; h <= 7; ++h) {
+      if (w * h < 2) {
+        continue;  // Mesh2D needs two nodes
+      }
+      SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h));
+      const Mesh2D mesh(w, h);
+      const XYRouting xy(mesh);
+      const YXRouting yx(mesh);
+      for (const RoutingFunction* routing :
+           std::initializer_list<const RoutingFunction*>{&xy, &yx}) {
+        SCOPED_TRACE(routing->name());
+        ASSERT_TRUE(routing->has_in_port_unions());
+        EXPECT_EQ(build_dep_graph_analytic(*routing).graph.edges(),
+                  build_dep_graph(*routing).graph.edges());
+      }
+      for (const auto& [wrap_x, wrap_y] :
+           {std::pair{true, false}, {false, true}, {true, true}}) {
+        if ((wrap_x && w < 2) || (wrap_y && h < 2)) {
+          continue;  // a wrapped dimension needs two nodes
+        }
+        SCOPED_TRACE(std::string("wrap x ") + (wrap_x ? "on" : "off") +
+                     ", y " + (wrap_y ? "on" : "off"));
+        const Mesh2D wrapped(w, h, wrap_x, wrap_y);
+        const TorusXYRouting routing(wrapped);
+        ASSERT_TRUE(routing.has_in_port_unions());
+        const auto oracle = build_dep_graph(routing).graph.edges();
+        EXPECT_EQ(build_dep_graph_analytic(routing).graph.edges(), oracle);
+        // Production no longer sweeps unfaulted tori; keep the node-mode
+        // sweep (still the path of faulted ones) pinned here.
+        RouteSweeper sweeper(routing);
+        ASSERT_TRUE(sweeper.node_mode());
+        EXPECT_EQ(digraph_from_sweeper(sweeper, wrapped).edges(), oracle);
+      }
+    }
+  }
+}
+
+TEST(DepGraphFast, FaultedTorusAndRingStayOnTheSweep) {
+  // Routes dead-end at a failed link, so the full-grid union would
+  // over-approximate: faulted wrapped grids must not take the analytic
+  // build, and the sweep they take must still equal the oracle.
+  const Mesh2D torus(5, 4, true, true, {LinkFault{7, PortName::kNorth}});
+  const Mesh2D ring(5, 3, true, false, {LinkFault{4, PortName::kEast}});
+  for (const Mesh2D* mesh : {&torus, &ring}) {
+    SCOPED_TRACE(mesh->family());
+    const TorusXYRouting routing(*mesh);
+    EXPECT_FALSE(routing.has_in_port_unions());
+    EXPECT_EQ(build_dep_graph_fast(routing).graph.edges(),
+              build_dep_graph(routing).graph.edges());
+  }
 }
 
 TEST(DepGraphFast, LargestPresetFastMatchesParallel) {
