@@ -29,7 +29,8 @@ int main(int argc, char** argv) {
     return 2;
   }
   const genoc::NetworkInstance network(*spec);
-  const genoc::PortDepGraph dep = network.dependency_graph();
+  const genoc::PortDepGraph& dep =
+      network.context().dep_graph(false, nullptr);
 
   std::cout << "Port dependency graph of " << network.name() << " ("
             << network.routing().name() << " on " << spec->topology << " "

@@ -73,7 +73,7 @@ class Analyzer {
 
   /// Convenience: builds the constituents from the spec's analysis prefix
   /// and analyzes them. Requires a valid spec (throws ContractViolation
-  /// otherwise, like the owning AnalysisArtifacts constructor it uses).
+  /// otherwise, like the AnalysisArtifacts constructor it uses).
   AnalyzeReport run(const InstanceSpec& spec,
                     const AnalyzeOptions& options = {},
                     ThreadPool* pool = nullptr) const;

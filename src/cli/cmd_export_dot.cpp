@@ -1,7 +1,7 @@
 /// \file cmd_export_dot.cpp
 /// \brief `genoc export-dot` — emit a port dependency graph as Graphviz DOT
-///        (the paper's Fig. 3): the closed-form Exy_dep, the generic
-///        construction, or any registered instance via --instance.
+///        (the paper's Fig. 3): the closed-form Exy_dep, or the graph
+///        `genoc verify` decides for any registered instance via --instance.
 #include <cctype>
 #include <fstream>
 #include <iostream>
@@ -10,10 +10,9 @@
 #include "cli/commands.hpp"
 #include "deadlock/depgraph.hpp"
 #include "graph/cycle.hpp"
-#include "instance/network_instance.hpp"
 #include "instance/registry.hpp"
-#include "routing/xy.hpp"
 #include "topology/mesh.hpp"
+#include "verify/artifacts.hpp"
 
 namespace genoc::cli {
 
@@ -23,11 +22,9 @@ constexpr const char* kUsage =
     "Usage: genoc export-dot [options]\n"
     "  --instance X  dump the dependency graph of a registered instance\n"
     "                (see `genoc list`) or of an ad-hoc key=value spec;\n"
-    "                overrides --width/--height/--generic\n"
+    "                overrides --width/--height\n"
     "  --width N     mesh width (default 2)\n"
     "  --height N    mesh height (default 2)\n"
-    "  --generic     use the generic construction (build_dep_graph) instead\n"
-    "                of the paper's closed-form Exy_dep\n"
     "  --name NAME   graph name in the DOT output (default exy_dep, or the\n"
     "                instance name)\n"
     "  --out FILE    write to FILE instead of stdout\n";
@@ -56,16 +53,17 @@ int cmd_export_dot(const Args& args) {
       static_cast<std::int32_t>(args.get_int_in("width", 2, 2, 512));
   const auto height =
       static_cast<std::int32_t>(args.get_int_in("height", 2, 2, 512));
-  const bool generic = args.has("generic");
   const std::string name = args.get("name", "");
   const std::string out_path = args.get("out", "");
   if (const int rc = finish_args(args, kUsage)) {
     return rc;
   }
 
-  PortDepGraph dep;
-  std::optional<NetworkInstance> network;  // keeps mesh/routing alive
-  std::optional<Mesh2D> mesh;
+  // --instance draws the graph `genoc verify` decides, from one context;
+  // the default is the paper's closed-form Exy_dep on a plain mesh.
+  std::optional<AnalysisArtifacts> context;
+  std::optional<Mesh2D> mesh;  // keeps the Exy_dep graph's ports alive
+  std::optional<PortDepGraph> exy;
   std::string graph_name = name;
   if (!instance.empty()) {
     std::string error;
@@ -75,23 +73,19 @@ int cmd_export_dot(const Args& args) {
       std::cerr << "genoc export-dot: " << error << "\n";
       return 2;
     }
-    network.emplace(*spec);
-    dep = network->dependency_graph();
+    context.emplace(*spec);
     if (graph_name.empty()) {
-      graph_name = dot_identifier(network->name());
+      graph_name = dot_identifier(display_name(*spec));
     }
   } else {
     mesh.emplace(width, height);
-    if (generic) {
-      const XYRouting routing(*mesh);
-      dep = build_dep_graph(routing);
-    } else {
-      dep = build_exy_dep(*mesh);
-    }
+    exy = build_exy_dep(*mesh);
     if (graph_name.empty()) {
       graph_name = "exy_dep";
     }
   }
+  const PortDepGraph& dep =
+      context ? context->dep_graph(false, nullptr) : *exy;
   const std::string dot = dep.to_dot(graph_name);
 
   if (out_path.empty()) {
@@ -108,10 +102,22 @@ int cmd_export_dot(const Args& args) {
               << dep.graph.edge_count() << " edges to " << out_path
               << " (render: dot -Tpdf " << out_path << " -o fig3.pdf)\n";
   }
-  std::cerr << "Dependency graph is "
-            << (is_acyclic(dep.graph) ? "acyclic — deadlock-free (Theorem 1)"
-                                      : "CYCLIC — deadlock possible")
-            << "\n";
+  const bool acyclic = context ? context->acyclicity(false, nullptr).acyclic
+                               : is_acyclic(dep.graph);
+  std::cerr << "Dependency graph is ";
+  if (acyclic) {
+    std::cerr << "acyclic — deadlock-free (Theorem 1)\n";
+  } else if (context && context->escape_routing() != nullptr) {
+    // Ad-hoc specs hold spaces; quote them so the hint pastes as is.
+    const std::string arg = instance.find(' ') == std::string::npos
+                                ? instance
+                                : "'" + instance + "'";
+    std::cerr << "CYCLIC — the escape lane decides deadlock freedom (run "
+                 "`genoc verify --instance "
+              << arg << "`)\n";
+  } else {
+    std::cerr << "CYCLIC — deadlock possible\n";
+  }
   return 0;
 }
 

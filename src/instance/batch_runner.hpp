@@ -50,8 +50,8 @@ class BatchRunner : public ThreadPool {
 /// spec order. \p runner == nullptr degrades to the sequential loop.
 /// Artifacts are acquired from base.artifacts when set, else from a
 /// store local to this call, so duplicate spec prefixes are computed once
-/// either way. Verdicts are identical to per-instance
-/// NetworkInstance::verify() modulo cpu_ms.
+/// either way. No NetworkInstance is built; verdicts are identical to a
+/// solo NetworkInstance(spec).verify() modulo cpu_ms.
 std::vector<VerifyReport> verify_instance_reports(
     const std::vector<InstanceSpec>& specs, const VerifyPipeline& pipeline,
     BatchRunner* runner, const InstanceVerifyOptions& base = {});

@@ -106,22 +106,17 @@ std::unique_ptr<SwitchingPolicy> make_switching(const std::string& name) {
   return nullptr;
 }
 
-NetworkInstance::NetworkInstance(const InstanceSpec& spec) : spec_(spec) {
-  const std::string invalid = validate_spec(spec_);
-  GENOC_REQUIRE(invalid.empty(), "invalid instance spec: " + invalid);
+NetworkInstance::NetworkInstance(const InstanceSpec& spec)
+    : spec_(spec),
+      context_(std::make_unique<AnalysisArtifacts>(spec_)),
+      switching_(make_switching(spec_.switching)) {
   display_name_ = display_name(spec_);
-  topo_ = make_topology(spec_);
-  routing_ = make_routing(spec_.routing, *topo_);
-  if (!spec_.escape.empty()) {
-    escape_ = make_routing(spec_.escape, *topo_);
-  }
-  switching_ = make_switching(spec_.switching);
 }
 
 const Mesh2D& NetworkInstance::mesh() const {
-  const Mesh2D* grid = dynamic_cast<const Mesh2D*>(topo_.get());
+  const Mesh2D* grid = dynamic_cast<const Mesh2D*>(&topology());
   GENOC_REQUIRE(grid != nullptr, "instance '" + display_name_ +
-                                     "' is a " + topo_->family() +
+                                     "' is a " + topology().family() +
                                      ", not a grid");
   return *grid;
 }
@@ -132,10 +127,6 @@ std::vector<TrafficPair> NetworkInstance::make_traffic() const {
                 "invalid pattern survived validation: " + spec_.pattern);
   Rng rng(spec_.seed);
   return generate_traffic(*pattern, mesh(), spec_.messages, rng);
-}
-
-PortDepGraph NetworkInstance::dependency_graph(ThreadPool* runner) const {
-  return build_dep_graph_fast(*routing_, runner);
 }
 
 InstanceVerdict NetworkInstance::verify(
@@ -149,7 +140,7 @@ SimulationReport NetworkInstance::simulate(
   SimulationOptions opts = options;
   opts.flit_count = spec_.flits;
   Rng rng(spec_.seed);
-  return simulate_routing(mesh(), *routing_, pairs, spec_.buffers, rng, opts,
+  return simulate_routing(mesh(), routing(), pairs, spec_.buffers, rng, opts,
                           switching_.get());
 }
 

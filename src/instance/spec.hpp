@@ -20,7 +20,8 @@ namespace genoc {
 
 /// A fully parsed description of a network instance. Plain data: the
 /// factories that turn it into live objects are AnalysisArtifacts (the
-/// verification context) and NetworkInstance (simulation).
+/// analysis context: topology, routing, escape lane) and NetworkInstance
+/// (one such context plus switching policy and workload, for simulation).
 struct InstanceSpec {
   std::string name;     ///< registry name; empty for ad-hoc CLI specs
   std::string summary;  ///< one-line description (presets only)

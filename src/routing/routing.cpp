@@ -211,8 +211,7 @@ void RoutingFunction::force_closure_mode(ClosureMode mode) {
   GENOC_REQUIRE(mode != ClosureMode::kNodeMask ||
                     (node_uniform() && topo_->name_count() <= 64),
                 "kNodeMask requires a node-uniform routing function");
-  GENOC_REQUIRE(rows_built_.load(std::memory_order_relaxed) == 0 &&
-                    closure_.empty(),
+  GENOC_REQUIRE(rows_built_.load(std::memory_order_relaxed) == 0,
                 "force_closure_mode must run before any closure query");
   forced_mode_ = mode;
 }
@@ -318,95 +317,48 @@ const RoutingFunction::CompressedRow* RoutingFunction::compressed_row(
 
 bool RoutingFunction::closure_reachable_id(PortId s,
                                            std::size_t dest_index) const {
-  switch (resolved_mode()) {
-    case ClosureMode::kNodeMask:
-      return node_mask_reachable(s, dest_index);
-    case ClosureMode::kCompressed: {
-      const CompressedRow* row = compressed_row(dest_index, nullptr);
-      if (row->is_bitset()) {
-        return row_bit(row->words.data(), s);
-      }
-      return std::binary_search(row->ids.begin(), row->ids.end(),
-                                static_cast<std::uint32_t>(s));
-    }
-    default: {
-      ensure_dense(nullptr);
-      return row_bit(closure_.data() + dest_index * closure_words_, s);
-    }
+  if (resolved_mode() == ClosureMode::kNodeMask) {
+    return node_mask_reachable(s, dest_index);
   }
+  const CompressedRow* row = compressed_row(dest_index, nullptr);
+  if (row->is_bitset()) {
+    return row_bit(row->words.data(), s);
+  }
+  return std::binary_search(row->ids.begin(), row->ids.end(),
+                            static_cast<std::uint32_t>(s));
 }
 
 const std::uint64_t* RoutingFunction::closure_row(
     std::size_t dest_index, ClosureRowScratch& scratch) const {
   const std::size_t words = closure_row_words();
-  switch (resolved_mode()) {
-    case ClosureMode::kNodeMask: {
-      if (scratch.sweeper_owner_ != this) {
-        scratch.sweeper_ = std::make_unique<RouteSweeper>(*this);
-        scratch.sweeper_owner_ = this;
-        scratch.cached_dest_ = static_cast<std::size_t>(-1);
-      }
-      if (scratch.cached_dest_ == dest_index &&
-          scratch.words_.size() == words) {
-        return scratch.words_.data();
-      }
-      scratch.words_.assign(words, 0);
-      scratch.sweeper_->sweep(dest_index, nullptr, scratch.words_.data());
-      scratch.cached_dest_ = dest_index;
-      rows_built_.fetch_add(1, std::memory_order_relaxed);
-      static obs::Counter& rows =
-          obs::MetricsRegistry::global().counter("closure.rows_built");
-      rows.increment();
+  if (resolved_mode() == ClosureMode::kNodeMask) {
+    if (scratch.sweeper_owner_ != this) {
+      scratch.sweeper_ = std::make_unique<RouteSweeper>(*this);
+      scratch.sweeper_owner_ = this;
+      scratch.cached_dest_ = static_cast<std::size_t>(-1);
+    }
+    if (scratch.cached_dest_ == dest_index && scratch.words_.size() == words) {
       return scratch.words_.data();
     }
-    case ClosureMode::kCompressed: {
-      const CompressedRow* row = compressed_row(dest_index, nullptr);
-      if (row->is_bitset()) {
-        return row->words.data();
-      }
-      scratch.words_.assign(words, 0);
-      for (const std::uint32_t pid : row->ids) {
-        scratch.words_[pid >> 6] |= std::uint64_t{1} << (pid & 63);
-      }
-      scratch.cached_dest_ = dest_index;
-      return scratch.words_.data();
-    }
-    default:
-      ensure_dense(nullptr);
-      return closure_.data() + dest_index * closure_words_;
+    scratch.words_.assign(words, 0);
+    scratch.sweeper_->sweep(dest_index, nullptr, scratch.words_.data());
+    scratch.cached_dest_ = dest_index;
+    rows_built_.fetch_add(1, std::memory_order_relaxed);
+    static obs::Counter& rows =
+        obs::MetricsRegistry::global().counter("closure.rows_built");
+    rows.increment();
+    return scratch.words_.data();
   }
-}
-
-void RoutingFunction::ensure_dense(ThreadPool* pool) const {
-  std::call_once(dense_once_, [this, pool] {
-    // One per-destination sweep fills one bitset row; the sweep itself
-    // takes care of seeding at the terminal IN ports and of skipping
-    // non-existent hops (a (C-1)-detectable bug the closure must not
-    // propagate through).
-    const std::size_t dest_count = topo_->destination_count();
-    closure_words_ = closure_row_words();
-    closure_.assign(dest_count * closure_words_, 0);
-    const auto build_range = [this](std::size_t begin, std::size_t end) {
-      RouteSweeper sweeper(*this);
-      for (std::size_t dest = begin; dest < end; ++dest) {
-        sweeper.sweep(dest, nullptr, closure_.data() + dest * closure_words_);
-      }
-    };
-    if (pool != nullptr) {
-      pool->parallel_for(dest_count, pool->recommended_grain(dest_count),
-                         build_range);
-    } else {
-      build_range(0, dest_count);
-    }
-    rows_built_.fetch_add(dest_count, std::memory_order_relaxed);
-    const std::uint64_t total =
-        bytes_.fetch_add(closure_.capacity() * sizeof(std::uint64_t),
-                         std::memory_order_relaxed) +
-        closure_.capacity() * sizeof(std::uint64_t);
-    obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
-    metrics.counter("closure.rows_built").add(dest_count);
-    metrics.gauge("closure.bytes").record_max(static_cast<std::int64_t>(total));
-  });
+  const CompressedRow* row = compressed_row(dest_index, nullptr);
+  if (row->is_bitset()) {
+    return row->words.data();
+  }
+  scratch.words_.assign(words, 0);
+  for (const std::uint32_t pid : row->ids) {
+    scratch.words_[pid >> 6] |= std::uint64_t{1} << (pid & 63);
+  }
+  scratch.cached_dest_ = dest_index;
+  return scratch.words_.data();
 }
 
 void RoutingFunction::prime_closure(ThreadPool* pool) const {
@@ -414,31 +366,24 @@ void RoutingFunction::prime_closure(ThreadPool* pool) const {
   obs::MetricsRegistry::global()
       .gauge("closure.dense_bytes")
       .record_max(static_cast<std::int64_t>(closure_dense_bytes()));
-  switch (resolved_mode()) {
-    case ClosureMode::kNodeMask:
-      // Zero storage: membership derives from out_mask_id on the fly and
-      // rows materialize in caller scratches. Nothing to pre-build.
-      break;
-    case ClosureMode::kCompressed: {
-      ensure_rows_allocated();
-      const std::size_t dest_count = topo_->destination_count();
-      const auto build_range = [this](std::size_t begin, std::size_t end) {
-        RouteSweeper sweeper(*this);
-        for (std::size_t dest = begin; dest < end; ++dest) {
-          compressed_row(dest, &sweeper);
-        }
-      };
-      if (pool != nullptr) {
-        pool->parallel_for(dest_count, pool->recommended_grain(dest_count),
-                           build_range);
-      } else {
-        build_range(0, dest_count);
-      }
-      break;
+  // The node-granular tier stores nothing: membership derives from
+  // out_mask_id on the fly and rows materialize in caller scratches.
+  if (resolved_mode() != ClosureMode::kCompressed) {
+    return;
+  }
+  ensure_rows_allocated();
+  const std::size_t dest_count = topo_->destination_count();
+  const auto build_range = [this](std::size_t begin, std::size_t end) {
+    RouteSweeper sweeper(*this);
+    for (std::size_t dest = begin; dest < end; ++dest) {
+      compressed_row(dest, &sweeper);
     }
-    default:
-      ensure_dense(pool);
-      break;
+  };
+  if (pool != nullptr) {
+    pool->parallel_for(dest_count, pool->recommended_grain(dest_count),
+                       build_range);
+  } else {
+    build_range(0, dest_count);
   }
 }
 

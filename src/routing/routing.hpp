@@ -19,9 +19,8 @@
 ///
 /// The closure itself is TIERED (see ClosureMode below): node-granular and
 /// storage-free for node-uniform functions, lazily built hybrid-compressed
-/// rows for port-mode functions, with the legacy dense bitset retained only
-/// as a forced test oracle. Priming is destination-sharded over the pool in
-/// batch mode; every tier stays bit-identical to the dense layout.
+/// rows for port-mode functions. Priming is destination-sharded over the
+/// pool in batch mode; both tiers stay bit-identical to the dense layout.
 #pragma once
 
 #include <atomic>
@@ -69,17 +68,15 @@ constexpr std::uint8_t port_name_bit(PortName name) {
 ///    touch (thread-safe, compare-and-swap publication) and stored in
 ///    hybrid form — a sorted PortId list when sparse, a bitset row when
 ///    dense — whichever is smaller.
-///  - kDense (forced by tests only): the legacy monolithic bitset, kept as
-///    the bit-identity oracle for the other two tiers.
 ///
-/// Every tier is bit-identical to the legacy dense closure; the
-/// test_closure_compressed suite pins that per preset at 1/4/8 threads.
+/// Both tiers are bit-identical to the dense closure (one RouteSweeper
+/// port-mode sweep per destination row); test_closure_compressed builds
+/// that oracle itself and pins the identity per preset at 1/4/8 threads.
 /// The `closure.bytes` / `closure.dense_bytes` gauges and the
 /// `closure.rows_built` counter make the memory win observable.
 enum class ClosureMode : std::uint8_t {
   kAuto,        ///< resolve per family: kNodeMask if node-uniform, else
                 ///< kCompressed
-  kDense,       ///< legacy eager dests x ports bitset (test oracle)
   kNodeMask,    ///< node-granular closed form, zero storage
   kCompressed,  ///< lazy hybrid-compressed per-destination rows
 };
@@ -266,13 +263,13 @@ class RoutingFunction {
   bool closure_reachable_id(PortId s, std::size_t dest_index) const;
 
   /// The semantic visited-port row of one destination: closure_row_words()
-  /// 64-bit words, bit = PortId — bit-identical to a row of the legacy
-  /// dense closure. Hot consumers (the escape sweep, batch constraint
+  /// 64-bit words, bit = PortId — bit-identical to a row of the dense
+  /// closure. Hot consumers (the escape sweep, batch constraint
   /// checks) read one row per destination instead of issuing per-port
   /// reachable_id() queries. The returned pointer is either into \p
   /// scratch (node-granular tier: swept on demand; compressed list rows:
   /// expanded on demand) or into the shared read-only store (compressed
-  /// bitset rows, dense tier); it stays valid until the next closure_row()
+  /// bitset rows); it stays valid until the next closure_row()
   /// call on the same scratch. Thread-safe: concurrent callers with
   /// distinct scratches may touch any destination in any order.
   const std::uint64_t* closure_row(std::size_t dest_index,
@@ -286,17 +283,17 @@ class RoutingFunction {
   /// The resolved closure representation (kAuto never escapes).
   ClosureMode closure_mode() const;
 
-  /// Test hook: pins the closure representation (e.g. kDense as the
-  /// bit-identity oracle, kCompressed to exercise row compression on a
-  /// node-uniform function). Must be called before any closure query;
-  /// kNodeMask requires a node-uniform function.
+  /// Test hook: pins the closure representation (e.g. kCompressed to
+  /// exercise row compression on a node-uniform function). Must be called
+  /// before any closure query; kNodeMask requires a node-uniform function.
   void force_closure_mode(ClosureMode mode);
 
   /// Bytes of closure storage currently allocated by this function (0 for
   /// the node-granular tier — membership is a closed form).
   std::uint64_t closure_bytes() const;
 
-  /// What the legacy dense layout would allocate: dests x row words x 8.
+  /// What a dense dests x ports bitset would allocate: dests x row words x
+  /// 8.
   /// The `closure.bytes` / `closure.dense_bytes` gauge pair reports the
   /// reduction (>= 4x on meshes is the acceptance bar).
   std::uint64_t closure_dense_bytes() const;
@@ -348,7 +345,6 @@ class RoutingFunction {
   const CompressedRow* compressed_row(std::size_t dest_index,
                                       RouteSweeper* sweeper) const;
   void ensure_rows_allocated() const;
-  void ensure_dense(ThreadPool* pool) const;
   void prime_closure(ThreadPool* pool) const;
   void note_row_built(std::uint64_t bytes_delta) const;
 
@@ -360,12 +356,6 @@ class RoutingFunction {
   // Compressed tier: one atomic slot per destination, null until built.
   mutable std::once_flag rows_once_;
   mutable std::unique_ptr<std::atomic<CompressedRow*>[]> rows_;
-
-  // Dense tier (forced mode only): the legacy flat bitset — row
-  // \p dest_index spans closure_words_ words, bit = PortId.
-  mutable std::once_flag dense_once_;
-  mutable std::vector<std::uint64_t> closure_;
-  mutable std::size_t closure_words_ = 0;
 
   mutable std::atomic<std::uint64_t> rows_built_{0};
   mutable std::atomic<std::uint64_t> bytes_{0};

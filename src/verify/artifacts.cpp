@@ -31,22 +31,14 @@ KindCounters kind_counters(const char* kind) {
 
 }  // namespace
 
-AnalysisArtifacts::AnalysisArtifacts(const Topology& topology,
-                                     const RoutingFunction& routing,
-                                     const RoutingFunction* escape)
-    : topo_(&topology), routing_(&routing), escape_(escape) {}
-
 AnalysisArtifacts::AnalysisArtifacts(const InstanceSpec& spec) {
   const std::string invalid = validate_spec(spec);
   GENOC_REQUIRE(invalid.empty(), "invalid instance spec: " + invalid);
-  owned_topo_ = make_topology(spec);
-  owned_routing_ = make_routing(spec.routing, *owned_topo_);
+  topo_ = make_topology(spec);
+  routing_ = make_routing(spec.routing, *topo_);
   if (!spec.escape.empty()) {
-    owned_escape_ = make_routing(spec.escape, *owned_topo_);
+    escape_ = make_routing(spec.escape, *topo_);
   }
-  topo_ = owned_topo_.get();
-  routing_ = owned_routing_.get();
-  escape_ = owned_escape_.get();
 }
 
 AnalysisArtifacts::AnalysisArtifacts(const InstanceSpec& spec,
@@ -56,28 +48,25 @@ AnalysisArtifacts::AnalysisArtifacts(const InstanceSpec& spec,
       !routing_->node_uniform()) {
     return;  // nothing to delta from — full builds as usual
   }
-  const auto* variant_mesh = dynamic_cast<const Mesh2D*>(topo_);
+  // Failed links validate only on grids, so both contexts are meshes.
+  const auto* variant_mesh = dynamic_cast<const Mesh2D*>(topo_.get());
   const auto* base_mesh = dynamic_cast<const Mesh2D*>(&base->topology());
-  if (variant_mesh == nullptr || base_mesh == nullptr) {
-    return;  // faults are grid-only; defensive for borrowed bases
-  }
-  GENOC_REQUIRE(base_mesh->width() == variant_mesh->width() &&
+  GENOC_REQUIRE(variant_mesh != nullptr && base_mesh != nullptr &&
+                    base_mesh->width() == variant_mesh->width() &&
                     base_mesh->height() == variant_mesh->height() &&
                     base_mesh->wraps_x() == variant_mesh->wraps_x() &&
                     base_mesh->wraps_y() == variant_mesh->wraps_y() &&
                     !base_mesh->has_faults(),
                 "delta base context does not match the variant's grid");
   // The base-graph ids of the variant's removed ports: four per distinct
-  // failed link (both directed channels' OUT + IN). Duplicate faults are
-  // idempotent, hence the dedup.
-  for (const std::string& token : spec.failed_links) {
-    std::string error;
-    const std::optional<LinkFault> fault = parse_link_fault(token, &error);
-    GENOC_REQUIRE(fault.has_value(), error);
+  // failed link (both directed channels' OUT + IN), read from the faults
+  // make_topology already parsed. Duplicate faults are idempotent, hence
+  // the dedup.
+  for (const LinkFault& fault : variant_mesh->failed_links()) {
     const LinkFault peer =
-        link_fault_peer(*fault, base_mesh->width(), base_mesh->height(),
+        link_fault_peer(fault, base_mesh->width(), base_mesh->height(),
                         base_mesh->wraps_x(), base_mesh->wraps_y());
-    for (const LinkFault& end : {*fault, peer}) {
+    for (const LinkFault& end : {fault, peer}) {
       const Port in{end.node % base_mesh->width(),
                     end.node / base_mesh->width(), end.name, Direction::kIn};
       removed_base_ports_.push_back(base_mesh->id(in));

@@ -91,35 +91,27 @@ struct ConstraintsArtifact {
 };
 
 /// The shared artifact cache of one analysis context (a topology + routing
-/// + optional escape lane). Two modes:
-///
-///   - BORROWING an existing instance's constituents (the
-///     NetworkInstance::verify compatibility path): nothing is owned, the
-///     cache lives for one verification.
-///   - OWNING a context built from a spec's analysis prefix (the
-///     ArtifactStore path): the artifacts own topology/routing/escape, so
-///     the cached dependency graph (whose PortDepGraph points at that
-///     topology) stays valid across every instance of the batch that
-///     borrows it.
+/// + optional escape lane), built from a spec's analysis prefix. The
+/// context owns its topology, routing and escape lane, so the cached
+/// dependency graph (whose PortDepGraph points at that topology) stays
+/// valid for as long as the context lives: across every instance of a
+/// batch that shares it (ArtifactStore), or for the life of the one
+/// NetworkInstance that holds it.
 class AnalysisArtifacts {
  public:
-  /// Borrowing constructor. \p escape may be nullptr.
-  AnalysisArtifacts(const Topology& topology, const RoutingFunction& routing,
-                    const RoutingFunction* escape);
-
-  /// Owning constructor: builds topology/routing/escape from the spec's
-  /// analysis prefix (topology family + parameters, routing, escape).
-  /// Requires a valid spec; throws ContractViolation otherwise.
+  /// Builds topology/routing/escape from the spec's analysis prefix
+  /// (topology family + parameters, routing, escape). Requires a valid
+  /// spec; throws ContractViolation otherwise.
   explicit AnalysisArtifacts(const InstanceSpec& spec);
 
-  /// Owning constructor for a FAULT VARIANT sharing its unfaulted base
-  /// context: when \p spec has failed links, a grid topology and a
-  /// node-uniform routing, the dependency graph is built by DELTA from the
-  /// base context's graph (build_dep_graph_delta) instead of a full
-  /// rebuild — the campaign hot path. \p base must be the context of this
-  /// spec with failed_links cleared (same grid, same routing/escape);
-  /// passing nullptr, or a spec where the delta does not apply, degrades
-  /// to the plain owning constructor.
+  /// Constructor for a FAULT VARIANT sharing its unfaulted base context:
+  /// when \p spec has failed links, a grid topology and a node-uniform
+  /// routing, the dependency graph is built by DELTA from the base
+  /// context's graph (build_dep_graph_delta) instead of a full rebuild —
+  /// the campaign hot path. \p base must be the context of this spec with
+  /// failed_links cleared (same grid, same routing/escape); passing
+  /// nullptr, or a spec where the delta does not apply, degrades to the
+  /// plain constructor.
   AnalysisArtifacts(const InstanceSpec& spec,
                     std::shared_ptr<AnalysisArtifacts> base);
 
@@ -136,7 +128,7 @@ class AnalysisArtifacts {
   const Topology& topology() const { return *topo_; }
   const RoutingFunction& routing() const { return *routing_; }
   /// The escape-lane routing, or nullptr when the context has none.
-  const RoutingFunction* escape_routing() const { return escape_; }
+  const RoutingFunction* escape_routing() const { return escape_.get(); }
 
   /// The port dependency graph. \p generic_builder selects the quadratic
   /// oracle (bit-identical to the fast builder, so a cached graph is reused
@@ -171,14 +163,11 @@ class AnalysisArtifacts {
   /// routings stay no-op-cheap either way.
   void ensure_primed_locked(ThreadPool* pool);
 
-  // Owning-mode storage (null in borrowing mode); the raw pointers below
-  // are the single source of truth either way.
-  std::unique_ptr<Topology> owned_topo_;
-  std::unique_ptr<RoutingFunction> owned_routing_;
-  std::unique_ptr<RoutingFunction> owned_escape_;
-  const Topology* topo_ = nullptr;
-  const RoutingFunction* routing_ = nullptr;
-  const RoutingFunction* escape_ = nullptr;
+  // Declared topology first: the routings (and the cached graph) point
+  // into it, so it is destroyed last.
+  std::unique_ptr<Topology> topo_;
+  std::unique_ptr<RoutingFunction> routing_;
+  std::unique_ptr<RoutingFunction> escape_;  ///< null without an escape lane
 
   // Fault-variant delta state: the unfaulted base context (keeps the base
   // graph alive and shares its compute across every variant of a campaign)
@@ -205,8 +194,8 @@ class ArtifactStore {
   ArtifactStore(const ArtifactStore&) = delete;
   ArtifactStore& operator=(const ArtifactStore&) = delete;
 
-  /// The artifacts for \p spec's analysis prefix, building the owned
-  /// context on first sight of the key. Thread-safe; the returned pointer
+  /// The artifacts for \p spec's analysis prefix, building the context on
+  /// first sight of the key. Thread-safe; the returned pointer
   /// stays valid for the life of the store.
   std::shared_ptr<AnalysisArtifacts> acquire(const InstanceSpec& spec);
 

@@ -460,9 +460,7 @@ VerifyReport VerifyPipeline::run(const NetworkInstance& instance,
         options.artifacts->acquire(instance.spec());
     return run(instance, *shared, options);
   }
-  AnalysisArtifacts local(instance.topology(), instance.routing(),
-                          instance.escape());
-  return run(instance, local, options);
+  return run(instance, instance.context(), options);
 }
 
 }  // namespace genoc

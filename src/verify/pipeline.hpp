@@ -9,8 +9,10 @@
 ///   escape          — the Duato escape-lane fallback for cyclic graphs
 ///   constraints     — (C-1)/(C-2), when requested
 ///
-/// `NetworkInstance::verify` is a thin wrapper over run(); `genoc verify
-/// --stages a,b,c` builds a custom selection through from_stage_names().
+/// `genoc verify` runs it over an ArtifactStore context per spec;
+/// `NetworkInstance::verify` is a thin wrapper over run() on the instance's
+/// own context; `genoc verify --stages a,b,c` builds a custom selection
+/// through from_stage_names().
 /// Stages pull their inputs from the artifact cache, so a subset pipeline
 /// stays sound — it computes what it needs and skips what does not apply —
 /// but only a pipeline containing a deciding stage can conclude
@@ -60,9 +62,11 @@ class VerifyPipeline {
                    AnalysisArtifacts& artifacts,
                    const InstanceVerifyOptions& options) const;
 
-  /// Convenience: run over the instance's own constituents (or the
-  /// options.artifacts store when set) — exactly NetworkInstance::verify
-  /// but returning the full report.
+  /// Convenience: run over the instance's own context (or the
+  /// options.artifacts store's context when set) — exactly
+  /// NetworkInstance::verify but returning the full report. The context
+  /// caches: a second run on the same instance reuses the first run's
+  /// artifacts, whatever builder or pool it asks for.
   VerifyReport run(const NetworkInstance& instance,
                    const InstanceVerifyOptions& options) const;
 

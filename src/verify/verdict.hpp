@@ -18,8 +18,8 @@ namespace genoc {
 class ThreadPool;
 class ArtifactStore;
 
-/// Options for one instance verification (NetworkInstance::verify and the
-/// VerifyPipeline behind it).
+/// Options for one instance verification (VerifyPipeline::run, and
+/// NetworkInstance::verify over it).
 struct InstanceVerifyOptions {
   /// Shard the dependency-graph construction (per destination), the SCC
   /// stage and the escape-lane analysis across this pool; nullptr runs
@@ -36,8 +36,8 @@ struct InstanceVerifyOptions {
   /// graph, primed closure, acyclicity verdict, escape analysis) are
   /// acquired from this store, keyed by the spec's topology x routing x
   /// escape prefix, so a second instance sharing the prefix reuses them
-  /// instead of recomputing. nullptr analyzes the instance's own
-  /// constituents.
+  /// instead of recomputing. nullptr analyzes the instance's own context
+  /// (NetworkInstance::context()).
   ArtifactStore* artifacts = nullptr;
 };
 

@@ -23,6 +23,7 @@
 #include "routing/torus_xy.hpp"
 #include "routing/xy.hpp"
 #include "routing/yx.hpp"
+#include "verify/pipeline.hpp"
 
 namespace genoc {
 namespace {
@@ -286,12 +287,19 @@ TEST(DepGraphFast, VerdictIdenticalWithGenericBuilder) {
     std::string error;
     const auto spec = InstanceRegistry::global().resolve(name, &error);
     ASSERT_TRUE(spec.has_value()) << error;
-    const NetworkInstance instance(*spec);
-    InstanceVerifyOptions fast_options;
+    // One instance per builder: a shared one would hand the generic run
+    // the fast run's cached graph.
     InstanceVerifyOptions generic_options;
     generic_options.generic_builder = true;
-    const InstanceVerdict fast = instance.verify(fast_options);
-    const InstanceVerdict generic = instance.verify(generic_options);
+    const VerifyReport fast_report =
+        VerifyPipeline::standard().run(NetworkInstance(*spec),
+                                       InstanceVerifyOptions{});
+    const VerifyReport generic_report = VerifyPipeline::standard().run(
+        NetworkInstance(*spec), generic_options);
+    EXPECT_EQ(fast_report.cache.dep_graph.misses, 1u);
+    EXPECT_EQ(generic_report.cache.dep_graph.misses, 1u);
+    const InstanceVerdict& fast = fast_report.verdict;
+    const InstanceVerdict& generic = generic_report.verdict;
     EXPECT_EQ(fast.deadlock_free, generic.deadlock_free);
     EXPECT_EQ(fast.dep_acyclic, generic.dep_acyclic);
     EXPECT_EQ(fast.edges, generic.edges);

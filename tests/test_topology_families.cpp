@@ -23,6 +23,7 @@
 #include "topology/dragonfly.hpp"
 #include "topology/mesh.hpp"
 #include "verify/artifacts.hpp"
+#include "verify/pipeline.hpp"
 
 namespace genoc {
 namespace {
@@ -164,7 +165,12 @@ TEST(TopologyFamilies, DragonflyCycleWitnessIsStableAcrossThreadCounts) {
     BatchRunner runner(threads);
     InstanceVerifyOptions options;
     options.runner = &runner;
-    const InstanceVerdict sharded = instance.verify(options);
+    // A fresh instance per pool: the first one's context has the graph
+    // and witness cached already.
+    const VerifyReport report =
+        VerifyPipeline::standard().run(NetworkInstance(*spec), options);
+    EXPECT_EQ(report.cache.dep_graph.misses, 1u) << threads << " threads";
+    const InstanceVerdict& sharded = report.verdict;
     EXPECT_EQ(sharded.note, sequential.note) << threads << " threads";
     EXPECT_EQ(sharded.edges, sequential.edges) << threads << " threads";
     EXPECT_EQ(sharded.method, sequential.method) << threads << " threads";

@@ -49,9 +49,10 @@ InstanceVerdict legacy_verify(const NetworkInstance& instance,
   verdict.deterministic = instance.routing().is_deterministic();
   verdict.expected_deadlock_free = instance.spec().expect_deadlock_free;
 
-  const PortDepGraph dep = options.generic_builder
-                               ? build_dep_graph(instance.routing())
-                               : instance.dependency_graph(options.runner);
+  const PortDepGraph dep =
+      options.generic_builder
+          ? build_dep_graph(instance.routing())
+          : build_dep_graph_fast(instance.routing(), options.runner);
   verdict.edges = dep.graph.edge_count();
   verdict.checks =
       static_cast<std::uint64_t>(instance.topology().port_count()) *
@@ -172,7 +173,7 @@ TEST(VerifyPipeline, MatchesLegacyAcrossThreadCountsOnSmallPresets) {
       InstanceVerifyOptions options;
       options.runner = &runner;
       const InstanceVerdict want = legacy_verify(instance, options);
-      // Wrapper path (instance-borrowed artifacts).
+      // Wrapper path (the instance's own context).
       expect_verdicts_equal(
           instance.verify(options), want,
           spec.name + " wrapper @" + std::to_string(threads) + "t");
@@ -219,14 +220,19 @@ TEST(VerifyPipeline, MatchesLegacyWithConstraintsAndGenericBuilder) {
         std::string("hermes-torus")}) {
     const InstanceSpec* spec = InstanceRegistry::global().find(name);
     ASSERT_NE(spec, nullptr) << name;
-    const NetworkInstance instance(*spec);
     for (const bool generic : {false, true}) {
+      // One instance per option value: a shared one would hand the second
+      // run the first run's cached graph.
+      const NetworkInstance instance(*spec);
       InstanceVerifyOptions options;
       options.check_constraints = true;
       options.generic_builder = generic;
-      expect_verdicts_equal(instance.verify(options),
-                            legacy_verify(instance, options),
-                            name + (generic ? " generic" : " fast"));
+      const std::string context = name + (generic ? " generic" : " fast");
+      const VerifyReport report =
+          VerifyPipeline::standard().run(instance, options);
+      EXPECT_EQ(report.cache.dep_graph.misses, 1u) << context;
+      expect_verdicts_equal(report.verdict, legacy_verify(instance, options),
+                            context);
     }
   }
 }
@@ -245,8 +251,9 @@ TEST(VerifyPipeline, Mesh128MatchesLegacyOnThePool) {
 TEST(VerifyPipeline, SpecRunMatchesInstanceRunOnPresetsAndFaultVariants) {
   // run(spec, artifacts) builds no NetworkInstance: its header fields come
   // from the spec and the artifact context. It must render the same report
-  // as the NetworkInstance overload over the instance's own constituents,
-  // including on fault variants whose context is delta-built from a base.
+  // as the NetworkInstance overload over the instance's own context (built
+  // without a base, so never by delta), including on fault variants whose
+  // store context is delta-built from a base.
   std::vector<InstanceSpec> specs = equality_presets();
   for (const char* text :
        {"topology=mesh size=8x8 routing=xy failed=9:E,20:S",
@@ -522,6 +529,62 @@ TEST(VerifyPipeline, ReportCacheCountersAreTheRunsOwnDelta) {
   EXPECT_EQ(second.cache.escape.misses, 0u);
   EXPECT_EQ(second.cache.escape.hits, 1u);
   expect_verdicts_equal(second.verdict, first.verdict, "warm rerun");
+}
+
+TEST(VerifyPipeline, InstanceForwardsToItsOneContext) {
+  // NetworkInstance builds no topology or routing of its own: every
+  // constituent is the context's object, on grids and id-native families,
+  // with and without an escape lane.
+  for (const char* name : {"torus8-xy", "mesh8-xy", "dragonfly9-min"}) {
+    const InstanceSpec* spec = InstanceRegistry::global().find(name);
+    ASSERT_NE(spec, nullptr) << name;
+    const NetworkInstance instance(*spec);
+    EXPECT_EQ(&instance.topology(), &instance.context().topology()) << name;
+    EXPECT_EQ(&instance.routing(), &instance.context().routing()) << name;
+    EXPECT_EQ(instance.escape(), instance.context().escape_routing()) << name;
+    EXPECT_EQ(instance.escape() != nullptr, !spec->escape.empty()) << name;
+  }
+}
+
+TEST(VerifyPipeline, SecondRunOnOneInstanceReusesItsContext) {
+  const InstanceSpec* spec = InstanceRegistry::global().find("torus8-xy");
+  ASSERT_NE(spec, nullptr);
+  const NetworkInstance instance(*spec);
+  const VerifyReport first =
+      VerifyPipeline::standard().run(instance, InstanceVerifyOptions{});
+  EXPECT_EQ(first.cache.dep_graph.misses, 1u);
+  EXPECT_EQ(first.cache.escape.misses, 1u);
+  const VerifyReport second =
+      VerifyPipeline::standard().run(instance, InstanceVerifyOptions{});
+  EXPECT_EQ(second.cache.dep_graph.misses, 0u);
+  EXPECT_EQ(second.cache.escape.misses, 0u);
+  EXPECT_EQ(second.cache.escape.hits, 1u);
+  expect_verdicts_equal(second.verdict, first.verdict, "warm instance rerun");
+}
+
+TEST(VerifyPipeline, ConcurrentVerifiesOnOneInstanceComputeOnce) {
+  // verify() is const and may run from several threads at once: the calls
+  // serialize on the context's lock, so the graph and the escape analysis
+  // are computed once and every caller reads the same verdict.
+  const InstanceSpec* spec = InstanceRegistry::global().find("torus8-xy");
+  ASSERT_NE(spec, nullptr);
+  const NetworkInstance instance(*spec);
+  BatchRunner runner(4);
+  std::vector<InstanceVerdict> verdicts(8);
+  runner.parallel_for(verdicts.size(), 1,
+                      [&](std::size_t begin, std::size_t end) {
+                        for (std::size_t i = begin; i < end; ++i) {
+                          verdicts[i] = instance.verify();
+                        }
+                      });
+  for (const InstanceVerdict& verdict : verdicts) {
+    expect_verdicts_equal(verdict, verdicts.front(), "concurrent verify");
+  }
+  EXPECT_TRUE(verdicts.front().deadlock_free);
+  const ArtifactCacheStats stats = instance.context().stats();
+  EXPECT_EQ(stats.dep_graph.misses, 1u);
+  EXPECT_EQ(stats.escape.misses, 1u);
+  EXPECT_EQ(stats.escape.hits, verdicts.size() - 1);
 }
 
 TEST(VerifyPipeline, ArtifactKeyIgnoresWorkloadAndSwitching) {
