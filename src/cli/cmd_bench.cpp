@@ -494,11 +494,7 @@ int cmd_bench(const Args& args) {
   const double min_ms = args.get_double("min-ms", 100.0);
   const auto threads =
       static_cast<std::size_t>(args.get_int_in("threads", 0, 0, 256));
-  const std::string trace_path =
-      args.has("trace") ? (args.get("trace", "").empty()
-                               ? std::string("genoc-bench.trace.json")
-                               : args.get("trace", ""))
-                        : std::string();
+  TraceFlag trace(args, "bench", "genoc-bench.trace.json");
   if (const int rc = finish_args(args, kUsage)) {
     return rc;
   }
@@ -538,17 +534,8 @@ int cmd_bench(const Args& args) {
     std::filesystem::remove(probe_path, ec);
   }
 
-  // Open-before-run, like verify: an unwritable --trace path must exit 2
-  // before the minutes of measurement, not after.
-  std::optional<std::ofstream> trace_out;
-  if (!trace_path.empty()) {
-    trace_out.emplace(trace_path);
-    if (!*trace_out) {
-      std::cerr << "genoc bench: cannot write --trace file '" << trace_path
-                << "' (check the directory exists and is writable)\n";
-      return 2;
-    }
-    obs::TraceRecorder::global().start();
+  if (const int rc = trace.start()) {
+    return rc;
   }
 
   std::vector<MicroBench> suite = build_suite(threads);
@@ -576,18 +563,8 @@ int cmd_bench(const Args& args) {
     results.push_back(run_bench(bench, min_ms));
   }
 
-  if (trace_out.has_value()) {
-    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-    recorder.stop();
-    recorder.write_json(*trace_out);
-    trace_out->flush();
-    if (!*trace_out) {
-      std::cerr << "genoc bench: writing --trace file '" << trace_path
-                << "' failed\n";
-      return 2;
-    }
-    std::cerr << "genoc bench: wrote " << recorder.event_count()
-              << " trace events to " << trace_path << "\n";
+  if (const int rc = trace.finish()) {
+    return rc;
   }
 
   std::cout << "\n";

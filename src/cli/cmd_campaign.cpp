@@ -16,7 +16,6 @@
 #include "cli/campaign_json.hpp"
 #include "cli/commands.hpp"
 #include "instance/registry.hpp"
-#include "obs/trace.hpp"
 #include "util/table.hpp"
 
 namespace genoc::cli {
@@ -59,7 +58,7 @@ int cmd_campaign(const Args& args) {
   const std::int64_t threads = args.get_int_in("threads", 0, 0, 4096);
   const bool json_given = args.has("json");
   const std::string json_path = args.get("json", "");
-  const std::string trace_path = args.get("trace", "");
+  TraceFlag trace(args, "campaign", "");
   if (const int rc = finish_args(args, kUsage)) {
     return rc;
   }
@@ -104,31 +103,12 @@ int cmd_campaign(const Args& args) {
     }
   }
 
-  // Open the trace file BEFORE the (possibly minutes-long) campaign: an
-  // unwritable path must fail fast, not after the sweep.
-  std::optional<std::ofstream> trace_out;
-  if (!trace_path.empty()) {
-    trace_out.emplace(trace_path);
-    if (!*trace_out) {
-      std::cerr << "genoc campaign: cannot write --trace file '" << trace_path
-                << "'\n";
-      return 2;
-    }
-    obs::TraceRecorder::global().start();
+  if (const int rc = trace.start()) {
+    return rc;
   }
-
   const CampaignReport report = run_campaign(*base, options);
-
-  if (trace_out.has_value()) {
-    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-    recorder.stop();
-    recorder.write_json(*trace_out);
-    trace_out->flush();
-    if (!*trace_out) {
-      std::cerr << "genoc campaign: error writing --trace file '"
-                << trace_path << "'\n";
-      return 2;
-    }
+  if (const int rc = trace.finish()) {
+    return rc;
   }
 
   if (json_given) {

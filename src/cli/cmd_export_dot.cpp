@@ -1,17 +1,15 @@
 /// \file cmd_export_dot.cpp
-/// \brief `genoc export-dot` — emit a port dependency graph as Graphviz DOT
-///        (the paper's Fig. 3): the closed-form Exy_dep, or the graph
-///        `genoc verify` decides for any registered instance via --instance.
+/// \brief `genoc export-dot` — emit the port dependency graph `genoc verify`
+///        decides as Graphviz DOT: by default the XY mesh of --width x
+///        --height, whose graph is the paper's closed-form Exy_dep (Fig. 3);
+///        with --instance, any registered instance or ad-hoc spec.
 #include <cctype>
 #include <fstream>
 #include <iostream>
 #include <optional>
 
 #include "cli/commands.hpp"
-#include "deadlock/depgraph.hpp"
-#include "graph/cycle.hpp"
 #include "instance/registry.hpp"
-#include "topology/mesh.hpp"
 #include "verify/artifacts.hpp"
 
 namespace genoc::cli {
@@ -59,33 +57,33 @@ int cmd_export_dot(const Args& args) {
     return rc;
   }
 
-  // --instance draws the graph `genoc verify` decides, from one context;
-  // the default is the paper's closed-form Exy_dep on a plain mesh.
-  std::optional<AnalysisArtifacts> context;
-  std::optional<Mesh2D> mesh;  // keeps the Exy_dep graph's ports alive
-  std::optional<PortDepGraph> exy;
+  // Both modes draw the graph `genoc verify` decides, from one context:
+  // --instance's spec, or by default the paper's XY mesh, whose decided
+  // graph is the closed-form Exy_dep (Fig. 3).
+  InstanceSpec spec;
   std::string graph_name = name;
   if (!instance.empty()) {
     std::string error;
-    const std::optional<InstanceSpec> spec =
+    const std::optional<InstanceSpec> resolved =
         InstanceRegistry::global().resolve(instance, &error);
-    if (!spec) {
+    if (!resolved) {
       std::cerr << "genoc export-dot: " << error << "\n";
       return 2;
     }
-    context.emplace(*spec);
+    spec = *resolved;
     if (graph_name.empty()) {
-      graph_name = dot_identifier(display_name(*spec));
+      graph_name = dot_identifier(display_name(spec));
     }
   } else {
-    mesh.emplace(width, height);
-    exy = build_exy_dep(*mesh);
+    spec.width = width;
+    spec.height = height;
+    spec.routing = "xy";
     if (graph_name.empty()) {
       graph_name = "exy_dep";
     }
   }
-  const PortDepGraph& dep =
-      context ? context->dep_graph(false, nullptr) : *exy;
+  AnalysisArtifacts context(spec);
+  const PortDepGraph& dep = context.dep_graph(false, nullptr);
   const std::string dot = dep.to_dot(graph_name);
 
   if (out_path.empty()) {
@@ -102,12 +100,10 @@ int cmd_export_dot(const Args& args) {
               << dep.graph.edge_count() << " edges to " << out_path
               << " (render: dot -Tpdf " << out_path << " -o fig3.pdf)\n";
   }
-  const bool acyclic = context ? context->acyclicity(false, nullptr).acyclic
-                               : is_acyclic(dep.graph);
   std::cerr << "Dependency graph is ";
-  if (acyclic) {
+  if (context.acyclicity(false, nullptr).acyclic) {
     std::cerr << "acyclic — deadlock-free (Theorem 1)\n";
-  } else if (context && context->escape_routing() != nullptr) {
+  } else if (context.escape_routing() != nullptr) {
     // Ad-hoc specs hold spaces; quote them so the hint pastes as is.
     const std::string arg = instance.find(' ') == std::string::npos
                                 ? instance

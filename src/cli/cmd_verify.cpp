@@ -3,7 +3,10 @@
 ///
 /// Three modes:
 ///   (default)        the classic parametric-HERMES obligation suite with
-///                    the Table-I-shaped effort report;
+///                    the Table-I-shaped effort report; its deadlock rows
+///                    read one VerifyPipeline run over the context of
+///                    `topology=mesh size=WxH routing=xy` (--constraints
+///                    on), so it decides the way --instance does;
 ///   --instance X     one registered instance (or ad-hoc key=value spec)
 ///                    through the VerifyPipeline (Theorem-1 / escape-lane
 ///                    stages over the shared artifact cache);
@@ -465,7 +468,7 @@ int run_instance_mode(const std::string& instance, bool all, bool heavy,
                       bool generic, bool stages_given,
                       const std::string& stages,
                       const std::string& baseline_path,
-                      const std::string& trace_path, bool no_analyze,
+                      TraceFlag& trace, bool no_analyze,
                       bool as_json) {
   const Stopwatch total_timer;
   const InstanceRegistry& registry = InstanceRegistry::global();
@@ -515,17 +518,8 @@ int run_instance_mode(const std::string& instance, bool all, bool heavy,
     baseline = *loaded;
   }
 
-  // Open the trace file BEFORE the (possibly minutes-long) sweep: an
-  // unwritable path must exit 2 up front, not after the work is done.
-  std::optional<std::ofstream> trace_out;
-  if (!trace_path.empty()) {
-    trace_out.emplace(trace_path);
-    if (!*trace_out) {
-      std::cerr << "genoc verify: cannot write --trace file '" << trace_path
-                << "' (check the directory exists and is writable)\n";
-      return 2;
-    }
-    obs::TraceRecorder::global().start();
+  if (const int rc = trace.start()) {
+    return rc;
   }
 
   InstanceVerifyOptions options;
@@ -569,20 +563,8 @@ int run_instance_mode(const std::string& instance, bool all, bool heavy,
                                       runner ? &*runner : nullptr, options);
   }
 
-  if (trace_out.has_value()) {
-    obs::TraceRecorder& recorder = obs::TraceRecorder::global();
-    recorder.stop();
-    recorder.write_json(*trace_out);
-    trace_out->flush();
-    if (!*trace_out) {
-      std::cerr << "genoc verify: writing --trace file '" << trace_path
-                << "' failed\n";
-      return 2;
-    }
-    // stderr, so --trace composes with --json on stdout.
-    std::cerr << "genoc verify: wrote " << recorder.event_count()
-              << " trace events to " << trace_path
-              << " (load in Perfetto or chrome://tracing)\n";
+  if (const int rc = trace.finish()) {
+    return rc;
   }
 
   std::optional<BaselineComparison> trend;
@@ -693,12 +675,7 @@ int cmd_verify(const Args& args) {
   const std::string stages = args.get("stages", "");
   const std::string baseline_path = args.get("baseline", "");
   const bool no_analyze = args.has("no-analyze");
-  // Bare `--trace` (no value) records to the default filename.
-  const std::string trace_path =
-      args.has("trace") ? (args.get("trace", "").empty()
-                               ? std::string("genoc.trace.json")
-                               : args.get("trace", ""))
-                        : std::string();
+  TraceFlag trace(args, "verify", "genoc.trace.json");
   const bool as_json = args.has("json");
   if (const int rc = finish_args(args, kUsage)) {
     return rc;
@@ -732,7 +709,7 @@ int cmd_verify(const Args& args) {
   if (instance_mode) {
     return run_instance_mode(instance, all, heavy, sequential, threads,
                              constraints, generic, args.has("stages"), stages,
-                             baseline_path, trace_path, no_analyze, as_json);
+                             baseline_path, trace, no_analyze, as_json);
   }
   return run_hermes_mode(width, height, buffers, options, as_json);
 }

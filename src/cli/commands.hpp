@@ -11,6 +11,8 @@
 ///   genoc list        — the registered network instances
 #pragma once
 
+#include <fstream>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -34,5 +36,28 @@ int finish_args(const Args& args, const char* usage);
 /// its tokens; empty tokens are dropped, so a fully empty value yields the
 /// empty list the from_*_names factories reject as "empty selection".
 std::vector<std::string> split_selection(const std::string& text);
+
+/// The `--trace [F]` flag of verify, campaign and bench: a Chrome
+/// trace-event span trace of the run. The file opens before the run, so an
+/// unwritable path exits 2 up front instead of after minutes of work.
+class TraceFlag {
+ public:
+  /// Reads `--trace` (construct before finish_args). A bare flag records
+  /// to \p default_path; with an empty default a bare flag stays off.
+  TraceFlag(const Args& args, std::string command, std::string default_path);
+
+  /// Opens the file and starts the recorder: 0, or 2 after a complaint on
+  /// stderr. Without the flag, does nothing.
+  int start();
+
+  /// Stops the recorder, writes the trace and checks the flush: 0, or 2
+  /// after a complaint on stderr. Without the flag, does nothing.
+  int finish();
+
+ private:
+  std::string command_;
+  std::string path_;
+  std::optional<std::ofstream> out_;
+};
 
 }  // namespace genoc::cli

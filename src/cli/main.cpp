@@ -4,9 +4,11 @@
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <utility>
 
 #include "cli/args.hpp"
 #include "cli/commands.hpp"
+#include "obs/trace.hpp"
 
 namespace genoc::cli {
 
@@ -85,6 +87,51 @@ std::vector<std::string> split_selection(const std::string& text) {
     names.push_back(current);
   }
   return names;
+}
+
+TraceFlag::TraceFlag(const Args& args, std::string command,
+                     std::string default_path)
+    : command_(std::move(command)) {
+  if (args.has("trace")) {
+    path_ = args.get("trace", "");
+    if (path_.empty()) {
+      path_ = std::move(default_path);
+    }
+  }
+}
+
+int TraceFlag::start() {
+  if (path_.empty()) {
+    return 0;
+  }
+  out_.emplace(path_);
+  if (!*out_) {
+    std::cerr << "genoc " << command_ << ": cannot write --trace file '"
+              << path_ << "' (check the directory exists and is writable)\n";
+    return 2;
+  }
+  obs::TraceRecorder::global().start();
+  return 0;
+}
+
+int TraceFlag::finish() {
+  if (!out_.has_value()) {
+    return 0;
+  }
+  obs::TraceRecorder& recorder = obs::TraceRecorder::global();
+  recorder.stop();
+  recorder.write_json(*out_);
+  out_->flush();
+  if (!*out_) {
+    std::cerr << "genoc " << command_ << ": writing --trace file '" << path_
+              << "' failed\n";
+    return 2;
+  }
+  // stderr, so --trace composes with JSON on stdout.
+  std::cerr << "genoc " << command_ << ": wrote " << recorder.event_count()
+            << " trace events to " << path_
+            << " (load in Perfetto or chrome://tracing)\n";
+  return 0;
 }
 
 }  // namespace genoc::cli

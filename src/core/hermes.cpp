@@ -37,13 +37,8 @@ GenocRunResult HermesInstance::run(Config& config,
   return interpreter.run(config, options);
 }
 
-PortDepGraph HermesInstance::dependency_graph() const {
-  return build_exy_dep(mesh_);
-}
-
 TheoremReport HermesInstance::verify_deadlock_free() const {
-  const PortDepGraph dep = dependency_graph();
-  return check_deadlock_theorem(routing_, dep);
+  return check_deadlock_theorem(routing_, build_exy_dep(mesh_));
 }
 
 }  // namespace genoc

@@ -57,10 +57,8 @@ class HermesInstance {
   /// Runs GeNoC2D on the configuration (with (C-5) auditing on).
   GenocRunResult run(Config& config, const GenocOptions& options = {}) const;
 
-  /// The port dependency graph Exy_dep (closed form, Sec. V.6).
-  PortDepGraph dependency_graph() const;
-
-  /// Discharges DeadThm for this instance via (C-1)–(C-3).
+  /// Discharges DeadThm for this instance via (C-1)–(C-3) on the
+  /// closed-form Exy_dep (Sec. V.6).
   TheoremReport verify_deadlock_free() const;
 
  private:

@@ -2,13 +2,11 @@
 
 #include <algorithm>
 
-#include "deadlock/constraints.hpp"
 #include "deadlock/flows.hpp"
-#include "deadlock/scc_checker.hpp"
 #include "deadlock/witness.hpp"
-#include "routing/fully_adaptive.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
+#include "verify/pipeline.hpp"
 
 namespace genoc {
 
@@ -211,52 +209,73 @@ ObligationRow from_constraint(const ConstraintReport& report,
   return row;
 }
 
-ObligationRow row_c3(const HermesInstance& hermes, const PortDepGraph& dep) {
+/// Both the pipeline's brute-force discharge of (C-2) and the paper's
+/// find_dest form on the same graph.
+ObligationRow row_c2(AnalysisArtifacts& context) {
+  const PortDepGraph& dep = context.dep_graph(false, nullptr);
+  const ConstraintReport closed =
+      check_c2_xy_closed_form(context.routing(), dep);
+  ObligationRow row =
+      from_constraint(context.constraints(false, nullptr).c2, "(C-2)xy");
+  row.checks += closed.checks;
+  row.cpu_ms += closed.cpu_ms;
+  row.properties = 2;
+  if (!closed.satisfied) {
+    row.satisfied = false;
+    row.note = closed.violations.empty() ? "find_dest witness failed"
+                                         : closed.violations.front();
+  } else if (row.satisfied) {
+    row.note = "every edge witnessed (brute force and find_dest)";
+  }
+  return row;
+}
+
+/// The pipeline's DFS verdict, and independently of it the paper's
+/// closed-form flow rank (Sec. VI.A) checked over every edge.
+ObligationRow row_c3(AnalysisArtifacts& context,
+                     const VerifyReport& decided) {
   Stopwatch timer;
   ObligationRow row;
   row.label = "(C-3)xy";
-  row.satisfied = true;
-  // Three independent discharge strategies must agree:
-  const ConstraintReport dfs = check_c3(dep);
-  row.checks += dfs.checks;
-  const SccAnalysis scc = analyze_dependencies(dep, 4);
+  const PortDepGraph& dep = context.dep_graph(false, nullptr);
+  const bool acyclic = context.acyclicity(false, nullptr).acyclic;
   row.checks += dep.graph.vertex_count() + dep.graph.edge_count();
   const bool flow_ok = verify_flow_certificate(dep);
   row.checks += dep.graph.edge_count();
-  (void)hermes;
-  if (!dfs.satisfied) {
-    row.satisfied = false;
+  row.satisfied = acyclic && flow_ok;
+  if (!acyclic) {
     row.note = "DFS found a cycle";
-  } else if (!scc.deadlock_free) {
-    row.satisfied = false;
-    row.note = "SCC analysis found a non-trivial component";
   } else if (!flow_ok) {
-    row.satisfied = false;
     row.note = "flow rank certificate violated";
   } else {
-    row.note = "acyclic by DFS, SCC and the flow certificate";
+    row.note = "acyclic by DFS and the flow certificate";
   }
-  row.properties = 3;
+  row.properties = 2;
   row.cpu_ms = timer.elapsed_ms();
+  for (const StageStats& stage : decided.stages) {
+    if (stage.stage == "scc_acyclicity") {
+      row.cpu_ms += stage.wall_ms;  // the DFS ran inside the pipeline
+    }
+  }
   return row;
 }
 
 ObligationRow row_generic_defs(const HermesInstance& hermes,
-                               const PortDepGraph& closed_form) {
+                               AnalysisArtifacts& context) {
   Stopwatch timer;
   ObligationRow row;
   row.label = "Generic Defs";
   row.satisfied = true;
   const Mesh2D& mesh = hermes.mesh();
 
-  // Generic construction over (p, d) pairs equals the paper's closed form.
-  const PortDepGraph generic = build_dep_graph(hermes.routing());
-  const auto generic_edges = generic.graph.edges();
+  // The graph the pipeline decided equals the paper's closed form.
+  const PortDepGraph closed_form = build_exy_dep(mesh);
+  const auto decided_edges = context.dep_graph(false, nullptr).graph.edges();
   const auto closed_edges = closed_form.graph.edges();
-  row.checks += generic_edges.size() + closed_edges.size();
-  if (generic_edges != closed_edges) {
+  row.checks += decided_edges.size() + closed_edges.size();
+  if (decided_edges != closed_edges) {
     row.satisfied = false;
-    row.note = "generic dependency graph differs from Exy_dep";
+    row.note = "decided dependency graph differs from Exy_dep";
   }
 
   // Closed-form reachability agrees with semantic route-closure
@@ -280,7 +299,8 @@ ObligationRow row_generic_defs(const HermesInstance& hermes,
 
   row.properties = 3;
   if (row.satisfied) {
-    row.note = "generic ≡ closed-form graph; s R d closed form ≡ closure";
+    row.note =
+        "decided graph ≡ closed-form Exy_dep; s R d closed form ≡ closure";
   }
   row.cpu_ms = timer.elapsed_ms();
   return row;
@@ -310,8 +330,18 @@ ObligationRow row_corr(const HermesInstance& hermes,
   return row;
 }
 
-ObligationRow row_dead_evac(const HermesInstance& hermes,
-                            const PortDepGraph& dep,
+/// The spec of the classic mode's mesh under \p routing: the analysis
+/// context `genoc verify --instance "topology=mesh size=WxH routing=..."`
+/// would build.
+InstanceSpec mesh_spec(const HermesInstance& hermes, std::string routing) {
+  InstanceSpec spec;
+  spec.width = hermes.mesh().width();
+  spec.height = hermes.mesh().height();
+  spec.routing = std::move(routing);
+  return spec;
+}
+
+ObligationRow row_dead_evac(const HermesInstance& hermes, bool dead_thm,
                             const std::vector<std::pair<Config, GenocRunResult>>&
                                 runs) {
   Stopwatch timer;
@@ -319,14 +349,12 @@ ObligationRow row_dead_evac(const HermesInstance& hermes,
   row.label = "Dead/EvacThm";
   row.satisfied = true;
 
-  // DeadThm for the instance (aggregates C-1..C-3).
-  const TheoremReport dead = check_deadlock_theorem(hermes.routing(), dep);
-  row.checks += dead.checks;
-  if (!dead.holds) {
+  // DeadThm for the instance: Theorem 1 reduces it to the (C-1)–(C-3)
+  // rows, one check per row read.
+  row.checks += 3;
+  if (!dead_thm) {
     row.satisfied = false;
-    row.note = "DeadThm: " +
-               (dead.failures.empty() ? std::string("failed")
-                                      : dead.failures.front());
+    row.note = "DeadThm: some of (C-1)–(C-3) not discharged";
   }
 
   // EvacThm on every simulated run.
@@ -341,19 +369,21 @@ ObligationRow row_dead_evac(const HermesInstance& hermes,
     }
   }
 
-  // Theorem 1 witness round-trip on the deadlock-prone baseline: find a
-  // cycle, build the deadlock, confirm Ω, and recover a dependency cycle
-  // from it — exercising both proof directions end-to-end.
-  const FullyAdaptiveRouting adaptive(hermes.mesh());
-  const PortDepGraph adaptive_dep = build_dep_graph(adaptive);
-  const auto cycle = find_cycle(adaptive_dep.graph);
+  // Theorem 1 witness round-trip on the deadlock-prone baseline: take the
+  // cycle its context's DFS found, build the deadlock, confirm Ω, and
+  // recover a dependency cycle from it — exercising both proof directions
+  // end-to-end.
+  AnalysisArtifacts adaptive(mesh_spec(hermes, "fully_adaptive"));
+  const PortDepGraph& adaptive_dep = adaptive.dep_graph(false, nullptr);
+  const std::optional<CycleWitness>& cycle =
+      adaptive.acyclicity(false, nullptr).cycle;
   ++row.checks;
   if (!cycle) {
     row.satisfied = false;
     row.note = "fully-adaptive baseline unexpectedly acyclic";
   } else {
     DeadlockConstruction witness = build_deadlock_from_cycle(
-        adaptive, adaptive_dep, *cycle, hermes.buffers_per_port());
+        adaptive.routing(), adaptive_dep, *cycle, hermes.buffers_per_port());
     ++row.checks;
     if (!is_deadlock(hermes.switching(), witness.state)) {
       row.satisfied = false;
@@ -382,7 +412,14 @@ ObligationRow row_dead_evac(const HermesInstance& hermes,
 ObligationSuite run_hermes_obligations(const HermesInstance& hermes,
                                        const ObligationOptions& options) {
   ObligationSuite suite;
-  const PortDepGraph dep = hermes.dependency_graph();
+  // One decision: the standard pipeline over one analysis context, which
+  // every graph row below then reads.
+  const InstanceSpec spec = mesh_spec(hermes, "xy");
+  AnalysisArtifacts context(spec);
+  InstanceVerifyOptions verify;
+  verify.check_constraints = true;
+  const VerifyReport decided =
+      VerifyPipeline::standard().run(spec, context, verify);
   const auto workloads = sample_workloads(hermes, options);
 
   suite.rows.push_back(row_rxy(hermes));
@@ -392,29 +429,16 @@ ObligationSuite run_hermes_obligations(const HermesInstance& hermes,
   suite.rows.push_back(row_c5(hermes, workloads, options, &runs));
 
   suite.rows.push_back(
-      from_constraint(check_c1(hermes.routing(), dep), "(C-1)xy"));
-  {
-    // Both the brute-force and the paper's find_dest discharge of (C-2).
-    ConstraintReport brute = check_c2(hermes.routing(), dep);
-    const ConstraintReport closed =
-        check_c2_xy_closed_form(hermes.routing(), dep);
-    ObligationRow row = from_constraint(brute, "(C-2)xy");
-    row.checks += closed.checks;
-    row.cpu_ms += closed.cpu_ms;
-    row.properties = 2;
-    if (!closed.satisfied) {
-      row.satisfied = false;
-      row.note = closed.violations.empty() ? "find_dest witness failed"
-                                           : closed.violations.front();
-    } else if (row.satisfied) {
-      row.note = "every edge witnessed (brute force and find_dest)";
-    }
-    suite.rows.push_back(std::move(row));
-  }
-  suite.rows.push_back(row_c3(hermes, dep));
-  suite.rows.push_back(row_generic_defs(hermes, dep));
+      from_constraint(context.constraints(false, nullptr).c1, "(C-1)xy"));
+  suite.rows.push_back(row_c2(context));
+  suite.rows.push_back(row_c3(context, decided));
+  const bool dead_thm =
+      std::all_of(suite.rows.end() - 3, suite.rows.end(),
+                  [](const ObligationRow& r) { return r.satisfied; });
+  suite.rows.push_back(row_generic_defs(hermes, context));
   suite.rows.push_back(row_corr(hermes, runs));
-  suite.rows.push_back(row_dead_evac(hermes, dep, runs));
+  suite.rows.push_back(row_dead_evac(hermes, dead_thm, runs));
+  suite.cache = context.stats();
   return suite;
 }
 

@@ -20,6 +20,7 @@
 #include <vector>
 
 #include "core/hermes.hpp"
+#include "verify/artifacts.hpp"
 
 namespace genoc {
 
@@ -58,23 +59,33 @@ struct ObligationOptions {
 /// Result of the full suite.
 struct ObligationSuite {
   std::vector<ObligationRow> rows;
+  /// Counters of the suite's one XY analysis context: each artifact is
+  /// computed once (misses) and every later row reads it (hits).
+  ArtifactCacheStats cache;
   bool all_satisfied() const;
   ObligationRow overall() const;  ///< column sums, label "Overall"
 };
 
-/// Runs every obligation of Sections V–VI on the given HERMES instance:
+/// Runs every obligation of Sections V–VI on the given HERMES instance.
+/// The deadlock rows read one AnalysisArtifacts context of
+/// `topology=mesh size=WxH routing=xy`, decided once by
+/// VerifyPipeline::standard() with (C-1)/(C-2) on — the same path as
+/// `genoc verify --instance`:
 ///   Rxy        — route computation total/correct/minimal/deterministic
 ///   Iid,(C-4)  — injection is the identity (digest comparison)
 ///   Swh,(C-5)  — simulated workloads with per-step measure auditing
-///   (C-1)xy    — routing dependencies are edges
-///   (C-2)xy    — every edge witnessed (brute force AND find_dest form)
-///   (C-3)xy    — acyclicity (DFS + SCC cross-check + flow certificate)
-///   Generic Defs — generic dep graph ≡ closed-form Exy_dep; state
+///   (C-1)xy    — routing dependencies are edges (the pipeline's report)
+///   (C-2)xy    — every edge witnessed (the pipeline's brute force AND the
+///                paper's find_dest form on the same graph)
+///   (C-3)xy    — acyclicity (the pipeline's DFS + the closed-form flow
+///                certificate, which shares nothing with the builder)
+///   Generic Defs — the decided graph ≡ closed-form Exy_dep; state
 ///                  invariants on constructed configurations
 ///   CorrThm    — arrival audit on the simulated workloads
-///   Dead/EvacThm — evacuation equality on the runs, plus the Theorem-1
-///                  witness round-trip (cycle -> deadlock -> cycle) on the
-///                  deadlock-prone fully-adaptive baseline
+///   Dead/EvacThm — DeadThm from the (C-1)–(C-3) rows, evacuation equality
+///                  on the runs, plus the Theorem-1 witness round-trip
+///                  (cycle -> deadlock -> cycle) on the cycle the DFS finds
+///                  in a deadlock-prone fully-adaptive context
 ObligationSuite run_hermes_obligations(const HermesInstance& hermes,
                                        const ObligationOptions& options = {});
 

@@ -277,33 +277,14 @@ const RoutingFunction::CompressedRow* RoutingFunction::compressed_row(
     return row;
   }
   const std::size_t words = closure_row_words();
-  std::vector<std::uint64_t> dense(words, 0);
   std::unique_ptr<RouteSweeper> local;
   if (sweeper == nullptr) {
     local = std::make_unique<RouteSweeper>(*this);
     sweeper = local.get();
   }
-  sweeper->sweep(dest_index, nullptr, dense.data());
   auto fresh = std::make_unique<CompressedRow>();
-  // Hybrid form: the sorted id list wins when the row is sparse enough
-  // that 4 bytes per visited port beats 8 bytes per 64-port word.
-  std::size_t visited = 0;
-  for (const std::uint64_t word : dense) {
-    visited += static_cast<std::size_t>(std::popcount(word));
-  }
-  if (visited * sizeof(std::uint32_t) < words * sizeof(std::uint64_t)) {
-    fresh->ids.reserve(visited);
-    for (std::size_t w = 0; w < words; ++w) {
-      std::uint64_t word = dense[w];
-      while (word != 0) {
-        const unsigned bit = static_cast<unsigned>(std::countr_zero(word));
-        fresh->ids.push_back(static_cast<std::uint32_t>(w * 64 + bit));
-        word &= word - 1;
-      }
-    }
-  } else {
-    fresh->words = std::move(dense);
-  }
+  fresh->words.assign(words, 0);
+  sweeper->sweep(dest_index, nullptr, fresh->words.data());
   const std::uint64_t bytes = fresh->bytes();
   CompressedRow* expected = nullptr;
   if (slot.compare_exchange_strong(expected, fresh.get(),
@@ -320,12 +301,7 @@ bool RoutingFunction::closure_reachable_id(PortId s,
   if (resolved_mode() == ClosureMode::kNodeMask) {
     return node_mask_reachable(s, dest_index);
   }
-  const CompressedRow* row = compressed_row(dest_index, nullptr);
-  if (row->is_bitset()) {
-    return row_bit(row->words.data(), s);
-  }
-  return std::binary_search(row->ids.begin(), row->ids.end(),
-                            static_cast<std::uint32_t>(s));
+  return row_bit(compressed_row(dest_index, nullptr)->words.data(), s);
 }
 
 const std::uint64_t* RoutingFunction::closure_row(
@@ -349,16 +325,7 @@ const std::uint64_t* RoutingFunction::closure_row(
     rows.increment();
     return scratch.words_.data();
   }
-  const CompressedRow* row = compressed_row(dest_index, nullptr);
-  if (row->is_bitset()) {
-    return row->words.data();
-  }
-  scratch.words_.assign(words, 0);
-  for (const std::uint32_t pid : row->ids) {
-    scratch.words_[pid >> 6] |= std::uint64_t{1} << (pid & 63);
-  }
-  scratch.cached_dest_ = dest_index;
-  return scratch.words_.data();
+  return compressed_row(dest_index, nullptr)->words.data();
 }
 
 void RoutingFunction::prime_closure(ThreadPool* pool) const {

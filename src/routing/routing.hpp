@@ -18,8 +18,8 @@
 /// two agree.
 ///
 /// The closure itself is TIERED (see ClosureMode below): node-granular and
-/// storage-free for node-uniform functions, lazily built hybrid-compressed
-/// rows for port-mode functions. Priming is destination-sharded over the
+/// storage-free for node-uniform functions, lazily built bitset rows for
+/// port-mode functions. Priming is destination-sharded over the
 /// pool in batch mode; both tiers stay bit-identical to the dense layout.
 #pragma once
 
@@ -64,10 +64,11 @@ constexpr std::uint8_t port_name_bit(PortName name) {
 ///    use), so rows are constructed with thread locality and freed with
 ///    the scratch.
 ///  - kCompressed (port-mode functions, e.g. Odd-Even, whose turns depend
-///    on the in-port name): per-destination rows built lazily on first
-///    touch (thread-safe, compare-and-swap publication) and stored in
-///    hybrid form — a sorted PortId list when sparse, a bitset row when
-///    dense — whichever is smaller.
+///    on the in-port name): per-destination bitset rows built lazily on
+///    first touch (thread-safe, compare-and-swap publication). A sorted
+///    port-id list would not be smaller: every row visits each terminal IN
+///    port, and terminals are over 1/32 of the ports in every family, so
+///    4 bytes per visited port exceed 8 per 64-port word.
 ///
 /// Both tiers are bit-identical to the dense closure (one RouteSweeper
 /// port-mode sweep per destination row); test_closure_compressed builds
@@ -78,7 +79,7 @@ enum class ClosureMode : std::uint8_t {
   kAuto,        ///< resolve per family: kNodeMask if node-uniform, else
                 ///< kCompressed
   kNodeMask,    ///< node-granular closed form, zero storage
-  kCompressed,  ///< lazy hybrid-compressed per-destination rows
+  kCompressed,  ///< lazy per-destination bitset rows
 };
 
 /// Per-caller scratch backing RoutingFunction::closure_row(): the
@@ -326,15 +327,11 @@ class RoutingFunction {
   bool valid_endpoints(const Port& s, const Port& d) const;
 
  private:
-  /// One lazily built compressed closure row: a sorted PortId list when
-  /// that is smaller than the bitset row, the raw row words otherwise.
+  /// One lazily built compressed closure row: the bitset row words.
   struct CompressedRow {
-    std::vector<std::uint32_t> ids;    ///< sorted, used when list form wins
-    std::vector<std::uint64_t> words;  ///< bitset form (non-empty => used)
-    bool is_bitset() const { return !words.empty(); }
+    std::vector<std::uint64_t> words;
     std::uint64_t bytes() const {
-      return ids.capacity() * sizeof(std::uint32_t) +
-             words.capacity() * sizeof(std::uint64_t) + sizeof(CompressedRow);
+      return words.capacity() * sizeof(std::uint64_t) + sizeof(CompressedRow);
     }
   };
 

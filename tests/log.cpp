@@ -1,4 +1,4 @@
-#include "util/log.hpp"
+#include "log.hpp"
 
 #include <iostream>
 #include <mutex>

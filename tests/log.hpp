@@ -1,6 +1,7 @@
 /// \file log.hpp
-/// \brief Tiny leveled logger. Defaults to warnings-and-above so tests and
-///        benches stay quiet; examples raise the level for narrative output.
+/// \brief Tiny leveled logger. Defaults to warnings-and-above. No library
+///        module logs, so it lives next to its tests (test_util,
+///        test_log_threadsafe).
 #pragma once
 
 #include <sstream>

@@ -1,4 +1,4 @@
-#include "graph/reach.hpp"
+#include "reach.hpp"
 
 #include <algorithm>
 #include <limits>

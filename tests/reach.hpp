@@ -1,5 +1,6 @@
 /// \file reach.hpp
-/// \brief Reachability queries on directed graphs.
+/// \brief Reachability queries on directed graphs. No library module
+///        calls them, so they live next to their tests (test_reach).
 #pragma once
 
 #include <cstddef>

@@ -1,8 +1,8 @@
 // The tiered reachability closure against its dense oracle.
 //
 // The acceptance bar of the compressed-closure pass: every tier — the
-// node-granular closed form (kNodeMask), the lazily built hybrid-compressed
-// rows (kCompressed) and whatever kAuto resolves to — must be BIT-IDENTICAL
+// node-granular closed form (kNodeMask), the lazily built bitset rows
+// (kCompressed) and whatever kAuto resolves to — must be BIT-IDENTICAL
 // to the dense bitset (built here, one port-mode RouteSweeper sweep per
 // destination row), per destination row and per membership query, on every
 // registry preset; lazy first-touch row building must equal eager prime()
@@ -147,7 +147,7 @@ TEST(ClosureCompressed, LazyFirstTouchEqualsEagerPrimeAcrossThreadCounts) {
 TEST(ClosureCompressed, ForcedCompressedOnNodeUniformRoundTrips) {
   // West-First is node-uniform (kAuto -> kNodeMask, zero storage); forcing
   // the compressed tier onto it must reproduce the same closure — the
-  // hybrid list/bitset encoding round-trips the node-granular rows.
+  // stored bitset rows round-trip the node-granular rows.
   const Mesh2D mesh(16, 16);
   WestFirstRouting node_tier(mesh);
   ASSERT_EQ(node_tier.closure_mode(), ClosureMode::kNodeMask);

@@ -9,7 +9,7 @@
 #include <thread>
 #include <vector>
 
-#include "util/log.hpp"
+#include "log.hpp"
 
 namespace genoc {
 namespace {

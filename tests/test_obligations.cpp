@@ -2,7 +2,11 @@
 // HERMES instances and its rows mirror the paper's table.
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/obligations.hpp"
+#include "deadlock/constraints.hpp"
+#include "verify/pipeline.hpp"
 
 namespace genoc {
 namespace {
@@ -88,6 +92,62 @@ TEST(Obligations, SuiteScalesAcrossMeshSizes) {
     const ObligationSuite suite = run_hermes_obligations(hermes, options);
     EXPECT_TRUE(suite.all_satisfied()) << w << "x" << h;
   }
+}
+
+TEST(Obligations, DecidesOnOnePipelineContext) {
+  const HermesInstance hermes(3, 3, 2);
+  ObligationOptions options;
+  options.workloads = 1;
+  options.messages_per_workload = 6;
+  const ObligationSuite suite = run_hermes_obligations(hermes, options);
+  // One decision per suite run: the graph, its acyclicity verdict and the
+  // (C-1)/(C-2) reports are each computed once.
+  EXPECT_EQ(suite.cache.dep_graph.misses, 1u);
+  EXPECT_EQ(suite.cache.acyclicity.misses, 1u);
+  EXPECT_EQ(suite.cache.constraints.misses, 1u);
+
+  // The standard pipeline with (C-1)/(C-2) on, over its own context of the
+  // same spec: the suite's rows carry its discharge.
+  InstanceSpec spec;
+  spec.width = 3;
+  spec.height = 3;
+  spec.routing = "xy";
+  AnalysisArtifacts context(spec);
+  InstanceVerifyOptions verify;
+  verify.check_constraints = true;
+  const VerifyReport report =
+      VerifyPipeline::standard().run(spec, context, verify);
+  ASSERT_TRUE(report.verdict.deadlock_free);
+  // The rows read what the pipeline left in the context instead of
+  // deciding again: the graph in (C-2), (C-3) and Generic Defs, the
+  // verdict in (C-3), the reports in (C-1) and (C-2).
+  EXPECT_EQ(suite.cache.dep_graph.hits, report.cache.dep_graph.hits + 3);
+  EXPECT_EQ(suite.cache.acyclicity.hits, report.cache.acyclicity.hits + 1);
+  EXPECT_EQ(suite.cache.constraints.hits, report.cache.constraints.hits + 2);
+
+  std::uint64_t c1_checks = 0;
+  std::uint64_t c2_checks = 0;
+  for (const Diagnostic& diagnostic : report.diagnostics) {
+    if (diagnostic.code != "constraints-discharged") {
+      continue;
+    }
+    for (const auto& [key, value] : diagnostic.witness) {
+      if (key == "c1_checks") {
+        c1_checks = std::stoull(value);
+      } else if (key == "c2_checks") {
+        c2_checks = std::stoull(value);
+      }
+    }
+  }
+  ASSERT_GT(c1_checks, 0u);
+  ASSERT_GT(c2_checks, 0u);
+  const ConstraintReport find_dest = check_c2_xy_closed_form(
+      context.routing(), context.dep_graph(false, nullptr));
+  ASSERT_EQ(suite.rows.size(), 9u);
+  EXPECT_EQ(suite.rows[3].label, "(C-1)xy");
+  EXPECT_EQ(suite.rows[3].checks, c1_checks);
+  EXPECT_EQ(suite.rows[4].label, "(C-2)xy");
+  EXPECT_EQ(suite.rows[4].checks, c2_checks + find_dest.checks);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // Tests for reachability helpers.
 #include <gtest/gtest.h>
 
-#include "graph/reach.hpp"
+#include "reach.hpp"
 #include "util/require.hpp"
 
 namespace genoc {

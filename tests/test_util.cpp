@@ -3,9 +3,9 @@
 
 #include <set>
 
+#include "log.hpp"
 #include "util/csv.hpp"
 #include "util/dot.hpp"
-#include "util/log.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
 #include "util/stopwatch.hpp"
