@@ -1,0 +1,275 @@
+/// \file guards.cpp
+/// \brief The micro-benchmarks the CI perf guards read
+///        (tools/check_bench_guard.py) and the ROADMAP's perf trajectory
+///        cites: fast vs generic dependency-graph builds, delta vs rebuilt
+///        fault-variant graphs, sequential vs sharded escape analysis, the
+///        headline mesh128/mesh256 verifies, the registry sweep and the
+///        compressed-closure prime.
+///
+/// Every case times wall clock (UseRealTime) and reports the process's
+/// peak RSS as the `max_rss_kb` counter. Parallel cases run on a pool of
+/// hardware-concurrency threads. Run with
+/// `--benchmark_out=F --benchmark_out_format=json` to feed the guard.
+#include <benchmark/benchmark.h>
+
+#include <algorithm>
+#include <memory>
+#include <vector>
+
+#include "deadlock/depgraph.hpp"
+#include "deadlock/escape.hpp"
+#include "instance/batch_runner.hpp"
+#include "instance/registry.hpp"
+#include "routing/cmesh_dor.hpp"
+#include "routing/odd_even.hpp"
+#include "routing/torus_xy.hpp"
+#include "routing/xy.hpp"
+#include "util/stopwatch.hpp"
+#include "verify/artifacts.hpp"
+
+namespace {
+
+using namespace genoc;
+
+/// The pool every parallel case shares: hardware concurrency. Cases take
+/// it before their timed loop, so the first one does not time its start.
+BatchRunner& pool() {
+  static BatchRunner runner(0);
+  return runner;
+}
+
+void report_rss(benchmark::State& state) {
+  state.counters["max_rss_kb"] =
+      benchmark::Counter(static_cast<double>(peak_rss_kb()));
+}
+
+// The fast builder (analytic on unwrapped XY meshes) against the generic
+// oracle. CI guards the >= 10x ratio.
+void depgraph_generic_8x8(benchmark::State& state) {
+  const Mesh2D mesh(8, 8);
+  const XYRouting routing(mesh);
+  for (auto _ : state) {
+    const PortDepGraph dep = build_dep_graph(routing);
+    benchmark::DoNotOptimize(dep.graph.edge_count());
+  }
+  report_rss(state);
+}
+
+void depgraph_fast_8x8(benchmark::State& state) {
+  const Mesh2D mesh(8, 8);
+  const XYRouting routing(mesh);
+  for (auto _ : state) {
+    const PortDepGraph dep = build_dep_graph_fast(routing);
+    benchmark::DoNotOptimize(dep.graph.edge_count());
+  }
+  report_rss(state);
+}
+
+// The same guard (>= 4x) on the first non-grid family: the cmesh8-dor
+// network, an 8x8 c=4 concentrated mesh (960 ports, 256 destinations),
+// where the fast builder takes the id-native sweep.
+void depgraph_generic_cmesh(benchmark::State& state) {
+  const CMeshTopology cmesh(8, 8, 4);
+  const CMeshDORRouting routing(cmesh);
+  for (auto _ : state) {
+    const PortDepGraph dep = build_dep_graph(routing);
+    benchmark::DoNotOptimize(dep.graph.edge_count());
+  }
+  report_rss(state);
+}
+
+void depgraph_fast_cmesh(benchmark::State& state) {
+  const CMeshTopology cmesh(8, 8, 4);
+  const CMeshDORRouting routing(cmesh);
+  for (auto _ : state) {
+    const PortDepGraph dep = build_dep_graph_fast(routing);
+    benchmark::DoNotOptimize(dep.graph.edge_count());
+  }
+  report_rss(state);
+}
+
+void depgraph_fast_256x256(benchmark::State& state) {
+  const Mesh2D mesh(256, 256);
+  const XYRouting routing(mesh);
+  for (auto _ : state) {
+    const PortDepGraph dep = build_dep_graph_fast(routing);
+    benchmark::DoNotOptimize(dep.graph.edge_count());
+  }
+  report_rss(state);
+}
+
+/// Every 30th single-link fault of mesh16 (16 variants), each with the
+/// base ports its failed link removes.
+struct FaultVariant {
+  std::unique_ptr<Mesh2D> mesh;
+  std::unique_ptr<XYRouting> routing;
+  std::vector<PortId> removed;
+};
+
+std::vector<FaultVariant> mesh16_fault_sample(const Mesh2D& base) {
+  std::vector<LinkFault> links;
+  for (std::int32_t node = 0; node < 16 * 16; ++node) {
+    for (const PortName name : {PortName::kEast, PortName::kNorth}) {
+      const LinkFault fault{node, name};
+      if (link_fault_exists(fault, 16, 16, false, false)) {
+        links.push_back(canonical_link_fault(fault, 16, 16, false, false));
+      }
+    }
+  }
+  std::vector<FaultVariant> variants;
+  for (std::size_t i = 0; i < links.size(); i += 30) {
+    const LinkFault fault = links[i];
+    const LinkFault peer = link_fault_peer(fault, 16, 16, false, false);
+    FaultVariant variant;
+    variant.mesh = std::make_unique<Mesh2D>(16, 16, false, false,
+                                            std::vector<LinkFault>{fault});
+    variant.routing = std::make_unique<XYRouting>(*variant.mesh);
+    for (const LinkFault& end : {fault, peer}) {
+      for (const Direction dir : {Direction::kIn, Direction::kOut}) {
+        variant.removed.push_back(
+            base.id(Port{end.node % 16, end.node / 16, end.name, dir}));
+      }
+    }
+    std::sort(variant.removed.begin(), variant.removed.end());
+    variants.push_back(std::move(variant));
+  }
+  return variants;
+}
+
+// Fault-campaign perf: the delta builder derives each variant's graph
+// from the base graph by dropping edges incident to the removed ports.
+// CI guards its >= 5x advantage over rebuilding every variant's graph.
+void campaign_delta_mesh16_single(benchmark::State& state) {
+  const Mesh2D base_mesh(16, 16);
+  const XYRouting base_routing(base_mesh);
+  const PortDepGraph base_dep = build_dep_graph_fast(base_routing);
+  const std::vector<FaultVariant> variants = mesh16_fault_sample(base_mesh);
+  for (auto _ : state) {
+    for (const FaultVariant& v : variants) {
+      const PortDepGraph dep =
+          build_dep_graph_delta(base_dep, *v.routing, v.removed);
+      benchmark::DoNotOptimize(dep.graph.edge_count());
+    }
+  }
+  report_rss(state);
+}
+
+void campaign_rebuild_mesh16_single(benchmark::State& state) {
+  const Mesh2D base_mesh(16, 16);
+  const std::vector<FaultVariant> variants = mesh16_fault_sample(base_mesh);
+  for (auto _ : state) {
+    for (const FaultVariant& v : variants) {
+      const PortDepGraph dep = build_dep_graph_fast(*v.routing);
+      benchmark::DoNotOptimize(dep.graph.edge_count());
+    }
+  }
+  report_rss(state);
+}
+
+// Escape-lane analysis of the 64x64 torus, sequential vs
+// destination-sharded. CI guards the parallel/sequential ratio.
+void escape_sequential_64x64(benchmark::State& state) {
+  const Mesh2D torus(64, 64, true, true);
+  const TorusXYRouting routing(torus);
+  const XYRouting escape(torus);
+  for (auto _ : state) {
+    const EscapeAnalysis analysis = analyze_escape(routing, escape);
+    benchmark::DoNotOptimize(analysis.deadlock_free);
+  }
+  report_rss(state);
+}
+
+void escape_parallel_64x64(benchmark::State& state) {
+  const Mesh2D torus(64, 64, true, true);
+  const TorusXYRouting routing(torus);
+  const XYRouting escape(torus);
+  BatchRunner& runner = pool();
+  for (auto _ : state) {
+    const EscapeAnalysis analysis = analyze_escape(routing, escape, &runner);
+    benchmark::DoNotOptimize(analysis.deadlock_free);
+  }
+  report_rss(state);
+}
+
+// End-to-end verify anchors (pre-screen excluded): CI gates mesh128-xy's
+// wall time and mesh256-xy's peak RSS, each in its own process.
+void verify_preset(benchmark::State& state, const char* name) {
+  const InstanceSpec spec = *InstanceRegistry::global().find(name);
+  BatchRunner& runner = pool();
+  for (auto _ : state) {
+    const auto verdicts = verify_instances({spec}, &runner);
+    benchmark::DoNotOptimize(verdicts.front().deadlock_free);
+  }
+  report_rss(state);
+}
+
+void verify_mesh128_xy(benchmark::State& state) {
+  verify_preset(state, "mesh128-xy");
+}
+
+void verify_mesh256_xy(benchmark::State& state) {
+  verify_preset(state, "mesh256-xy");
+}
+
+// `genoc verify --all`: every non-heavy registered instance.
+void registry_verify_all(benchmark::State& state) {
+  BatchRunner& runner = pool();
+  for (auto _ : state) {
+    const auto verdicts = verify_instances(
+        InstanceRegistry::global().sweep_presets(), &runner);
+    benchmark::DoNotOptimize(verdicts.size());
+  }
+  report_rss(state);
+}
+
+// Steady-state re-verification: the store outlives the iterations and is
+// warmed before timing, so every artifact is a cache hit.
+void registry_verify_all_cached(benchmark::State& state) {
+  static ArtifactStore store;
+  InstanceVerifyOptions options;
+  options.artifacts = &store;
+  BatchRunner& runner = pool();
+  verify_instances(InstanceRegistry::global().sweep_presets(), &runner,
+                   options);
+  for (auto _ : state) {
+    const auto verdicts = verify_instances(
+        InstanceRegistry::global().sweep_presets(), &runner, options);
+    benchmark::DoNotOptimize(verdicts.size());
+  }
+  report_rss(state);
+}
+
+// A fresh Odd-Even routing (port mode, compressed closure tier) fully
+// primed over the pool each iteration: the eager cost laziness avoids.
+void closure_prime_64x64(benchmark::State& state) {
+  const Mesh2D mesh(64, 64);
+  BatchRunner& runner = pool();
+  for (auto _ : state) {
+    OddEvenRouting routing(mesh);
+    routing.prime(runner);
+    benchmark::DoNotOptimize(routing.closure_rows_built());
+  }
+  report_rss(state);
+}
+
+#define GUARD_BENCH(name, unit) \
+  BENCHMARK(name)->UseRealTime()->Unit(benchmark::unit)
+
+GUARD_BENCH(depgraph_generic_8x8, kMicrosecond);
+GUARD_BENCH(depgraph_fast_8x8, kMicrosecond);
+GUARD_BENCH(depgraph_generic_cmesh, kMicrosecond);
+GUARD_BENCH(depgraph_fast_cmesh, kMicrosecond);
+GUARD_BENCH(depgraph_fast_256x256, kMillisecond);
+GUARD_BENCH(campaign_delta_mesh16_single, kMicrosecond);
+GUARD_BENCH(campaign_rebuild_mesh16_single, kMicrosecond);
+GUARD_BENCH(escape_sequential_64x64, kMillisecond);
+GUARD_BENCH(escape_parallel_64x64, kMillisecond);
+GUARD_BENCH(verify_mesh128_xy, kMillisecond);
+GUARD_BENCH(verify_mesh256_xy, kMillisecond);
+GUARD_BENCH(registry_verify_all, kMillisecond);
+GUARD_BENCH(registry_verify_all_cached, kMicrosecond);
+GUARD_BENCH(closure_prime_64x64, kMillisecond);
+
+}  // namespace
+
+BENCHMARK_MAIN();

@@ -37,7 +37,7 @@ constexpr const char* kUsage =
     "  --json F       write the schema-versioned JSON report to F\n"
     "                 (\"-\" = stdout); timing fields included\n"
     "  --trace F      record a Chrome trace-event span trace of the\n"
-    "                 campaign to F\n"
+    "                 campaign to F (default genoc-campaign.trace.json)\n"
     "\n"
     "Each variant runs the spec_sanity/fault_sanity/connectivity pre-screen\n"
     "first; variants with error-severity findings (net-disconnected,\n"
@@ -58,7 +58,7 @@ int cmd_campaign(const Args& args) {
   const std::int64_t threads = args.get_int_in("threads", 0, 0, 4096);
   const bool json_given = args.has("json");
   const std::string json_path = args.get("json", "");
-  TraceFlag trace(args, "campaign", "");
+  TraceFlag trace(args, "campaign", "genoc-campaign.trace.json");
   if (const int rc = finish_args(args, kUsage)) {
     return rc;
   }

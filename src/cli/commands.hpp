@@ -6,7 +6,6 @@
 ///   genoc verify      — discharge the proof obligations (Table I shape),
 ///                       per --instance or as a --all registry matrix
 ///   genoc sim         — run GeNoC2D on a traffic pattern with auditing
-///   genoc bench       — timed micro-benchmarks, machine-readable JSON out
 ///   genoc export-dot  — dependency graph as Graphviz DOT (paper Fig. 3)
 ///   genoc list        — the registered network instances
 #pragma once
@@ -24,7 +23,6 @@ int cmd_verify(const Args& args);
 int cmd_analyze(const Args& args);
 int cmd_campaign(const Args& args);
 int cmd_sim(const Args& args);
-int cmd_bench(const Args& args);
 int cmd_export_dot(const Args& args);
 int cmd_list(const Args& args);
 
@@ -37,13 +35,13 @@ int finish_args(const Args& args, const char* usage);
 /// empty list the from_*_names factories reject as "empty selection".
 std::vector<std::string> split_selection(const std::string& text);
 
-/// The `--trace [F]` flag of verify, campaign and bench: a Chrome
+/// The `--trace [F]` flag of verify and campaign: a Chrome
 /// trace-event span trace of the run. The file opens before the run, so an
 /// unwritable path exits 2 up front instead of after minutes of work.
 class TraceFlag {
  public:
   /// Reads `--trace` (construct before finish_args). A bare flag records
-  /// to \p default_path; with an empty default a bare flag stays off.
+  /// to \p default_path.
   TraceFlag(const Args& args, std::string command, std::string default_path);
 
   /// Opens the file and starts the recorder: 0, or 2 after a complaint on

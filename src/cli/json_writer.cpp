@@ -45,8 +45,7 @@ std::string json_number(double value) {
   }
   // Round-trip precision with the shortest representation that achieves
   // it: %.6g truncated every value needing more than 6 significant digits
-  // (ns/op >= 1e6 — i.e. every 64x64-class benchmark — lost its low
-  // digits in BENCH_*.json, corrupting the perf trajectory). 17 significant
+  // (a wall time in ns >= 1e6 lost its low digits). 17 significant
   // digits always round-trip an IEEE-754 double; prefer fewer when the
   // shorter form parses back exactly.
   char buf[64];

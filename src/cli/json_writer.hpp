@@ -1,6 +1,6 @@
 /// \file json_writer.hpp
 /// \brief Minimal JSON object serializer for the machine-readable outputs
-///        of the `genoc` driver (bench results, verify/sim reports).
+///        of the `genoc` driver (verify/analyze/campaign/sim reports).
 ///
 /// Dependency-free on purpose: the container bakes no JSON library, and the
 /// outputs are flat-ish records a hand-rolled writer covers comfortably.

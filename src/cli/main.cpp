@@ -1,6 +1,6 @@
 /// \file main.cpp
 /// \brief The unified `genoc` driver: one binary fronting verification,
-///        simulation, benchmarking, and graph export.
+///        analysis, fault campaigns, simulation, and graph export.
 #include <cstring>
 #include <iostream>
 #include <string>
@@ -36,7 +36,6 @@ constexpr const char* kUsage =
     "              rules, verify survivors against shared artifacts\n"
     "  sim         run GeNoC2D on a traffic pattern with the CorrThm /\n"
     "              EvacThm / (C-5) audits on (--instance selects a network)\n"
-    "  bench       timed micro-benchmarks; --json writes BENCH_*.json\n"
     "  export-dot  port dependency graph as Graphviz DOT (paper Fig. 3)\n"
     "  list        the registered network instances and their specs\n"
     "  help        show this message (also: genoc <command> --help)\n"
@@ -166,9 +165,6 @@ int main(int argc, char** argv) {
   }
   if (command == "sim") {
     return cmd_sim(args);
-  }
-  if (command == "bench") {
-    return cmd_bench(args);
   }
   if (command == "export-dot") {
     return cmd_export_dot(args);

@@ -57,8 +57,8 @@ struct PortDepGraph {
 /// Enumerates the full (port, destination) product — O(|ports| · |dests| ·
 /// route-walk) — and therefore serves as the ORACLE the fast builder is
 /// tested against; use build_dep_graph_fast() everywhere speed matters.
-/// Its only production callers are `genoc verify --generic`
-/// (AnalysisArtifacts::dep_graph) and `genoc bench`.
+/// Its only production caller is `genoc verify --generic`
+/// (AnalysisArtifacts::dep_graph).
 PortDepGraph build_dep_graph(const RoutingFunction& routing);
 
 /// The per-destination construction (RouteSweeper): one sweep per

@@ -1,5 +1,5 @@
 // Tests for the CLI support layer: round-trip JSON number formatting (the
-// BENCH_*.json perf-trajectory contract) and the hardened integer flag
+// report timing-field contract) and the hardened integer flag
 // parsing (malformed values surface as errors, never as silent defaults).
 #include <gtest/gtest.h>
 

@@ -84,13 +84,21 @@ TEST(Obligations, C1AndC2DominateTheCheckCounts) {
 }
 
 TEST(Obligations, SuiteScalesAcrossMeshSizes) {
-  for (const auto& [w, h] : {std::pair{2, 3}, std::pair{4, 2}}) {
+  for (const auto& [w, h] : {std::pair{2, 3}, std::pair{4, 2}, std::pair{2, 2},
+                             std::pair{1, 8}, std::pair{8, 1}}) {
     const HermesInstance hermes(w, h, 2);
     ObligationOptions options;
     options.workloads = 1;
     options.messages_per_workload = 6;
     const ObligationSuite suite = run_hermes_obligations(hermes, options);
     EXPECT_TRUE(suite.all_satisfied()) << w << "x" << h;
+    // Fully adaptive routing on a one-row or one-column mesh has no cycle,
+    // so the Theorem-1 round trip is vacuous there and runs everywhere else.
+    const ObligationRow& dead_evac = suite.rows.back();
+    ASSERT_EQ(dead_evac.label, "Dead/EvacThm");
+    const bool line = w == 1 || h == 1;
+    EXPECT_EQ(dead_evac.note.find("vacuous") != std::string::npos, line)
+        << w << "x" << h << ": " << dead_evac.note;
   }
 }
 

@@ -1,8 +1,13 @@
 #!/usr/bin/env python3
-"""Perf regression guards over the BENCH_*.json artifacts.
+"""Perf regression guards over Google Benchmark JSON results.
 
-Reads the artifacts `genoc bench --json` wrote into the given directory and
-fails (exit 1) when a guarded ratio regresses:
+Reads every `*.json` file that `build/bench/bench_guards
+--benchmark_out=F --benchmark_out_format=json` wrote into the given
+directory and fails (exit 1) when a guarded ratio regresses. A bench is
+found by its name up to the first `/` (`depgraph_fast_8x8/real_time`
+is `depgraph_fast_8x8`); when it ran with repetitions, its `median`
+aggregate row is read. Time per operation is `real_time` in ns, memory
+the `max_rss_kb` counter.
 
   1. Always: depgraph_fast_8x8 must finish within 10% of the
      depgraph_generic_8x8 oracle measured in the same run — i.e. the
@@ -25,13 +30,13 @@ fails (exit 1) when a guarded ratio regresses:
      sequential lane walk. Skipped by default because the ratio is
      meaningless on single-core runners, where the sharded sweep can only
      tie the sequential one.
-  5. With --max-ns NAME=NS (repeatable): the named benchmark's ns_per_op
-     must not exceed the absolute ceiling — e.g.
+  5. With --max-ns NAME=NS (repeatable): the named benchmark's time per
+     operation must not exceed the absolute ceiling — e.g.
      --max-ns verify_mesh128_xy=2000000000 pins the headline "mesh128
      verifies in under 2 s at 4 threads".
   6. With --max-rss-kb NAME=KB (repeatable): the named benchmark's
-     max_rss_kb (peak process RSS when its artifact was written) must not
-     exceed the ceiling — the memory gate for the mesh256-xy verify.
+     max_rss_kb (peak process RSS when it finished) must not exceed the
+     ceiling — the memory gate for the mesh256-xy verify.
 
 Usage: tools/check_bench_guard.py [bench-results-dir] [--escape-speedup X]
            [--max-ns NAME=NS ...] [--max-rss-kb NAME=KB ...]
@@ -64,19 +69,50 @@ ESCAPE_PARALLEL = "escape_parallel_64x64"
 ESCAPE_SEQUENTIAL = "escape_sequential_64x64"
 
 
-def bench_field(directory: pathlib.Path, name: str, field: str) -> float:
-    path = directory / f"BENCH_{name}.json"
-    if not path.is_file():
-        sys.exit(f"check_bench_guard: missing {path} — run "
-                 f"`genoc bench --json` first")
-    record = json.loads(path.read_text())
-    if field not in record:
-        sys.exit(f"check_bench_guard: {path} has no '{field}' field")
-    return float(record[field])
+NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
 
 
-def ns_per_op(directory: pathlib.Path, name: str) -> float:
-    return bench_field(directory, name, "ns_per_op")
+def load_results(directory: pathlib.Path) -> dict[str, dict]:
+    """Maps each bench name to its row: the median aggregate when the bench
+    ran with repetitions, else its single iteration row."""
+    rows: dict[str, dict] = {}
+    source: dict[str, pathlib.Path] = {}
+    for path in sorted(directory.glob("*.json")):
+        benchmarks = json.loads(path.read_text()).get("benchmarks")
+        if not isinstance(benchmarks, list):
+            continue
+        found: dict[str, dict] = {}
+        for row in benchmarks:
+            name = row["name"].split("/", 1)[0]
+            if row.get("run_type") == "aggregate":
+                if row.get("aggregate_name") == "median":
+                    found[name] = row
+            elif name not in found:
+                found[name] = row
+        for name, row in found.items():
+            if name in rows:
+                sys.exit(f"check_bench_guard: {name} appears in both "
+                         f"{source[name]} and {path}")
+            rows[name] = row
+            source[name] = path
+    return rows
+
+
+def bench_field(results: dict[str, dict], name: str, field: str) -> float:
+    row = results.get(name)
+    if row is None:
+        sys.exit(f"check_bench_guard: no result for {name} — run "
+                 "`bench_guards --benchmark_out=F "
+                 "--benchmark_out_format=json` first")
+    if field == "ns_per_op":
+        return float(row["real_time"]) * NS_PER_UNIT[row["time_unit"]]
+    if field not in row:
+        sys.exit(f"check_bench_guard: {name} has no '{field}' counter")
+    return float(row[field])
+
+
+def ns_per_op(results: dict[str, dict], name: str) -> float:
+    return bench_field(results, name, "ns_per_op")
 
 
 def parse_gate(spec: str, flag: str) -> tuple[str, float]:
@@ -91,9 +127,9 @@ def parse_gate(spec: str, flag: str) -> tuple[str, float]:
                  "number")
 
 
-def check_absolute(directory: pathlib.Path, name: str, ceiling: float,
+def check_absolute(results: dict[str, dict], name: str, ceiling: float,
                    field: str, unit: str) -> bool:
-    measured = bench_field(directory, name, field)
+    measured = bench_field(results, name, field)
     print(f"{name}: {measured:,.0f} {unit} (ceiling {ceiling:,.0f} {unit})")
     if measured > ceiling:
         print(f"FAIL: {name} exceeds the absolute {field} ceiling")
@@ -102,10 +138,10 @@ def check_absolute(directory: pathlib.Path, name: str, ceiling: float,
     return True
 
 
-def check_ratio(directory: pathlib.Path, fast_name: str, generic_name: str,
+def check_ratio(results: dict[str, dict], fast_name: str, generic_name: str,
                 limit_fraction: float, fail_hint: str) -> bool:
-    fast = ns_per_op(directory, fast_name)
-    generic = ns_per_op(directory, generic_name)
+    fast = ns_per_op(results, fast_name)
+    generic = ns_per_op(results, generic_name)
     limit = limit_fraction * generic
     ratio = generic / fast if fast > 0 else float("inf")
     print(f"{fast_name}: {fast:,.0f} ns/op, {generic_name}: "
@@ -119,27 +155,27 @@ def check_ratio(directory: pathlib.Path, fast_name: str, generic_name: str,
     return True
 
 
-def check_depgraph(directory: pathlib.Path) -> bool:
-    return check_ratio(directory, FAST, GENERIC, LIMIT_FRACTION,
+def check_depgraph(results: dict[str, dict]) -> bool:
+    return check_ratio(results, FAST, GENERIC, LIMIT_FRACTION,
                        "the per-destination builder re-quadraticized")
 
 
-def check_cmesh(directory: pathlib.Path) -> bool:
-    return check_ratio(directory, FAST_CMESH, GENERIC_CMESH,
+def check_cmesh(results: dict[str, dict]) -> bool:
+    return check_ratio(results, FAST_CMESH, GENERIC_CMESH,
                        CMESH_LIMIT_FRACTION,
                        "the id-native sweep lost its edge on the cmesh")
 
 
-def check_campaign(directory: pathlib.Path) -> bool:
-    return check_ratio(directory, DELTA_CAMPAIGN, REBUILD_CAMPAIGN,
+def check_campaign(results: dict[str, dict]) -> bool:
+    return check_ratio(results, DELTA_CAMPAIGN, REBUILD_CAMPAIGN,
                        CAMPAIGN_LIMIT_FRACTION,
                        "the fault-delta builder lost its edge over full "
                        "rebuilds")
 
 
-def check_escape(directory: pathlib.Path, min_speedup: float) -> bool:
-    parallel = ns_per_op(directory, ESCAPE_PARALLEL)
-    sequential = ns_per_op(directory, ESCAPE_SEQUENTIAL)
+def check_escape(results: dict[str, dict], min_speedup: float) -> bool:
+    parallel = ns_per_op(results, ESCAPE_PARALLEL)
+    sequential = ns_per_op(results, ESCAPE_SEQUENTIAL)
     speedup = sequential / parallel if parallel > 0 else float("inf")
     print(f"{ESCAPE_PARALLEL}: {parallel:,.0f} ns/op, "
           f"{ESCAPE_SEQUENTIAL}: {sequential:,.0f} ns/op "
@@ -164,32 +200,33 @@ def main() -> int:
                              "escape bench (use on multicore runners only)")
     parser.add_argument("--max-ns", action="append", default=[],
                         metavar="NAME=NS",
-                        help="absolute ns_per_op ceiling for the named "
-                             "benchmark (repeatable)")
+                        help="absolute ceiling on the named benchmark's "
+                             "real time per operation, in ns (repeatable)")
     parser.add_argument("--max-rss-kb", action="append", default=[],
                         metavar="NAME=KB",
                         help="absolute max_rss_kb ceiling for the named "
-                             "benchmark's artifact (repeatable)")
+                             "benchmark (repeatable)")
     parser.add_argument("--skip-ratios", action="store_true",
                         help="only evaluate the --max-ns/--max-rss-kb gates "
                              "(for filtered bench runs that did not produce "
-                             "the ratio-guard artifacts)")
+                             "the ratio-guard results)")
     args = parser.parse_args()
 
+    results = load_results(args.directory)
     ok = True
     if not args.skip_ratios:
-        ok = check_depgraph(args.directory)
-        ok = check_cmesh(args.directory) and ok
-        ok = check_campaign(args.directory) and ok
+        ok = check_depgraph(results)
+        ok = check_cmesh(results) and ok
+        ok = check_campaign(results) and ok
         if args.escape_speedup is not None:
-            ok = check_escape(args.directory, args.escape_speedup) and ok
+            ok = check_escape(results, args.escape_speedup) and ok
     for spec in args.max_ns:
         name, ceiling = parse_gate(spec, "--max-ns")
-        ok = check_absolute(args.directory, name, ceiling, "ns_per_op",
+        ok = check_absolute(results, name, ceiling, "ns_per_op",
                             "ns/op") and ok
     for spec in args.max_rss_kb:
         name, ceiling = parse_gate(spec, "--max-rss-kb")
-        ok = check_absolute(args.directory, name, ceiling, "max_rss_kb",
+        ok = check_absolute(results, name, ceiling, "max_rss_kb",
                             "KiB") and ok
     return 0 if ok else 1
 
