@@ -10,11 +10,11 @@
 
 #include <iostream>
 
+#include "../tests/kahn.hpp"
 #include "deadlock/depgraph.hpp"
 #include "deadlock/flows.hpp"
 #include "graph/cycle.hpp"
 #include "graph/tarjan.hpp"
-#include "graph/toposort.hpp"
 #include "util/stopwatch.hpp"
 #include "util/table.hpp"
 

@@ -2,9 +2,9 @@
 /// \brief The micro-benchmarks the CI perf guards read
 ///        (tools/check_bench_guard.py) and the ROADMAP's perf trajectory
 ///        cites: fast vs generic dependency-graph builds, delta vs rebuilt
-///        fault-variant graphs, sequential vs sharded escape analysis, the
-///        headline mesh128/mesh256 verifies, the registry sweep and the
-///        compressed-closure prime.
+///        fault-variant graphs, sequential vs sharded vs analytic escape
+///        analysis, the headline mesh128/mesh256 verifies, the registry
+///        sweep and the compressed-closure prime.
 ///
 /// Every case times wall clock (UseRealTime) and reports the process's
 /// peak RSS as the `max_rss_kb` counter. Parallel cases run on a pool of
@@ -166,14 +166,16 @@ void campaign_rebuild_mesh16_single(benchmark::State& state) {
   report_rss(state);
 }
 
-// Escape-lane analysis of the 64x64 torus, sequential vs
-// destination-sharded. CI guards the parallel/sequential ratio.
+// Escape-lane analysis of the 64x64 torus: the node-mode sweep,
+// sequential vs destination-sharded (CI guards the parallel/sequential
+// ratio), and the analytic path analyze_escape takes there (CI gates its
+// absolute time).
 void escape_sequential_64x64(benchmark::State& state) {
   const Mesh2D torus(64, 64, true, true);
   const TorusXYRouting routing(torus);
   const XYRouting escape(torus);
   for (auto _ : state) {
-    const EscapeAnalysis analysis = analyze_escape(routing, escape);
+    const EscapeAnalysis analysis = analyze_escape_sweep(routing, escape);
     benchmark::DoNotOptimize(analysis.deadlock_free);
   }
   report_rss(state);
@@ -185,7 +187,19 @@ void escape_parallel_64x64(benchmark::State& state) {
   const XYRouting escape(torus);
   BatchRunner& runner = pool();
   for (auto _ : state) {
-    const EscapeAnalysis analysis = analyze_escape(routing, escape, &runner);
+    const EscapeAnalysis analysis =
+        analyze_escape_sweep(routing, escape, &runner);
+    benchmark::DoNotOptimize(analysis.deadlock_free);
+  }
+  report_rss(state);
+}
+
+void escape_analytic_64x64(benchmark::State& state) {
+  const Mesh2D torus(64, 64, true, true);
+  const TorusXYRouting routing(torus);
+  const XYRouting escape(torus);
+  for (auto _ : state) {
+    const EscapeAnalysis analysis = analyze_escape(routing, escape);
     benchmark::DoNotOptimize(analysis.deadlock_free);
   }
   report_rss(state);
@@ -264,6 +278,7 @@ GUARD_BENCH(campaign_delta_mesh16_single, kMicrosecond);
 GUARD_BENCH(campaign_rebuild_mesh16_single, kMicrosecond);
 GUARD_BENCH(escape_sequential_64x64, kMillisecond);
 GUARD_BENCH(escape_parallel_64x64, kMillisecond);
+GUARD_BENCH(escape_analytic_64x64, kMillisecond);
 GUARD_BENCH(verify_mesh128_xy, kMillisecond);
 GUARD_BENCH(verify_mesh256_xy, kMillisecond);
 GUARD_BENCH(registry_verify_all, kMillisecond);

@@ -73,9 +73,9 @@ PortDepGraph build_dep_graph(const RoutingFunction& routing) {
   return result;
 }
 
-PortDepGraph build_dep_graph_analytic(const RoutingFunction& routing) {
-  obs::TraceSpan span("build_dep_graph_analytic");
-  const Topology& topo = routing.topology();
+PortDepGraph emit_dep_graph_from_unions(const Topology& topo,
+                                       const InPortUnions& in_port_union,
+                                       bool terminal_in_edges) {
   const std::uint64_t terminal = topo.terminal_name_mask();
   constexpr auto kOut = static_cast<std::size_t>(Direction::kOut);
   constexpr auto kIn = static_cast<std::size_t>(Direction::kIn);
@@ -95,14 +95,15 @@ PortDepGraph build_dep_graph_analytic(const RoutingFunction& routing) {
       const auto tname = static_cast<unsigned>(std::countr_zero(term));
       term &= term - 1;
       if (slots[tname * 2 + kIn] != kInvalidPort) {
-        used |= routing.in_port_union(node, tname);
+        used |= in_port_union(node, tname);
       }
     }
     used &= exists;
     for (std::size_t name = 0; name < topo.name_count(); ++name) {
       const PortId in = slots[name * 2 + kIn];
-      if (in != kInvalidPort) {
-        std::uint64_t mask = routing.in_port_union(node, name) & exists;
+      if (in != kInvalidPort &&
+          (terminal_in_edges || ((terminal >> name) & 1u) == 0)) {
+        std::uint64_t mask = in_port_union(node, name) & exists;
         while (mask != 0) {
           const auto out_name = static_cast<unsigned>(std::countr_zero(mask));
           mask &= mask - 1;
@@ -117,6 +118,17 @@ PortDepGraph build_dep_graph_analytic(const RoutingFunction& routing) {
     }
   }
   result.graph.finalize();
+  return result;
+}
+
+PortDepGraph build_dep_graph_analytic(const RoutingFunction& routing) {
+  obs::TraceSpan span("build_dep_graph_analytic");
+  PortDepGraph result = emit_dep_graph_from_unions(
+      routing.topology(),
+      [&routing](std::size_t node, std::size_t in_name) {
+        return routing.in_port_union(node, in_name);
+      },
+      /*terminal_in_edges=*/true);
   count_built_edges(result);
   return result;
 }

@@ -22,6 +22,8 @@
 /// constraints (C-1) and (C-2) for HERMES, and the test suite checks it.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <string>
 
 #include "graph/digraph.hpp"
@@ -96,6 +98,21 @@ PortDepGraph build_dep_graph_fast(const RoutingFunction& routing,
 /// (pinned per preset by the standing equality tests);
 /// build_dep_graph_fast dispatches here automatically.
 PortDepGraph build_dep_graph_analytic(const RoutingFunction& routing);
+
+/// An exact out-name union source, (node, in-name) -> out-name bits, in
+/// RoutingFunction::in_port_union's encoding.
+using InPortUnions =
+    std::function<std::uint64_t(std::size_t node, std::size_t in_name)>;
+
+/// The emitter behind build_dep_graph_analytic, over any union source: an
+/// in-port connects to \p in_port_union ∩ existing out-ports, a cardinal
+/// out-port to its link target iff a terminal in-port's union selects it.
+/// With \p terminal_in_edges false the edges out of terminal in-ports are
+/// left out (an escape lane is entered at an out-port, never at a terminal
+/// in-port — analyze_escape's analytic path). Finalized, edges not counted.
+PortDepGraph emit_dep_graph_from_unions(const Topology& topo,
+                                       const InPortUnions& in_port_union,
+                                       bool terminal_in_edges);
 
 /// The fault-variant DELTA construction: the dependency graph of a faulted
 /// grid built by filtering its unfaulted BASE graph instead of re-sweeping.

@@ -3,11 +3,14 @@
 #include <algorithm>
 #include <bit>
 #include <limits>
+#include <optional>
 #include <sstream>
 #include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "routing/xy.hpp"
+#include "routing/yx.hpp"
 #include "util/require.hpp"
 #include "util/thread_pool.hpp"
 
@@ -154,12 +157,90 @@ void sweep_escape_destination(const RoutingFunction& adaptive,
   }
 }
 
+/// Acyclicity, the verdict and the state metrics: shared by both paths.
+EscapeAnalysis finish(EscapeAnalysis result) {
+  result.escape_graph_acyclic = is_acyclic(result.escape_graph.graph);
+  result.deadlock_free =
+      result.escape_always_available && result.escape_graph_acyclic;
+  obs::MetricsRegistry& metrics = obs::MetricsRegistry::global();
+  static obs::Counter& states = metrics.counter("escape.states_checked");
+  states.add(result.states_checked);
+  metrics.gauge("escape.max_states")
+      .record_max(static_cast<std::int64_t>(result.states_checked));
+  return result;
+}
+
+/// The lane's dimension order (true: x first) when analyze_escape's
+/// analytic path applies to the pair, else nullopt: an unfaulted grid, a
+/// deterministic node-uniform adaptive function with exact in-port unions,
+/// an XY or YX lane, and both functions only ever select existing out-ports
+/// (their terminal unions — every destination's choice at a node — exist).
+std::optional<bool> analytic_lane_order(const RoutingFunction& adaptive,
+                                        const RoutingFunction& escape) {
+  const auto* mesh = dynamic_cast<const Mesh2D*>(&adaptive.topology());
+  std::optional<bool> x_first;
+  if (dynamic_cast<const XYRouting*>(&escape) != nullptr) {
+    x_first = true;
+  } else if (dynamic_cast<const YXRouting*>(&escape) != nullptr) {
+    x_first = false;
+  }
+  if (mesh == nullptr || mesh->has_faults() || !x_first.has_value() ||
+      &escape.topology() != mesh || !adaptive.is_deterministic() ||
+      !adaptive.node_uniform() || !adaptive.has_in_port_unions()) {
+    return std::nullopt;
+  }
+  const std::size_t local = static_cast<std::size_t>(PortName::kLocal);
+  for (std::size_t node = 0; node < mesh->node_count(); ++node) {
+    const std::uint64_t selected =
+        adaptive.in_port_union(node, local) |
+        dimension_order_in_port_union(*mesh, node, local, *x_first, false);
+    if ((selected & ~mesh->out_exists_mask(node)) != 0) {
+      return std::nullopt;
+    }
+  }
+  return x_first;
+}
+
+/// The closed form of the sweep for analytic_lane_order's pairs.
+EscapeAnalysis analyze_escape_analytic(const Mesh2D& mesh, bool x_first) {
+  obs::TraceSpan span("escape_analytic");
+  static obs::Counter& builds =
+      obs::MetricsRegistry::global().counter("escape.analytic_builds");
+  builds.increment();
+  // Toward each destination the deterministic adaptive function takes one
+  // existing hop at every other node, and each hop fills the one in-port
+  // its link feeds; packets enter at every terminal in-port. So per
+  // destination it reaches the terminal in-ports plus node_count - 1 link
+  // in-ports. The lane always has an existing hop, so nothing is missing.
+  std::uint64_t terminal_ins = 0;
+  for (std::size_t node = 0; node < mesh.node_count(); ++node) {
+    for (std::uint64_t t = mesh.terminal_name_mask(); t != 0; t &= t - 1) {
+      const auto name = static_cast<std::size_t>(std::countr_zero(t));
+      terminal_ins += mesh.slot_id(node, name, Direction::kIn) != kInvalidPort;
+    }
+  }
+  EscapeAnalysis result;
+  result.states_checked =
+      mesh.destination_count() * (terminal_ins + mesh.node_count() - 1);
+  result.escape_always_available = true;
+  // Lane in-ports are filled only through the lane's own links, never the
+  // wrap links it does not take, so its UNWRAPPED table is exact there; the
+  // adaptive-lane in-ports a packet escapes from add no lane edge.
+  result.escape_graph = emit_dep_graph_from_unions(
+      mesh,
+      [&mesh, x_first](std::size_t node, std::size_t in_name) {
+        return dimension_order_in_port_union(mesh, node, in_name, x_first,
+                                             /*wrap=*/false);
+      },
+      /*terminal_in_edges=*/false);
+  return finish(std::move(result));
+}
+
 }  // namespace
 
-EscapeAnalysis analyze_escape(const RoutingFunction& adaptive,
-                              const RoutingFunction& escape,
-                              ThreadPool* pool) {
-  obs::TraceSpan span("escape_analysis");
+EscapeAnalysis analyze_escape_sweep(const RoutingFunction& adaptive,
+                                    const RoutingFunction& escape,
+                                    ThreadPool* pool) {
   GENOC_REQUIRE(&adaptive.topology() == &escape.topology(),
                 "adaptive and escape functions must share a topology");
   GENOC_REQUIRE(escape.is_deterministic(),
@@ -241,14 +322,19 @@ EscapeAnalysis analyze_escape(const RoutingFunction& adaptive,
     }
   }
   graph.finalize();
-  result.escape_graph_acyclic = is_acyclic(graph);
-  result.deadlock_free =
-      result.escape_always_available && result.escape_graph_acyclic;
-  static obs::Counter& states = metrics.counter("escape.states_checked");
-  states.add(result.states_checked);
-  metrics.gauge("escape.max_states")
-      .record_max(static_cast<std::int64_t>(result.states_checked));
-  return result;
+  return finish(std::move(result));
+}
+
+EscapeAnalysis analyze_escape(const RoutingFunction& adaptive,
+                              const RoutingFunction& escape,
+                              ThreadPool* pool) {
+  obs::TraceSpan span("escape_analysis");
+  if (const std::optional<bool> x_first =
+          analytic_lane_order(adaptive, escape)) {
+    return analyze_escape_analytic(
+        static_cast<const Mesh2D&>(adaptive.topology()), *x_first);
+  }
+  return analyze_escape_sweep(adaptive, escape, pool);
 }
 
 }  // namespace genoc

@@ -22,6 +22,25 @@
 /// North IN port — an XY-impossible state): availability and acyclicity
 /// must therefore be evaluated over the ADAPTIVE reachability relation, not
 /// the escape function's own.
+///
+/// Two paths compute the same analysis. The node-mode SWEEP
+/// (analyze_escape_sweep) walks the adaptive closure once per destination
+/// and works for any pair. The ANALYTIC path is O(ports) and is taken when
+/// the grid is an unfaulted Mesh2D (wrapped or not), the adaptive function
+/// is deterministic and node-uniform with exact in-port unions (XY, YX,
+/// Torus-XY) and the lane is XY or YX. There, toward each destination, the
+/// adaptive function takes one existing hop from every other node, so it
+/// reaches every terminal in-port plus one link in-port per other node;
+/// the lane always has an existing hop, so no state misses one. Lane
+/// in-ports fill only through the lane's own links, never through a wrap
+/// link, so the lane's UNWRAPPED next_outs table (without the terminal
+/// in-ports, where no packet enters the lane) is exactly the escape graph.
+/// The analytic graph still gets the acyclicity check. The tests pin both
+/// paths against each other and against a per-state oracle.
+///
+/// Metrics: escape.states_checked and the escape.max_states gauge count on
+/// both paths; escape.analytic_builds counts analytic runs; escape.entry_nodes
+/// and escape.lane_ports count sweep work only (0 on the analytic path).
 #pragma once
 
 #include <cstdint>
@@ -58,7 +77,7 @@ struct EscapeAnalysis {
   std::string summary() const;
 };
 
-/// Runs the analysis: \p adaptive is the (possibly cyclic) routing function
+/// The analysis: \p adaptive is the (possibly cyclic) routing function
 /// packets normally use; \p escape is a deterministic function like the
 /// paper's Rxy, on the same topology. \p escape must also be node-uniform
 /// (name tables of <= 64 names; the registry's xy/yx lanes are): availability
@@ -67,12 +86,19 @@ struct EscapeAnalysis {
 /// the lane walk reads the same masks. The analysis trusts that mask; the
 /// analyzer's `uniformity` rule audits the claim.
 ///
+/// Takes the analytic path where it applies (see the file comment) and
+/// falls back to analyze_escape_sweep() otherwise; the results are equal.
+EscapeAnalysis analyze_escape(const RoutingFunction& adaptive,
+                              const RoutingFunction& escape,
+                              ThreadPool* pool = nullptr);
+
+/// The node-mode sweep analyze_escape() falls back to, for every pair.
 /// With a \p pool the destinations are sharded across its threads. Each
 /// shard records the lane's edges as per-port out-name bits; the merge ORs
 /// them and emits the escape graph once, so the result is BIT-IDENTICAL to
 /// pool == nullptr (one shard) at every thread count.
-EscapeAnalysis analyze_escape(const RoutingFunction& adaptive,
-                              const RoutingFunction& escape,
-                              ThreadPool* pool = nullptr);
+EscapeAnalysis analyze_escape_sweep(const RoutingFunction& adaptive,
+                                    const RoutingFunction& escape,
+                                    ThreadPool* pool = nullptr);
 
 }  // namespace genoc

@@ -1,64 +1,8 @@
 #include "graph/toposort.hpp"
 
-#include <algorithm>
-#include <queue>
-
 #include "util/require.hpp"
 
 namespace genoc {
-
-std::optional<std::vector<std::size_t>> topological_order(
-    const Digraph& graph) {
-  GENOC_REQUIRE(graph.finalized(),
-                "topological_order requires a finalized graph");
-  const std::size_t n = graph.vertex_count();
-  std::vector<std::size_t> in_degree(n, 0);
-  for (std::size_t v = 0; v < n; ++v) {
-    for (std::uint32_t w : graph.out(v)) {
-      ++in_degree[w];
-    }
-  }
-  // Min-heap on vertex id for deterministic output.
-  std::priority_queue<std::size_t, std::vector<std::size_t>,
-                      std::greater<std::size_t>>
-      ready;
-  for (std::size_t v = 0; v < n; ++v) {
-    if (in_degree[v] == 0) {
-      ready.push(v);
-    }
-  }
-  std::vector<std::size_t> order;
-  order.reserve(n);
-  while (!ready.empty()) {
-    const std::size_t v = ready.top();
-    ready.pop();
-    order.push_back(v);
-    for (std::uint32_t w : graph.out(v)) {
-      if (--in_degree[w] == 0) {
-        ready.push(w);
-      }
-    }
-  }
-  if (order.size() != n) {
-    return std::nullopt;  // a cycle prevented completion
-  }
-  return order;
-}
-
-std::optional<std::vector<std::size_t>> longest_path_ranks(
-    const Digraph& graph) {
-  const auto order = topological_order(graph);
-  if (!order) {
-    return std::nullopt;
-  }
-  std::vector<std::size_t> rank(graph.vertex_count(), 0);
-  for (const std::size_t v : *order) {
-    for (std::uint32_t w : graph.out(v)) {
-      rank[w] = std::max(rank[w], rank[v] + 1);
-    }
-  }
-  return rank;
-}
 
 bool verify_rank_certificate(const Digraph& graph,
                              const std::vector<std::int64_t>& rank) {

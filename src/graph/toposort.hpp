@@ -1,13 +1,13 @@
 /// \file toposort.hpp
-/// \brief Topological ordering and rank certificates.
+/// \brief Rank certificates.
 ///
 /// The paper's (C-3) proof for arbitrary-size meshes is the "flows" argument
 /// (Fig. 4): every dependency edge makes monotone progress, so no cycle can
 /// close. The executable shadow of that argument is a *rank certificate*: a
 /// function rank(v) with rank(u) < rank(v) for every edge (u, v). This module
-/// computes ranks (Kahn's algorithm) and, crucially, *verifies* externally
-/// supplied closed-form ranks, which is how the flow certifier discharges
-/// (C-3) in O(E) for any mesh size.
+/// *verifies* externally supplied closed-form ranks, which is how the flow
+/// certifier discharges (C-3) in O(E) for any mesh size. (Kahn's algorithm,
+/// which computes ranks, lives with its users in tests/kahn.hpp.)
 #pragma once
 
 #include <cstdint>
@@ -17,16 +17,6 @@
 #include "graph/digraph.hpp"
 
 namespace genoc {
-
-/// A topological order of all vertices, or std::nullopt if the graph has a
-/// cycle. O(V + E), Kahn's algorithm; ties broken by vertex id so the result
-/// is deterministic.
-std::optional<std::vector<std::size_t>> topological_order(const Digraph& graph);
-
-/// Longest-path ranks: rank[v] = length of the longest edge-path ending at v.
-/// Defined only for acyclic graphs (std::nullopt otherwise). Every edge
-/// (u, v) satisfies rank[u] < rank[v].
-std::optional<std::vector<std::size_t>> longest_path_ranks(const Digraph& graph);
 
 /// Verifies a rank certificate: returns true iff rank[u] < rank[v] for every
 /// edge (u, v). A valid certificate proves acyclicity (any cycle would need

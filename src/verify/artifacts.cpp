@@ -207,10 +207,12 @@ const EscapeAnalysis& AnalysisArtifacts::escape_analysis(ThreadPool* pool) {
     counters.hits.increment();
     return *escape_analysis_;
   }
-  // analyze_escape reads closure rows per destination; priming here keeps
-  // any eager closure build inside this cache's compute-once accounting
-  // (node-granular tiers build nothing — the escape shards materialize
-  // their own rows with thread locality).
+  // analyze_escape's sweep reads closure rows per destination; priming here
+  // keeps any eager closure build inside this cache's compute-once
+  // accounting (node-granular tiers build nothing — the escape shards
+  // materialize their own rows with thread locality). Its analytic path
+  // (unfaulted grids, dimension-order adaptive routing and lane) reads no
+  // closure row at all.
   ensure_primed_locked(pool);
   ++stats_.escape.misses;
   counters.misses.increment();

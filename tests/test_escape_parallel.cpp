@@ -13,6 +13,7 @@
 #include "campaign/fault_model.hpp"
 #include "deadlock/escape.hpp"
 #include "escape_oracle.hpp"
+#include "escape_testing.hpp"
 #include "instance/network_instance.hpp"
 #include "instance/registry.hpp"
 #include "obs/metrics.hpp"
@@ -23,24 +24,9 @@
 namespace genoc {
 namespace {
 
-void expect_identical(const EscapeAnalysis& pooled,
-                      const EscapeAnalysis& sequential) {
-  EXPECT_EQ(pooled.escape_always_available, sequential.escape_always_available);
-  EXPECT_EQ(pooled.states_checked, sequential.states_checked);
-  EXPECT_EQ(pooled.missing_states, sequential.missing_states);
-  EXPECT_EQ(pooled.missing_escape, sequential.missing_escape);
-  EXPECT_EQ(pooled.escape_graph.graph.vertex_count(),
-            sequential.escape_graph.graph.vertex_count());
-  EXPECT_EQ(pooled.escape_graph.graph.edges(),
-            sequential.escape_graph.graph.edges());
-  EXPECT_EQ(pooled.escape_graph_acyclic, sequential.escape_graph_acyclic);
-  EXPECT_EQ(pooled.deadlock_free, sequential.deadlock_free);
-  EXPECT_EQ(pooled.summary(), sequential.summary());
-}
-
 TEST(EscapeParallel, BitIdenticalOnEveryEscapePreset) {
   // Every registry preset that names an escape lane, including the 64x64
-  // torus this PR's sharding targets. 1/4/8 threads all reduce to the same
+  // torus the sharding targets. 1/4/8 threads all reduce to the same
   // merged analysis.
   std::size_t covered = 0;
   for (const InstanceSpec& spec : InstanceRegistry::global().presets()) {
@@ -53,47 +39,24 @@ TEST(EscapeParallel, BitIdenticalOnEveryEscapePreset) {
     ASSERT_NE(instance.escape(), nullptr);
     const EscapeAnalysis sequential =
         analyze_escape(instance.routing(), *instance.escape());
+    // The torus presets take the analytic path; the sweep entry point must
+    // reach the same analysis on them too, at every thread count.
+    expect_identical(
+        analyze_escape_sweep(instance.routing(), *instance.escape()),
+        sequential);
     for (const std::size_t threads : {1u, 4u, 8u}) {
       SCOPED_TRACE(threads);
       ThreadPool pool(threads);
       const EscapeAnalysis pooled =
           analyze_escape(instance.routing(), *instance.escape(), &pool);
       expect_identical(pooled, sequential);
+      expect_identical(
+          analyze_escape_sweep(instance.routing(), *instance.escape(), &pool),
+          sequential);
     }
   }
   EXPECT_GE(covered, 4u) << "escape-lane presets disappeared from the registry";
 }
-
-/// A deliberately broken escape lane: XY everywhere except that every
-/// in-port state at nodes with x == 1 gets no hop at all. Deterministic
-/// (at most one hop) but unavailable on many states spread across
-/// destinations — exactly the shape that would expose witness
-/// nondeterminism in a sharded sweep. Node-uniform: the published mask of
-/// column 1 is empty too.
-class HolePuncturedXY final : public RoutingFunction {
- public:
-  explicit HolePuncturedXY(const Mesh2D& mesh)
-      : RoutingFunction(mesh), xy_(mesh) {}
-
-  std::string name() const override { return "XY (punctured)"; }
-  bool is_deterministic() const override { return true; }
-  bool node_uniform() const override { return true; }
-
-  void append_next_hops(const Port& current, const Port& dest,
-                        std::vector<Port>& out) const override {
-    if (current.x == 1 && current.dir == Direction::kIn) {
-      return;  // no escape hop from any in-port of column 1
-    }
-    xy_.append_next_hops(current, dest, out);
-  }
-  std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
-                             const Port& dest) const override {
-    return x == 1 ? 0 : xy_.node_out_mask(x, y, dest);
-  }
-
- private:
-  XYRouting xy_;
-};
 
 TEST(EscapeParallel, MissingWitnessIsShardOrderInvariant) {
   const Mesh2D mesh(5, 4);

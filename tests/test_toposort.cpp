@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "graph/toposort.hpp"
+#include "kahn.hpp"
 #include "util/require.hpp"
 
 namespace genoc {

@@ -14,12 +14,14 @@
 #include "deadlock/scc_checker.hpp"
 #include "deadlock/escape.hpp"
 #include "deadlock/witness.hpp"
+#include "escape_testing.hpp"
 #include "routing/route.hpp"
 #include "routing/torus_xy.hpp"
 #include "routing/xy.hpp"
 #include "switching/wormhole.hpp"
 #include "topology/torus.hpp"
 #include "util/require.hpp"
+#include "util/thread_pool.hpp"
 
 namespace genoc {
 namespace {
@@ -132,6 +134,14 @@ TEST(Torus, MeshXyEscapeLaneCuresTheTorus) {
       const Port b = analysis.escape_graph.port_of(to);
       EXPECT_LE(std::abs(a.x - b.x) + std::abs(a.y - b.y), 1)
           << to_string(a) << " -> " << to_string(b);
+    }
+    // The pair takes the analytic path; the sweep agrees with it.
+    expect_identical(analyze_escape_sweep(adaptive, escape), analysis);
+    for (const std::size_t threads : {1u, 4u, 8u}) {
+      SCOPED_TRACE(threads);
+      ThreadPool pool(threads);
+      expect_identical(analyze_escape_sweep(adaptive, escape, &pool),
+                       analysis);
     }
   }
 }
