@@ -9,6 +9,7 @@
 #include <benchmark/benchmark.h>
 
 #include <iostream>
+#include <vector>
 
 #include "topology/mesh.hpp"
 #include "util/table.hpp"
@@ -24,13 +25,10 @@ void print_report() {
     const genoc::Mesh2D mesh(w, h);
     std::size_t corner_ports = 0;
     std::size_t interior_ports = 0;
-    for (const genoc::Port& p : mesh.ports()) {
-      if (p.x == 0 && p.y == 0) {
-        ++corner_ports;
-      }
-      if (p.x == 1 && p.y == 1) {
-        ++interior_ports;
-      }
+    const std::size_t interior = static_cast<std::size_t>(w) + 1;  // (1,1)
+    for (genoc::PortId pid = 0; pid < mesh.port_count(); ++pid) {
+      corner_ports += mesh.node_of(pid) == 0 ? 1 : 0;
+      interior_ports += mesh.node_of(pid) == interior ? 1 : 0;
     }
     const std::size_t links = static_cast<std::size_t>(w) * (h - 1) +
                               static_cast<std::size_t>(w - 1) * h;
@@ -60,8 +58,11 @@ BENCHMARK(BM_MeshConstruction)->Arg(4)->Arg(8)->Arg(16)->Arg(32)->Arg(64)
 
 void BM_PortIdLookup(benchmark::State& state) {
   const genoc::Mesh2D mesh(16, 16);
+  std::vector<genoc::Port> ports;
+  for (genoc::PortId pid = 0; pid < mesh.port_count(); ++pid) {
+    ports.push_back(mesh.port(pid));
+  }
   std::size_t i = 0;
-  const auto& ports = mesh.ports();
   for (auto _ : state) {
     benchmark::DoNotOptimize(mesh.id(ports[i % ports.size()]));
     ++i;

@@ -3,8 +3,8 @@
 ///        (tools/check_bench_guard.py) and the ROADMAP's perf trajectory
 ///        cites: fast vs generic dependency-graph builds, delta vs rebuilt
 ///        fault-variant graphs, sequential vs sharded vs analytic escape
-///        analysis, the headline mesh128/mesh256 verifies, the registry
-///        sweep and the compressed-closure prime.
+///        analysis, the mesh256 context build, the headline mesh128/mesh256
+///        verifies, the registry sweep and the compressed-closure prime.
 ///
 /// Every case times wall clock (UseRealTime) and reports the process's
 /// peak RSS as the `max_rss_kb` counter. Parallel cases run on a pool of
@@ -205,6 +205,17 @@ void escape_analytic_64x64(benchmark::State& state) {
   report_rss(state);
 }
 
+// One analysis context of the 256x256 XY mesh: the topology tables and the
+// routing, what `artifact:context_build` spans before any stage runs.
+void context_build_256x256(benchmark::State& state) {
+  const InstanceSpec spec = *InstanceRegistry::global().find("mesh256-xy");
+  for (auto _ : state) {
+    const AnalysisArtifacts context(spec);
+    benchmark::DoNotOptimize(context.topology().port_count());
+  }
+  report_rss(state);
+}
+
 // End-to-end verify anchors (pre-screen excluded): CI gates mesh128-xy's
 // wall time and mesh256-xy's peak RSS, each in its own process.
 void verify_preset(benchmark::State& state, const char* name) {
@@ -279,6 +290,7 @@ GUARD_BENCH(campaign_rebuild_mesh16_single, kMicrosecond);
 GUARD_BENCH(escape_sequential_64x64, kMillisecond);
 GUARD_BENCH(escape_parallel_64x64, kMillisecond);
 GUARD_BENCH(escape_analytic_64x64, kMillisecond);
+GUARD_BENCH(context_build_256x256, kMillisecond);
 GUARD_BENCH(verify_mesh128_xy, kMillisecond);
 GUARD_BENCH(verify_mesh256_xy, kMillisecond);
 GUARD_BENCH(registry_verify_all, kMillisecond);

@@ -66,7 +66,23 @@ struct DestinationTally {
 
 /// Per-shard scratch of the destination-sampled rules, reused across the
 /// shard's destinations.
+///
+/// A shard writes the head of its hop buffers once per scanned in-port. A
+/// small buffer can land in a heap chunk that another thread freed, on the
+/// cache line of another shard's buffer, and the two threads then bounce
+/// that line at every hop: on torus64-xy-escape two of the pool's workers
+/// did, and the 4-thread uniformity audit took ~30% more CPU. Buffers of
+/// kHopBufferBytes are past the allocator's small-chunk caches, so each
+/// comes from its own thread's arena, and no two buffer heads can share a
+/// line.
 struct ShardScratch {
+  static constexpr std::size_t kHopBufferBytes = 2048;
+
+  ShardScratch() {
+    hop_ids.reserve(kHopBufferBytes / sizeof(PortId));
+    hop_ports.reserve(kHopBufferBytes / sizeof(Port));
+  }
+
   ClosureRowScratch reach;
   std::vector<PortId> hop_ids;
   std::vector<Port> hop_ports;
@@ -586,6 +602,8 @@ class UniformityRule final : public AnalysisRule {
       const Port dest =
           grid != nullptr ? grid->port(topo.destination_id(d)) : Port{};
       for (std::size_t node = 0; node < nodes; ++node) {
+        const NodeCoord at =
+            grid != nullptr ? grid->nodes()[node] : NodeCoord{};
         const std::uint64_t exists = topo.out_exists_mask(node);
         const std::uint64_t claim = routing.out_mask_id(node, d) & exists;
         const PortId* slots = topo.node_slots(node);
@@ -597,8 +615,11 @@ class UniformityRule final : public AnalysisRule {
           }
           const HopFold fold =
               grid != nullptr
-                  ? fold_grid_hops(routing, *grid, grid->port(in), dest,
-                                   exists, scratch.hop_ports)
+                  ? fold_grid_hops(routing, *grid,
+                                   Port{at.x, at.y,
+                                        static_cast<PortName>(name_index),
+                                        Direction::kIn},
+                                   dest, exists, scratch.hop_ports)
                   : fold_id_hops(routing, topo, in, node, d, scratch.hop_ids,
                                  scratch.hop_ports);
           ++tally.checks;

@@ -280,7 +280,8 @@ ObligationRow row_generic_defs(const HermesInstance& hermes,
 
   // Closed-form reachability agrees with semantic route-closure
   // reachability for every (port, destination) pair.
-  for (const Port& p : mesh.ports()) {
+  for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
+    const Port p = mesh.port(pid);
     for (const Port& d : mesh.destinations()) {
       ++row.checks;
       if (hermes.routing().reachable(p, d) !=

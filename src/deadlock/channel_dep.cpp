@@ -21,7 +21,8 @@ ChannelDepGraph build_channel_dep_graph(const RoutingFunction& routing) {
   result.mesh = &mesh;
 
   std::unordered_map<Port, std::size_t> index;
-  for (const Port& p : mesh.ports()) {
+  for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
+    const Port p = mesh.port(pid);
     if (p.dir == Direction::kOut && p.name != PortName::kLocal) {
       index.emplace(p, result.channels.size());
       result.channels.push_back(p);

@@ -36,7 +36,8 @@ ConstraintReport check_c1(const RoutingFunction& routing,
   report.constraint = "(C-1)" + routing.name();
   report.satisfied = true;
   const Mesh2D& mesh = routing.mesh();
-  for (const Port& s : mesh.ports()) {
+  for (PortId sid = 0; sid < mesh.port_count(); ++sid) {
+    const Port s = mesh.port(sid);
     for (const Port& d : mesh.destinations()) {
       if (!routing.reachable(s, d)) {
         continue;
@@ -70,8 +71,8 @@ ConstraintReport check_c2(const RoutingFunction& routing,
   report.satisfied = true;
   const Mesh2D& mesh = routing.mesh();
   for (const auto& [from, to] : dep.graph.edges()) {
-    const Port& p0 = dep.port_of(from);
-    const Port& p1 = dep.port_of(to);
+    const Port p0 = dep.port_of(from);
+    const Port p1 = dep.port_of(to);
     bool witnessed = false;
     for (const Port& d : mesh.destinations()) {
       ++report.checks;
@@ -122,8 +123,8 @@ ConstraintReport check_c2_xy_closed_form(const RoutingFunction& routing,
   report.satisfied = true;
   const Mesh2D& mesh = routing.mesh();
   for (const auto& [from, to] : dep.graph.edges()) {
-    const Port& p0 = dep.port_of(from);
-    const Port& p1 = dep.port_of(to);
+    const Port p0 = dep.port_of(from);
+    const Port p1 = dep.port_of(to);
     ++report.checks;
     const Port d = xy_edge_witness(mesh, p0, p1);
     if (!mesh.exists(d) || !routing.reachable(p0, d)) {

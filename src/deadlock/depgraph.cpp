@@ -282,15 +282,16 @@ PortDepGraph build_exy_dep(const Mesh2D& mesh) {
   PortDepGraph result;
   bind_topology(result, mesh);
   result.graph = Digraph(mesh.port_count());
-  for (const Port& p : mesh.ports()) {
+  for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
+    const Port p = mesh.port(pid);
     if (p.dir == Direction::kIn) {
       for (const Port& q : next_outs_xy(mesh, p)) {
-        result.graph.add_edge(mesh.id(p), mesh.id(q));
+        result.graph.add_edge(pid, mesh.id(q));
       }
     } else if (p.name != PortName::kLocal) {
       // Cardinal out-ports connect to the neighbour's in-port; the port
       // exists, hence so does its neighbour.
-      result.graph.add_edge(mesh.id(p), mesh.id(mesh.next_in(p)));
+      result.graph.add_edge(pid, mesh.id(mesh.next_in(p)));
     }
     // Local OUT ports deliver to the core: sinks of the dependency graph.
   }

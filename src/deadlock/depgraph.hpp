@@ -43,7 +43,7 @@ struct PortDepGraph {
   Digraph graph;
 
   /// Port tuple of vertex \p v. Grid graphs only.
-  const Port& port_of(std::size_t v) const { return mesh->port(static_cast<PortId>(v)); }
+  Port port_of(std::size_t v) const { return mesh->port(static_cast<PortId>(v)); }
 
   /// Human-readable vertex label ("<x,y,P,D>" on grids).
   std::string label(std::size_t v) const {

@@ -101,8 +101,8 @@ bool is_vertical(FlowClass f) {
 FlowDecomposition decompose_flows(const PortDepGraph& dep) {
   GENOC_REQUIRE(dep.mesh != nullptr, "uninitialized dependency graph");
   FlowDecomposition result;
-  for (const Port& p : dep.mesh->ports()) {
-    ++result.ports_per_flow[static_cast<int>(classify_flow(p))];
+  for (PortId pid = 0; pid < dep.mesh->port_count(); ++pid) {
+    ++result.ports_per_flow[static_cast<int>(classify_flow(dep.port_of(pid)))];
   }
   for (const auto& [from, to] : dep.graph.edges()) {
     const FlowClass a = classify_flow(dep.port_of(from));

@@ -63,8 +63,8 @@ DeadlockConstruction build_deadlock_from_cycle(const RoutingFunction& routing,
 
   DeadlockConstruction result{NetworkState(mesh, capacity), {}, {}};
   for (std::size_t i = 0; i < cycle.size(); ++i) {
-    const Port& p0 = dep.port_of(cycle[i]);
-    const Port& p1 = dep.port_of(cycle[(i + 1) % cycle.size()]);
+    const Port p0 = dep.port_of(cycle[i]);
+    const Port p1 = dep.port_of(cycle[(i + 1) % cycle.size()]);
     const Port d = find_edge_witness(routing, p0, p1);
     const Route route = route_across_edge(routing, p0, p1, d);
 

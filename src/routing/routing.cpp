@@ -86,25 +86,18 @@ std::uint8_t RoutingFunction::node_out_mask(std::int32_t /*x*/,
 std::uint64_t RoutingFunction::out_mask_id(std::size_t node,
                                            std::size_t dest_index) const {
   const Mesh2D& m = mesh();  // id-native functions must override
-  const auto width = static_cast<std::size_t>(m.width());
-  return node_out_mask(static_cast<std::int32_t>(node % width),
-                       static_cast<std::int32_t>(node / width),
-                       m.port(topo_->destination_id(dest_index)));
+  const NodeCoord at = m.nodes()[node];
+  return node_out_mask(at.x, at.y, m.port(topo_->destination_id(dest_index)));
 }
 
 void RoutingFunction::fill_node_masks(std::size_t dest_index,
                                       std::uint64_t* masks) const {
   if (!id_native() && grid_ != nullptr) {
-    // Hoist the destination Port and the node -> (x, y) arithmetic out of
-    // the per-node loop; the remaining cost is one virtual call per node.
+    // Hoist the destination Port out of the per-node loop; the remaining
+    // cost is one virtual call per node.
     const Port dest = grid_->port(topo_->destination_id(dest_index));
-    const std::int32_t width = grid_->width();
-    const std::int32_t height = grid_->height();
-    std::size_t node = 0;
-    for (std::int32_t y = 0; y < height; ++y) {
-      for (std::int32_t x = 0; x < width; ++x, ++node) {
-        masks[node] = node_out_mask(x, y, dest);
-      }
+    for (const NodeCoord at : grid_->nodes()) {
+      *masks++ = node_out_mask(at.x, at.y, dest);
     }
     return;
   }
@@ -147,10 +140,12 @@ std::uint64_t dimension_order_in_port_union(const Mesh2D& mesh,
                                             std::size_t node,
                                             std::size_t in_name, bool x_first,
                                             bool wrap) {
-  const auto width = static_cast<std::size_t>(mesh.width());
-  const std::size_t row = node / width;
-  const Axis x = make_axis(width, node - row * width, wrap && mesh.wraps_x());
-  const Axis y = make_axis(static_cast<std::size_t>(mesh.height()), row,
+  const NodeCoord at = mesh.nodes()[node];
+  const Axis x = make_axis(static_cast<std::size_t>(mesh.width()),
+                           static_cast<std::size_t>(at.x),
+                           wrap && mesh.wraps_x());
+  const Axis y = make_axis(static_cast<std::size_t>(mesh.height()),
+                           static_cast<std::size_t>(at.y),
                            wrap && mesh.wraps_y());
   const std::uint64_t local = port_name_bit(PortName::kLocal);
   const std::uint64_t start_x =

@@ -9,20 +9,18 @@ namespace genoc {
 
 std::string render_occupancy(const NetworkState& state) {
   const Mesh2D& mesh = state.mesh();
+  std::vector<std::size_t> flits(mesh.node_count(), 0);
+  std::vector<char> any_full(mesh.node_count(), 0);
+  for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
+    flits[mesh.node_of(pid)] += state.occupancy(pid);
+    any_full[mesh.node_of(pid)] |= state.port_full(pid) ? 1 : 0;
+  }
   std::ostringstream os;
+  std::size_t node = 0;
   for (std::int32_t y = 0; y < mesh.height(); ++y) {
-    for (std::int32_t x = 0; x < mesh.width(); ++x) {
-      std::size_t flits = 0;
-      bool any_full = false;
-      for (const Port& p : mesh.ports()) {
-        if (p.x == x && p.y == y) {
-          const PortId pid = mesh.id(p);
-          flits += state.occupancy(pid);
-          any_full |= state.port_full(pid);
-        }
-      }
-      std::string cell = flits == 0 ? "." : std::to_string(flits);
-      if (any_full) {
+    for (std::int32_t x = 0; x < mesh.width(); ++x, ++node) {
+      std::string cell = flits[node] == 0 ? "." : std::to_string(flits[node]);
+      if (any_full[node] != 0) {
         cell += '*';
       }
       os << cell << std::string(cell.size() < 5 ? 5 - cell.size() : 1, ' ');

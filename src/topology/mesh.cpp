@@ -132,7 +132,14 @@ Mesh2D::Mesh2D(std::int32_t width, std::int32_t height, bool wrap_x,
       static_cast<std::size_t>(width_) * static_cast<std::size_t>(height_);
   begin_topology(nodes, {"E", "W", "N", "S", "L"},
                  std::uint64_t{1} << static_cast<std::size_t>(PortName::kLocal));
-  id_table_.assign(nodes * kPortSlotsPerNode, -1);
+  GENOC_ASSERT(slots_per_node() == kPortSlotsPerNode,
+               "Mesh2D::slot() assumes the five-name slot stride");
+  coords_.reserve(nodes);
+  for (std::int32_t y = 0; y < height_; ++y) {
+    for (std::int32_t x = 0; x < width_; ++x) {
+      coords_.push_back(NodeCoord{x, y});
+    }
+  }
 
   // Failed links remove their four channel ports (both directed channels'
   // OUT + IN) before enumeration, so fault handling is literally the same
@@ -150,8 +157,8 @@ Mesh2D::Mesh2D(std::int32_t width, std::int32_t height, bool wrap_x,
       const LinkFault peer =
           link_fault_peer(fault, width_, height_, wrap_x_, wrap_y_);
       for (const LinkFault& end : {fault, peer}) {
-        const Port base{end.node % width_, end.node / width_, end.name,
-                        Direction::kIn};
+        const NodeCoord at = coords_[static_cast<std::size_t>(end.node)];
+        const Port base{at.x, at.y, end.name, Direction::kIn};
         removed[slot(base)] = 1;
         removed[slot(Port{base.x, base.y, base.name, Direction::kOut})] = 1;
       }
@@ -159,35 +166,24 @@ Mesh2D::Mesh2D(std::int32_t width, std::int32_t height, bool wrap_x,
   }
 
   // Enumerate ports node-major so ids are stable and human-predictable.
-  // add_port mirrors every port into the generalized Topology tables with
-  // the same dense id (the slot layouts coincide: 5 names x 2 directions).
-  for (std::int32_t y = 0; y < height_; ++y) {
-    for (std::int32_t x = 0; x < width_; ++x) {
-      for (PortName name : {PortName::kEast, PortName::kWest, PortName::kNorth,
-                            PortName::kSouth, PortName::kLocal}) {
-        for (Direction direction : {Direction::kIn, Direction::kOut}) {
-          const Port p{x, y, name, direction};
-          if (!port_physically_exists(p, width_, height_, wrap_x_, wrap_y_)) {
-            continue;
-          }
-          if (!removed.empty() && removed[slot(p)] != 0) {
-            continue;
-          }
-          id_table_[slot(p)] = static_cast<std::int32_t>(ports_.size());
-          ports_.push_back(p);
-          const auto node_index = static_cast<std::size_t>(y) *
-                                      static_cast<std::size_t>(width_) +
-                                  static_cast<std::size_t>(x);
-          const PortId pid =
-              add_port(node_index, static_cast<std::size_t>(name), direction);
-          GENOC_ASSERT(pid + 1 == ports_.size(),
-                       "Topology ids must mirror Mesh2D ids");
+  for (std::size_t node = 0; node < nodes; ++node) {
+    const NodeCoord at = coords_[node];
+    for (PortName name : {PortName::kEast, PortName::kWest, PortName::kNorth,
+                          PortName::kSouth, PortName::kLocal}) {
+      for (Direction direction : {Direction::kIn, Direction::kOut}) {
+        const Port p{at.x, at.y, name, direction};
+        if (!port_physically_exists(p, width_, height_, wrap_x_, wrap_y_)) {
+          continue;
         }
+        if (!removed.empty() && removed[slot(p)] != 0) {
+          continue;
+        }
+        add_port(node, static_cast<std::size_t>(name), direction);
       }
     }
   }
-  for (PortId pid = 0; pid < ports_.size(); ++pid) {
-    const Port& p = ports_[pid];
+  for (PortId pid = 0; pid < port_count(); ++pid) {
+    const Port p = port(pid);
     if (p.dir == Direction::kOut && p.name != PortName::kLocal) {
       set_link(pid, id(next_in(p)));
     }
@@ -203,8 +199,8 @@ std::string Mesh2D::family() const {
 }
 
 std::string Mesh2D::node_label(std::size_t node) const {
-  const auto width = static_cast<std::size_t>(width_);
-  return std::to_string(node % width) + "," + std::to_string(node / width);
+  const NodeCoord at = coords_.at(node);
+  return std::to_string(at.x) + "," + std::to_string(at.y);
 }
 
 std::string Mesh2D::port_label(PortId pid) const {
@@ -230,35 +226,15 @@ Port Mesh2D::next_in(const Port& p) const {
   return q;
 }
 
-bool Mesh2D::exists(const Port& p) const {
-  if (!contains_node(p.x, p.y)) {
-    return false;
-  }
-  return id_table_[slot(p)] >= 0;
-}
+bool Mesh2D::exists(const Port& p) const { return try_id(p) >= 0; }
 
 PortId Mesh2D::id(const Port& p) const {
   GENOC_REQUIRE(contains_node(p.x, p.y),
                 "port node outside mesh: " + to_string(p));
-  const std::int32_t pid = id_table_[slot(p)];
-  GENOC_REQUIRE(pid >= 0, "port does not exist in mesh: " + to_string(p));
-  return static_cast<PortId>(pid);
-}
-
-const Port& Mesh2D::port(PortId pid) const {
-  GENOC_REQUIRE(pid < ports_.size(), "port id out of range");
-  return ports_[pid];
-}
-
-std::vector<NodeCoord> Mesh2D::nodes() const {
-  std::vector<NodeCoord> result;
-  result.reserve(node_count());
-  for (std::int32_t y = 0; y < height_; ++y) {
-    for (std::int32_t x = 0; x < width_; ++x) {
-      result.push_back(NodeCoord{x, y});
-    }
-  }
-  return result;
+  const PortId pid = slot_table()[slot(p)];
+  GENOC_REQUIRE(pid != kInvalidPort,
+                "port does not exist in mesh: " + to_string(p));
+  return pid;
 }
 
 Port Mesh2D::local_in(std::int32_t x, std::int32_t y) const {

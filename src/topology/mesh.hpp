@@ -18,13 +18,15 @@
 
 #include "topology/port.hpp"
 #include "topology/topology.hpp"
+#include "util/require.hpp"
 
 namespace genoc {
 
 /// Slots per node in the (name, direction) port-lookup layout of the grid
-/// families: 5 names x 2 directions. The generalized layout is
-/// Topology::slots_per_node(); this constant only remains for the grid
-/// Port-tuple fast path (Mesh2D::slot()).
+/// families: 5 names x 2 directions, which is Topology::slots_per_node() of
+/// every Mesh2D. The constant stride lets the grid Port-tuple fast path
+/// (Mesh2D::slot()) index the Topology slot table without a multiply by a
+/// loaded value.
 inline constexpr std::size_t kPortSlotsPerNode = 10;
 
 /// Slot of (name, dir) within a node's kPortSlotsPerNode-slot block.
@@ -84,6 +86,9 @@ LinkFault canonical_link_fault(const LinkFault& fault, std::int32_t width,
 
 /// A W x H HERMES mesh, optionally wrapped into a torus in either
 /// dimension. Immutable after construction.
+///
+/// The Topology tables are the only port table: the Port-tuple API
+/// (id/try_id/exists/port) reads them, plus one coordinate per node.
 ///
 /// With wrap enabled, boundary switches keep their outward ports and the
 /// links wrap around (e.g. on a wrap-x mesh, next_in(<W-1,y,E,OUT>) =
@@ -155,17 +160,19 @@ class Mesh2D : public Topology {
     if (!contains_node(p.x, p.y)) {
       return -1;
     }
-    return id_table_[slot(p)];
+    return static_cast<std::int32_t>(slot_table()[slot(p)]);
   }
 
-  /// The port with dense id \p pid. Requires pid < port_count().
-  const Port& port(PortId pid) const;
+  /// The port with dense id \p pid. Requires pid < port_count(). Inline:
+  /// the Port-tuple routing calls build their arguments with it.
+  Port port(PortId pid) const {
+    GENOC_REQUIRE(pid < port_count(), "port id out of range");
+    const NodeCoord at = coords_[node_of(pid)];
+    return Port{at.x, at.y, static_cast<PortName>(name_of(pid)), dir_of(pid)};
+  }
 
-  /// All existing ports, ordered by id.
-  const std::vector<Port>& ports() const { return ports_; }
-
-  /// All node coordinates in row-major order.
-  std::vector<NodeCoord> nodes() const;
+  /// All node coordinates in row-major order: entry i is node i.
+  const std::vector<NodeCoord>& nodes() const { return coords_; }
 
   /// The local in-port (injection point) of node (x, y).
   Port local_in(std::int32_t x, std::int32_t y) const;
@@ -180,9 +187,9 @@ class Mesh2D : public Topology {
   std::vector<Port> sources() const;
 
  private:
-  /// Slot of p in the (node-major, name-major, dir-minor) lookup table,
-  /// defined for any port whose node is in the mesh. Inline: this is the
-  /// innermost step of every port-id lookup on the sweep hot path.
+  /// Slot of p in the Topology's (node-major, name-major, dir-minor) slot
+  /// table, defined for any port whose node is in the mesh. Inline: this is
+  /// the innermost step of every port-id lookup on the sweep hot path.
   std::size_t slot(const Port& p) const {
     const auto node_index = static_cast<std::size_t>(p.y) *
                                 static_cast<std::size_t>(width_) +
@@ -195,8 +202,7 @@ class Mesh2D : public Topology {
   bool wrap_x_;
   bool wrap_y_;
   std::vector<LinkFault> failed_links_;
-  std::vector<Port> ports_;           // id -> port
-  std::vector<std::int32_t> id_table_;  // slot -> id, or -1 if non-existent
+  std::vector<NodeCoord> coords_;  // node -> (x, y), row-major
 };
 
 }  // namespace genoc

@@ -10,9 +10,9 @@
 /// layout that hard-wired the five HERMES names), slot()-style per-node
 /// lookup, link targets, and label rendering — so the sweeper, the dep-graph
 /// builders, the escape analysis and the CLI can run unchanged over any
-/// family. Mesh2D/Torus2D implement it bit-identically (same PortIds, same
-/// dep graphs); CMeshTopology and DragonflyTopology are the first non-grid
-/// clients.
+/// family. Mesh2D implements it for the mesh, ring and torus families and
+/// answers its Port-tuple API from these same tables; CMeshTopology and
+/// DragonflyTopology are the first non-grid clients.
 ///
 /// Port-name tables are capped at 64 names so a routing function's per-node
 /// out-port choice fits one uint64 mask (the NODE-mode sweep contract);
@@ -156,6 +156,11 @@ class Topology {
   /// Adds the port (node, name, dir) and returns its dense id. Ports must
   /// arrive node-major, name-major, dir-minor.
   PortId add_port(std::size_t node, std::size_t name, Direction dir);
+
+  /// The whole slot table, node-major: slot_id(node, name, dir) is entry
+  /// node * slots_per_node() + name * 2 + dir. For subclasses whose slot
+  /// stride is a compile-time constant (Mesh2D).
+  const PortId* slot_table() const { return slot_ids_.data(); }
 
   /// Declares that out-port \p out drives in-port \p in.
   void set_link(PortId out, PortId in);

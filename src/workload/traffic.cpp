@@ -8,12 +8,6 @@ namespace genoc {
 
 namespace {
 
-NodeCoord node_at(const Mesh2D& mesh, std::size_t index) {
-  const auto width = static_cast<std::size_t>(mesh.width());
-  return NodeCoord{static_cast<std::int32_t>(index % width),
-                   static_cast<std::int32_t>(index / width)};
-}
-
 std::size_t index_of(const Mesh2D& mesh, NodeCoord node) {
   return static_cast<std::size_t>(node.y) *
              static_cast<std::size_t>(mesh.width()) +
@@ -21,7 +15,7 @@ std::size_t index_of(const Mesh2D& mesh, NodeCoord node) {
 }
 
 NodeCoord random_node(const Mesh2D& mesh, Rng& rng) {
-  return node_at(mesh, static_cast<std::size_t>(rng.below(mesh.node_count())));
+  return mesh.nodes()[static_cast<std::size_t>(rng.below(mesh.node_count()))];
 }
 
 }  // namespace
@@ -69,7 +63,7 @@ std::vector<TrafficPair> bit_reversal_traffic(const Mesh2D& mesh) {
       }
     }
     reversed %= n;
-    const NodeCoord dst = node_at(mesh, reversed);
+    const NodeCoord dst = mesh.nodes()[reversed];
     if (dst != node) {
       pairs.push_back(TrafficPair{node, dst});
     }
@@ -139,7 +133,7 @@ std::vector<TrafficPair> permutation_traffic(const Mesh2D& mesh, Rng& rng) {
   std::vector<TrafficPair> pairs;
   for (std::size_t i = 0; i < n; ++i) {
     if (perm[i] != i) {
-      pairs.push_back(TrafficPair{node_at(mesh, i), node_at(mesh, perm[i])});
+      pairs.push_back(TrafficPair{mesh.nodes()[i], mesh.nodes()[perm[i]]});
     }
   }
   return pairs;

@@ -15,7 +15,6 @@
 #include "routing/odd_even.hpp"
 #include "routing/torus_xy.hpp"
 #include "routing/xy.hpp"
-#include "topology/torus.hpp"
 
 namespace genoc {
 namespace {
@@ -106,7 +105,7 @@ TEST(BatchRunner, ParallelDepGraphIsBitIdenticalToSequential) {
     expect_identical(OddEvenRouting(mesh), runner);  // lazy-closure path
   }
   {
-    const Torus2D torus(6);
+    const Mesh2D torus(6, 6, /*wrap_x=*/true, /*wrap_y=*/true);
     expect_identical(TorusXYRouting(torus), runner);  // cyclic graph
   }
 }

@@ -75,7 +75,8 @@ TEST(DepGraph, Fig3CensusFor2x2) {
   // Count edges by the closed form: each in-port contributes
   // |next_outs|, each cardinal out-port exactly 1, Local OUT nothing.
   std::size_t expected_edges = 0;
-  for (const Port& p : mesh.ports()) {
+  for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
+    const Port p = mesh.port(pid);
     if (p.dir == Direction::kIn) {
       expected_edges += next_outs_xy(mesh, p).size();
     } else if (p.name != PortName::kLocal) {
@@ -91,7 +92,8 @@ TEST(DepGraph, Fig3CensusFor2x2) {
 TEST(DepGraph, LocalOutIsASink) {
   const Mesh2D mesh(3, 3);
   const PortDepGraph dep = build_exy_dep(mesh);
-  for (const Port& p : mesh.ports()) {
+  for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
+    const Port p = mesh.port(pid);
     if (p.name == PortName::kLocal && p.dir == Direction::kOut) {
       EXPECT_EQ(dep.graph.out_degree(mesh.id(p)), 0u);
     }
@@ -101,7 +103,8 @@ TEST(DepGraph, LocalOutIsASink) {
 TEST(DepGraph, EveryVertexExceptSinksHasAnOutEdge) {
   const Mesh2D mesh(3, 3);
   const PortDepGraph dep = build_exy_dep(mesh);
-  for (const Port& p : mesh.ports()) {
+  for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
+    const Port p = mesh.port(pid);
     const bool sink = p.name == PortName::kLocal && p.dir == Direction::kOut;
     if (!sink) {
       EXPECT_GT(dep.graph.out_degree(mesh.id(p)), 0u) << to_string(p);

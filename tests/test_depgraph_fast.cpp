@@ -206,7 +206,8 @@ TEST(DepGraphFast, NodeMaskMatchesAppendNextHopsOnEveryInPort) {
     const Mesh2D& mesh = instance.mesh();
     std::vector<Port> hops;
     for (const Port& d : mesh.destinations()) {
-      for (const Port& p : mesh.ports()) {
+      for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
+        const Port p = mesh.port(pid);
         hops.clear();
         routing.append_next_hops(p, d, hops);
         if (p.dir == Direction::kOut) {

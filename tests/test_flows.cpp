@@ -73,7 +73,8 @@ TEST(Flows, RankBoundsAndExtremes) {
   const std::int64_t source = xy_flow_rank(mesh, mesh.local_in(2, 1));
   const std::int64_t sink = xy_flow_rank(mesh, mesh.local_out(2, 1));
   EXPECT_EQ(source, 0);
-  for (const Port& p : mesh.ports()) {
+  for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
+    const Port p = mesh.port(pid);
     EXPECT_GE(xy_flow_rank(mesh, p), source);
     EXPECT_LE(xy_flow_rank(mesh, p), sink);
   }

@@ -80,16 +80,10 @@ TEST(Mesh, OffMeshPortsDoNotExist) {
 
 TEST(Mesh, IdsAreDenseAndRoundTrip) {
   const Mesh2D mesh(4, 3);
-  std::vector<bool> seen(mesh.port_count(), false);
-  for (const Port& p : mesh.ports()) {
-    const PortId id = mesh.id(p);
-    ASSERT_LT(id, mesh.port_count());
-    EXPECT_FALSE(seen[id]) << "duplicate id " << id;
-    seen[id] = true;
-    EXPECT_EQ(mesh.port(id), p);
-  }
-  for (const bool s : seen) {
-    EXPECT_TRUE(s);
+  for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
+    const Port p = mesh.port(pid);
+    EXPECT_TRUE(mesh.exists(p)) << to_string(p);
+    EXPECT_EQ(mesh.id(p), pid) << to_string(p);
   }
 }
 

@@ -26,7 +26,8 @@ std::size_t node_distance(const Port& a, const Port& b) {
 /// Shared property: every hop of a minimal routing function makes progress.
 void expect_minimal_and_productive(const RoutingFunction& routing) {
   const Mesh2D& mesh = routing.mesh();
-  for (const Port& p : mesh.ports()) {
+  for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
+    const Port p = mesh.port(pid);
     for (const Port& d : mesh.destinations()) {
       if (!routing.reachable(p, d)) {
         continue;
@@ -211,7 +212,8 @@ TEST(YXRouting, ReachabilityClosedFormEqualsClosure) {
   for (const auto& [w, h] : {std::pair{2, 2}, std::pair{3, 3}, std::pair{4, 2}}) {
     const Mesh2D mesh(w, h);
     const YXRouting yx(mesh);
-    for (const Port& p : mesh.ports()) {
+    for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
+      const Port p = mesh.port(pid);
       for (const Port& d : mesh.destinations()) {
         EXPECT_EQ(yx.reachable(p, d), yx.closure_reachable(p, d))
             << to_string(p) << " R " << to_string(d);

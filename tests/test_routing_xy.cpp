@@ -83,7 +83,8 @@ TEST(XYRouting, RoutesAreMinimalAndWellFormed) {
 TEST(XYRouting, IsDeterministicEverywhereReachable) {
   const Mesh2D mesh(4, 4);
   const XYRouting xy(mesh);
-  for (const Port& p : mesh.ports()) {
+  for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
+    const Port p = mesh.port(pid);
     for (const Port& d : mesh.destinations()) {
       if (!xy.reachable(p, d)) {
         continue;
@@ -146,7 +147,8 @@ TEST_P(XYReachabilitySweep, ClosedFormEqualsRouteClosure) {
   const auto [w, h] = GetParam();
   const Mesh2D mesh(w, h);
   const XYRouting xy(mesh);
-  for (const Port& p : mesh.ports()) {
+  for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
+    const Port p = mesh.port(pid);
     for (const Port& d : mesh.destinations()) {
       EXPECT_EQ(xy.reachable(p, d), xy.closure_reachable(p, d))
           << to_string(p) << " R " << to_string(d) << " on " << w << "x" << h;

@@ -22,6 +22,7 @@
 #include "topology/cmesh.hpp"
 #include "topology/dragonfly.hpp"
 #include "topology/mesh.hpp"
+#include "util/require.hpp"
 #include "verify/artifacts.hpp"
 #include "verify/pipeline.hpp"
 
@@ -29,32 +30,110 @@ namespace genoc {
 namespace {
 
 TEST(TopologyFamilies, MeshBaseTablesMirrorTheGridTupleApi) {
-  const Mesh2D mesh(5, 4);
-  ASSERT_EQ(mesh.name_count(), 5u);
-  EXPECT_EQ(mesh.terminal_name_mask(),
-            std::uint64_t{1} << static_cast<std::size_t>(PortName::kLocal));
-  for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
-    const Port& p = mesh.port(pid);
-    const auto node = static_cast<std::size_t>(p.y) * 5 +
-                      static_cast<std::size_t>(p.x);
-    EXPECT_EQ(mesh.slot_id(node, static_cast<std::size_t>(p.name), p.dir),
-              pid);
-    EXPECT_EQ(mesh.node_of(pid), node);
-    EXPECT_EQ(mesh.port_label(pid), to_string(p));
-    if (p.dir == Direction::kOut) {
-      if (p.name == PortName::kLocal) {
-        EXPECT_EQ(mesh.link_target(pid), kInvalidPort) << to_string(p);
-      } else {
-        EXPECT_EQ(mesh.link_target(pid), mesh.id(mesh.next_in(p)))
-            << to_string(p);
+  // Mesh2D keeps no port table of its own: its Port-tuple API answers from
+  // the base tables. Pin that on every grid family, faulted ones included.
+  const std::vector<Mesh2D> grids = {
+      Mesh2D(5, 4),
+      Mesh2D(5, 4, /*wrap_x=*/true, /*wrap_y=*/false),
+      Mesh2D(4, 3, /*wrap_x=*/true, /*wrap_y=*/true),
+      Mesh2D(5, 4, false, false,
+             {LinkFault{6, PortName::kEast}, LinkFault{12, PortName::kSouth}}),
+      Mesh2D(4, 3, true, true, {LinkFault{3, PortName::kEast}}),  // a wrap
+  };
+  for (const Mesh2D& mesh : grids) {
+    SCOPED_TRACE(mesh.family() + " " + std::to_string(mesh.width()) + "x" +
+                 std::to_string(mesh.height()) + " with " +
+                 std::to_string(mesh.failed_links().size()) + " faults");
+    ASSERT_EQ(mesh.name_count(), 5u);
+    ASSERT_EQ(mesh.slots_per_node(), kPortSlotsPerNode);
+    EXPECT_EQ(mesh.terminal_name_mask(),
+              std::uint64_t{1} << static_cast<std::size_t>(PortName::kLocal));
+    const auto width = static_cast<std::size_t>(mesh.width());
+
+    // nodes() is the row-major coordinate table.
+    ASSERT_EQ(mesh.nodes().size(), mesh.node_count());
+    for (std::size_t node = 0; node < mesh.node_count(); ++node) {
+      EXPECT_EQ(mesh.nodes()[node],
+                (NodeCoord{static_cast<std::int32_t>(node % width),
+                           static_cast<std::int32_t>(node / width)}));
+    }
+
+    // Every slot, one ring of off-mesh coordinates included: try_id and
+    // exists agree with the slot table, removed ports and all.
+    std::size_t existing = 0;
+    for (std::int32_t y = -1; y <= mesh.height(); ++y) {
+      for (std::int32_t x = -1; x <= mesh.width(); ++x) {
+        for (const PortName name :
+             {PortName::kEast, PortName::kWest, PortName::kNorth,
+              PortName::kSouth, PortName::kLocal}) {
+          for (const Direction dir : {Direction::kIn, Direction::kOut}) {
+            const Port p{x, y, name, dir};
+            PortId expected = kInvalidPort;
+            if (mesh.contains_node(x, y)) {
+              const std::size_t node = static_cast<std::size_t>(y) * width +
+                                       static_cast<std::size_t>(x);
+              expected =
+                  mesh.slot_id(node, static_cast<std::size_t>(name), dir);
+            }
+            const bool exists = expected != kInvalidPort;
+            existing += exists ? 1 : 0;
+            EXPECT_EQ(mesh.exists(p), exists) << to_string(p);
+            EXPECT_EQ(mesh.try_id(p),
+                      exists ? static_cast<std::int32_t>(expected) : -1)
+                << to_string(p);
+            if (exists) {
+              EXPECT_EQ(mesh.id(p), expected) << to_string(p);
+            } else {
+              EXPECT_THROW(mesh.id(p), ContractViolation) << to_string(p);
+            }
+          }
+        }
       }
     }
-  }
-  const std::vector<Port> dests = mesh.destinations();
-  ASSERT_EQ(mesh.destination_count(), dests.size());
-  for (std::size_t i = 0; i < dests.size(); ++i) {
-    EXPECT_EQ(mesh.destination_id(i), mesh.id(dests[i]));
-    EXPECT_EQ(mesh.dest_index_of(mesh.id(dests[i])), i);
+    EXPECT_EQ(existing, mesh.port_count());
+
+    // A failed link's four channel ports are gone from every answer.
+    for (const LinkFault& fault : mesh.failed_links()) {
+      const LinkFault peer =
+          link_fault_peer(fault, mesh.width(), mesh.height(), mesh.wraps_x(),
+                          mesh.wraps_y());
+      for (const LinkFault& end : {fault, peer}) {
+        const NodeCoord at = mesh.nodes()[static_cast<std::size_t>(end.node)];
+        for (const Direction dir : {Direction::kIn, Direction::kOut}) {
+          const Port gone{at.x, at.y, end.name, dir};
+          EXPECT_FALSE(mesh.exists(gone)) << to_string(gone);
+          EXPECT_EQ(mesh.try_id(gone), -1) << to_string(gone);
+        }
+      }
+    }
+
+    for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
+      const Port p = mesh.port(pid);
+      const auto node = static_cast<std::size_t>(p.y) * width +
+                        static_cast<std::size_t>(p.x);
+      EXPECT_EQ(mesh.id(p), pid);
+      EXPECT_EQ(mesh.slot_id(node, static_cast<std::size_t>(p.name), p.dir),
+                pid);
+      EXPECT_EQ(mesh.node_of(pid), node);
+      EXPECT_EQ(mesh.port_label(pid), to_string(p));
+      if (p.dir == Direction::kOut) {
+        if (p.name == PortName::kLocal) {
+          EXPECT_EQ(mesh.link_target(pid), kInvalidPort) << to_string(p);
+        } else {
+          EXPECT_EQ(mesh.link_target(pid), mesh.id(mesh.next_in(p)))
+              << to_string(p);
+        }
+      }
+    }
+    EXPECT_THROW(mesh.port(static_cast<PortId>(mesh.port_count())),
+                 ContractViolation);
+
+    const std::vector<Port> dests = mesh.destinations();
+    ASSERT_EQ(mesh.destination_count(), dests.size());
+    for (std::size_t i = 0; i < dests.size(); ++i) {
+      EXPECT_EQ(mesh.destination_id(i), mesh.id(dests[i]));
+      EXPECT_EQ(mesh.dest_index_of(mesh.id(dests[i])), i);
+    }
   }
 }
 

@@ -6,6 +6,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <utility>
+#include <vector>
 
 #include "core/genoc.hpp"
 #include "core/travel.hpp"
@@ -19,12 +21,39 @@
 #include "routing/torus_xy.hpp"
 #include "routing/xy.hpp"
 #include "switching/wormhole.hpp"
-#include "topology/torus.hpp"
+#include "topology/mesh.hpp"
 #include "util/require.hpp"
 #include "util/thread_pool.hpp"
 
 namespace genoc {
 namespace {
+
+/// The directed wrap-around links of \p mesh: every (cardinal OUT port,
+/// IN port) pair whose link crosses a dateline. Empty on an unwrapped mesh.
+/// These are exactly the edges that close each ring's dependency cycle
+/// under dimension-order routing (see routing/torus_xy.hpp).
+std::vector<std::pair<Port, Port>> wrap_links(const Mesh2D& mesh) {
+  std::vector<std::pair<Port, Port>> links;
+  const std::int32_t east_edge = mesh.width() - 1;
+  const std::int32_t south_edge = mesh.height() - 1;
+  if (mesh.wraps_x()) {
+    for (std::int32_t y = 0; y < mesh.height(); ++y) {
+      const Port east_out{east_edge, y, PortName::kEast, Direction::kOut};
+      const Port west_out{0, y, PortName::kWest, Direction::kOut};
+      links.emplace_back(east_out, mesh.next_in(east_out));
+      links.emplace_back(west_out, mesh.next_in(west_out));
+    }
+  }
+  if (mesh.wraps_y()) {
+    for (std::int32_t x = 0; x < mesh.width(); ++x) {
+      const Port south_out{x, south_edge, PortName::kSouth, Direction::kOut};
+      const Port north_out{x, 0, PortName::kNorth, Direction::kOut};
+      links.emplace_back(south_out, mesh.next_in(south_out));
+      links.emplace_back(north_out, mesh.next_in(north_out));
+    }
+  }
+  return links;
+}
 
 TEST(Torus, WrappedMeshKeepsBoundaryPorts) {
   const Mesh2D torus(4, 3, /*wrap_x=*/true, /*wrap_y=*/true);
@@ -208,23 +237,8 @@ TEST(Torus, PlainRoutingFunctionsStillWorkOnUnwrappedMeshes) {
   EXPECT_THROW(TorusXYRouting{mesh}, ContractViolation);
 }
 
-TEST(Torus, Torus2DIsTheFullyWrappedMesh) {
-  const Torus2D torus(5, 4);
-  EXPECT_TRUE(torus.wraps_x());
-  EXPECT_TRUE(torus.wraps_y());
-  EXPECT_EQ(torus.port_count(), 5u * 4u * 10u);
-  const Torus2D square(3);
-  EXPECT_EQ(square.width(), 3);
-  EXPECT_EQ(square.height(), 3);
-  // make_torus builds the identical plain-value topology.
-  const Mesh2D value = make_torus(5, 4);
-  EXPECT_EQ(value.port_count(), torus.port_count());
-  EXPECT_EQ(value.ports(), torus.ports());
-  EXPECT_THROW(Torus2D(1, 4), ContractViolation);
-}
-
 TEST(Torus, WrapLinksEnumerateExactlyTheDatelineCrossings) {
-  const Torus2D torus(4, 3);
+  const Mesh2D torus(4, 3, /*wrap_x=*/true, /*wrap_y=*/true);
   const auto links = wrap_links(torus);
   // 2 directed x-wraps per row + 2 directed y-wraps per column.
   EXPECT_EQ(links.size(), 2u * 3u + 2u * 4u);
