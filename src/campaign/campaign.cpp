@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <map>
+#include <optional>
 
 #include "analyze/analyzer.hpp"
 #include "instance/batch_runner.hpp"
@@ -52,13 +53,15 @@ CampaignReport run_campaign(const InstanceSpec& base,
   report.threads = pool.thread_count();
 
   // One store for the whole campaign: the base context (topology, routing,
-  // closure, dependency graph) is built exactly once, up front and sharded
-  // over the pool; every variant's delta build reads it as a cache hit.
+  // dependency graph, acyclicity verdict and its rank certificate) is
+  // settled exactly once, up front and sharded over the pool. Variants of
+  // an acyclic base inherit its verdict; those of a cyclic base delta-build
+  // from its graph. Either way they read the base as a cache hit.
   ArtifactStore store;
   std::shared_ptr<AnalysisArtifacts> base_artifacts = store.acquire(base);
   {
     obs::TraceSpan base_span("campaign:base");
-    base_artifacts->dep_graph(false, &pool);
+    base_artifacts->certified_acyclic(&pool);
   }
 
   const Analyzer& screen = screen_analyzer();
@@ -78,9 +81,13 @@ CampaignReport run_campaign(const InstanceSpec& base,
           // Variant artifacts stay LOCAL (a campaign-wide store entry per
           // variant would hold thousands of dead contexts); only the base
           // is shared, through the explicit wiring.
-          AnalysisArtifacts artifacts(vspec, base_artifacts);
+          std::optional<AnalysisArtifacts> artifacts;
+          {
+            obs::TraceSpan context_span("campaign:variant_context");
+            artifacts.emplace(vspec, base_artifacts);
+          }
           const AnalyzeReport screen_report =
-              screen.run(vspec, artifacts, options.analyze);
+              screen.run(vspec, *artifacts, options.analyze);
           out.checks = screen_report.checks;
           for (const Diagnostic& diagnostic : screen_report.diagnostics) {
             if (diagnostic.severity == Severity::kError) {
@@ -105,7 +112,7 @@ CampaignReport run_campaign(const InstanceSpec& base,
                                                  // parallelism is across
                                                  // variants, not within one
           const VerifyReport verified =
-              pipeline.run(vspec, artifacts, verify_options);
+              pipeline.run(vspec, *artifacts, verify_options);
           out.deadlock_free = verified.verdict.deadlock_free;
           out.method = verified.verdict.method;
           out.edges = verified.verdict.edges;

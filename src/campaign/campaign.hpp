@@ -17,10 +17,15 @@
 ///      context; its dependency graph and closure are built once, and every
 ///      variant keeps only a LOCAL artifact cache wired to that base (the
 ///      store's hit counters make the sharing assertable).
-///   3. DELTA GRAPHS: for link faults on node-uniform routings the variant
-///      dependency graph is built by build_dep_graph_delta — filtering the
-///      base graph — instead of a per-destination re-sweep; bit-identical
-///      to the full builder and an order of magnitude cheaper.
+///   3. INHERITED VERDICTS, DELTA GRAPHS: for link faults on node-uniform
+///      routings the variant dependency graph is the base graph's induced
+///      subgraph on the surviving ports. Under an acyclic base every
+///      variant is acyclic too: it inherits the base's rank-certified
+///      verdict and counts its edges from the base's degrees, with no graph
+///      and no DFS of its own. Under a cyclic base the variant graph is
+///      built by build_dep_graph_delta — filtering the base graph — instead
+///      of a per-destination re-sweep; bit-identical to the full builder
+///      and an order of magnitude cheaper.
 ///
 /// Variants shard over the existing BatchRunner pool into fixed result
 /// slots, so the report is byte-identical at any --threads value (timing
@@ -80,8 +85,8 @@ struct CampaignReport {
   std::vector<std::pair<std::string, std::uint64_t>> screen_code_counts;
   std::vector<VariantOutcome> variants;  ///< in variant order
   /// The campaign store's ledger: base context misses/hits and the base
-  /// dependency graph's build/reuse counters (the sharing guarantee tests
-  /// assert on).
+  /// dependency graph's and acyclicity verdict's build/reuse counters (the
+  /// sharing guarantee tests assert on).
   ArtifactCacheStats cache;
   std::size_t threads = 1;  ///< timing-only (varies with --threads)
   double wall_ms = 0.0;     ///< timing-only

@@ -10,10 +10,15 @@ namespace {
 enum class Colour : unsigned char { kWhite, kGrey, kBlack };
 }  // namespace
 
-std::optional<CycleWitness> find_cycle(const Digraph& graph) {
+std::optional<CycleWitness> find_cycle(const Digraph& graph,
+                                       std::vector<std::int64_t>* rank) {
   GENOC_REQUIRE(graph.finalized(), "find_cycle requires a finalized graph");
   const std::size_t n = graph.vertex_count();
   std::vector<Colour> colour(n, Colour::kWhite);
+  if (rank != nullptr) {
+    rank->assign(n, 0);
+  }
+  auto next_rank = static_cast<std::int64_t>(n);
 
   // Iterative DFS keeping the grey path explicitly so the cycle can be
   // reconstructed without parent pointers.
@@ -54,6 +59,9 @@ std::optional<CycleWitness> find_cycle(const Digraph& graph) {
         }
       } else {
         colour[frame.vertex] = Colour::kBlack;
+        if (rank != nullptr) {
+          (*rank)[frame.vertex] = --next_rank;  // reverse finish order
+        }
         path.pop_back();
         stack.pop_back();
       }

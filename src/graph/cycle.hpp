@@ -10,6 +10,7 @@
 /// count: it is sequential, so verdict and witness never depend on the pool.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -23,7 +24,14 @@ using CycleWitness = std::vector<std::size_t>;
 
 /// Finds some cycle via iterative DFS (white/grey/black colouring).
 /// Returns std::nullopt iff the graph is acyclic. O(V + E).
-std::optional<CycleWitness> find_cycle(const Digraph& graph);
+///
+/// With \p rank, an acyclic result also fills it with the DFS's reverse
+/// finish order (rank[v] = V - 1 - finish index of v): every edge (u, v)
+/// has rank[u] < rank[v], the topological rank certificate
+/// verify_rank_certificate() checks. Left unspecified when a cycle is found.
+std::optional<CycleWitness> find_cycle(const Digraph& graph,
+                                       std::vector<std::int64_t>* rank =
+                                           nullptr);
 
 /// Verifies that \p cycle is a genuine cycle of \p graph: non-empty, every
 /// consecutive pair (and the closing pair) is an edge, vertices distinct.

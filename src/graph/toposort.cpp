@@ -1,5 +1,7 @@
 #include "graph/toposort.hpp"
 
+#include <string>
+
 #include "util/require.hpp"
 
 namespace genoc {
@@ -7,6 +9,16 @@ namespace genoc {
 bool verify_rank_certificate(const Digraph& graph,
                              const std::vector<std::int64_t>& rank) {
   return !find_rank_violation(graph, rank).has_value();
+}
+
+void require_rank_certificate(const Digraph& graph,
+                              const std::vector<std::int64_t>& rank) {
+  const auto violation = find_rank_violation(graph, rank);
+  GENOC_REQUIRE(!violation.has_value(),
+                "rank certificate rejected: edge " +
+                    std::to_string(violation ? violation->first : 0) + " -> " +
+                    std::to_string(violation ? violation->second : 0) +
+                    " does not increase the rank");
 }
 
 std::optional<std::pair<std::size_t, std::size_t>> find_rank_violation(

@@ -24,6 +24,11 @@ namespace genoc {
 bool verify_rank_certificate(const Digraph& graph,
                              const std::vector<std::int64_t>& rank);
 
+/// verify_rank_certificate() as a contract: throws ContractViolation naming
+/// the first violating edge, so a bad certificate can never pass silently.
+void require_rank_certificate(const Digraph& graph,
+                              const std::vector<std::int64_t>& rank);
+
 /// The first edge violating the certificate, if any (for diagnostics).
 std::optional<std::pair<std::size_t, std::size_t>> find_rank_violation(
     const Digraph& graph, const std::vector<std::int64_t>& rank);

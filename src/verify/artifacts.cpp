@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "graph/toposort.hpp"
 #include "instance/network_instance.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -170,12 +171,68 @@ const PortDepGraph& AnalysisArtifacts::dep_graph(bool generic_builder,
   return dep_graph_locked(generic_builder, pool);
 }
 
+std::size_t AnalysisArtifacts::edge_count(bool generic_builder,
+                                         ThreadPool* pool) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (!edge_count_.has_value()) {
+    if (!inherits_locked(generic_builder, pool)) {
+      return dep_graph_locked(generic_builder, pool).graph.edge_count();
+    }
+    edge_count_ = base_->surviving_edge_count(removed_base_ports_);
+  }
+  return *edge_count_;
+}
+
+bool AnalysisArtifacts::inherits_locked(bool generic_builder,
+                                        ThreadPool* pool) {
+  if (base_ == nullptr || generic_builder) {
+    return false;
+  }
+  if (!inherits_.has_value()) {
+    // Lock order is variant -> base only (a base never acquires a
+    // variant), so the nested call cannot deadlock.
+    inherits_ = base_->certified_acyclic(pool);
+  }
+  return *inherits_;
+}
+
+std::size_t AnalysisArtifacts::surviving_edge_count(
+    const std::vector<PortId>& removed) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  GENOC_REQUIRE(rank_checked_,
+                "edge counts are inherited only from a certified base");
+  const Digraph& graph = dep_graph_locked(false, nullptr).graph;
+  // Inclusion-exclusion over the removed ports: an edge with both ends
+  // removed is counted once as an out-edge and once as an in-edge.
+  std::size_t touching = 0;
+  for (const PortId port : removed) {
+    const auto out = graph.out(port);
+    touching += out.size() + in_degree_[port];
+    for (const std::uint32_t target : out) {
+      if (std::binary_search(removed.begin(), removed.end(), target)) {
+        --touching;
+      }
+    }
+  }
+  return graph.edge_count() - touching;
+}
+
 const AcyclicityArtifact& AnalysisArtifacts::acyclicity_locked(
-    bool generic_builder, ThreadPool* pool) {
+    bool generic_builder, ThreadPool* pool, std::vector<std::int64_t>* rank) {
   static KindCounters counters = kind_counters("acyclicity");
   if (acyclicity_.has_value()) {
     ++stats_.acyclicity.hits;
     counters.hits.increment();
+    return *acyclicity_;
+  }
+  if (inherits_locked(generic_builder, pool)) {
+    // An induced subgraph of a certified DAG: acyclic, no cycle to witness.
+    static obs::Counter& inherited =
+        obs::MetricsRegistry::global().counter("artifacts.acyclicity.inherited");
+    ++stats_.acyclicity.misses;
+    counters.misses.increment();
+    inherited.increment();
+    acyclicity_ = AcyclicityArtifact{true, std::nullopt};
     return *acyclicity_;
   }
   const PortDepGraph& dep = dep_graph_locked(generic_builder, pool);
@@ -185,7 +242,7 @@ const AcyclicityArtifact& AnalysisArtifacts::acyclicity_locked(
   AcyclicityArtifact result;
   // One sequential DFS at every thread count: linear, and the witness it
   // returns cannot depend on the pool.
-  result.cycle = find_cycle(dep.graph);
+  result.cycle = find_cycle(dep.graph, rank);
   result.acyclic = !result.cycle.has_value();
   acyclicity_ = std::move(result);
   return *acyclicity_;
@@ -195,6 +252,36 @@ const AcyclicityArtifact& AnalysisArtifacts::acyclicity(bool generic_builder,
                                                         ThreadPool* pool) {
   const std::lock_guard<std::mutex> lock(mutex_);
   return acyclicity_locked(generic_builder, pool);
+}
+
+bool AnalysisArtifacts::certified_acyclic(ThreadPool* pool) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (rank_checked_) {
+    return acyclicity_locked(false, pool).acyclic;
+  }
+  // Only an unfaulted context is a base, and its verdict always comes
+  // with its own graph (a variant's may be inherited, with none).
+  GENOC_REQUIRE(base_ == nullptr,
+                "a fault variant cannot certify verdicts for variants");
+  std::vector<std::int64_t> rank;
+  const bool decided = acyclicity_.has_value();
+  if (!acyclicity_locked(false, pool, &rank).acyclic) {
+    return false;
+  }
+  obs::TraceSpan span("artifact:rank_certificate");
+  const Digraph& graph = dep_->graph;
+  if (decided) {
+    find_cycle(graph, &rank);  // decided without a rank: one more DFS
+  }
+  require_rank_certificate(graph, rank);
+  in_degree_.assign(graph.vertex_count(), 0);
+  for (std::size_t v = 0; v < graph.vertex_count(); ++v) {
+    for (const std::uint32_t target : graph.out(v)) {
+      ++in_degree_[target];
+    }
+  }
+  rank_checked_ = true;
+  return true;
 }
 
 const EscapeAnalysis& AnalysisArtifacts::escape_analysis(ThreadPool* pool) {

@@ -106,12 +106,17 @@ class AnalysisArtifacts {
 
   /// Constructor for a FAULT VARIANT sharing its unfaulted base context:
   /// when \p spec has failed links, a grid topology and a node-uniform
-  /// routing, the dependency graph is built by DELTA from the base
-  /// context's graph (build_dep_graph_delta) instead of a full rebuild —
-  /// the campaign hot path. \p base must be the context of this spec with
-  /// failed_links cleared (same grid, same routing/escape); passing
-  /// nullptr, or a spec where the delta does not apply, degrades to the
-  /// plain constructor.
+  /// routing, the variant's dependency graph is the base graph's induced
+  /// subgraph on the surviving ports. Two things follow, the campaign hot
+  /// path:
+  ///   - when the base is acyclic, so is the variant: acyclicity() and
+  ///     edge_count() are answered from the base (see acyclicity()), and no
+  ///     variant graph is built unless dep_graph() itself is asked for;
+  ///   - otherwise the graph is built by DELTA from the base graph
+  ///     (build_dep_graph_delta) instead of a full rebuild.
+  /// \p base must be the context of this spec with failed_links cleared
+  /// (same grid, same routing/escape); passing nullptr, or a spec where the
+  /// delta does not apply, degrades to the plain constructor.
   AnalysisArtifacts(const InstanceSpec& spec,
                     std::shared_ptr<AnalysisArtifacts> base);
 
@@ -136,10 +141,35 @@ class AnalysisArtifacts {
   /// build over destinations.
   const PortDepGraph& dep_graph(bool generic_builder, ThreadPool* pool);
 
+  /// The number of dependency-graph edges, the figure a verdict reports.
+  /// A fault variant that inherits its base's acyclic verdict (see
+  /// acyclicity()) counts them without a graph: the base edge count minus
+  /// the base edges that touch a removed port, from the base's out- and
+  /// in-degrees; cached. Every other context reads dep_graph().
+  std::size_t edge_count(bool generic_builder, ThreadPool* pool);
+
   /// The (C-3) verdict with cycle witness, decided by find_cycle()'s
   /// sequential DFS; computes dep_graph on demand (\p pool only shards that
   /// build, so the verdict and witness are the same at every thread count).
+  ///
+  /// A delta-wired fault variant of an ACYCLIC base inherits the verdict
+  /// instead: its graph is an induced subgraph of a DAG, hence a DAG, and
+  /// the base's verdict rests on a rank certificate checked once with
+  /// verify_rank_certificate (certified_acyclic()). No variant graph and no
+  /// DFS. A cyclic base, and the \p generic_builder oracle path, keep the
+  /// delta (or generic) build plus find_cycle.
   const AcyclicityArtifact& acyclicity(bool generic_builder, ThreadPool* pool);
+
+  /// True iff this context is acyclic and its verdict carries a checked
+  /// rank certificate, so fault variants wired to it inherit the verdict.
+  /// The first call settles it: the dependency graph (sharded over
+  /// \p pool), the acyclicity verdict, the DFS's reverse finish order as a
+  /// rank, checked over every edge (a rejected rank is a ContractViolation,
+  /// never a silent verdict), and the in-degree table edge_count() reads.
+  /// The rank itself is dropped once checked. Counts as an acyclicity
+  /// access. Call it on a campaign's base before the variants start, so
+  /// they never contend on the first compute.
+  bool certified_acyclic(ThreadPool* pool);
 
   /// The Duato escape-lane analysis. Requires escape_routing() != nullptr.
   const EscapeAnalysis& escape_analysis(ThreadPool* pool);
@@ -154,8 +184,16 @@ class AnalysisArtifacts {
 
  private:
   const PortDepGraph& dep_graph_locked(bool generic_builder, ThreadPool* pool);
-  const AcyclicityArtifact& acyclicity_locked(bool generic_builder,
-                                              ThreadPool* pool);
+  /// With \p rank, a verdict computed here also fills the DFS's rank.
+  const AcyclicityArtifact& acyclicity_locked(
+      bool generic_builder, ThreadPool* pool,
+      std::vector<std::int64_t>* rank = nullptr);
+  /// Variant side: whether this context inherits its base's acyclic
+  /// verdict (never on the generic oracle path); asks the base once.
+  bool inherits_locked(bool generic_builder, ThreadPool* pool);
+  /// Base side: this graph's edge count once \p removed (sorted base ids)
+  /// and every edge touching them are deleted. Needs certified_acyclic().
+  std::size_t surviving_edge_count(const std::vector<PortId>& removed);
   /// Primes the routing's (and escape lane's) lazily built reachability
   /// closure exactly once, so subsequent reachable() queries are read-only
   /// and shareable across threads. With a pool, compressed-tier rows are
@@ -174,6 +212,13 @@ class AnalysisArtifacts {
   // and the base-graph ids of the ports this variant's faults removed.
   std::shared_ptr<AnalysisArtifacts> base_;
   std::vector<PortId> removed_base_ports_;
+  std::optional<bool> inherits_;          ///< variant: asked the base yet?
+  std::optional<std::size_t> edge_count_;  ///< variant: inherited count
+
+  // Base state behind certified_acyclic(): whether the acyclic verdict's
+  // rank certificate was checked, and the in-degree of every vertex.
+  bool rank_checked_ = false;
+  std::vector<std::uint32_t> in_degree_;
 
   mutable std::mutex mutex_;
   bool primed_ = false;

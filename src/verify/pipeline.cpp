@@ -39,9 +39,8 @@ ArtifactCacheStats stats_delta(const ArtifactCacheStats& later,
 /// real shape rather than zero-initialized defaults. Idempotent — in the
 /// standard pipeline this rewrites the values the earlier stages set.
 void publish_graph_facts(CheckContext& ctx, const AcyclicityArtifact* acyclicity) {
-  const PortDepGraph& dep =
-      ctx.artifacts.dep_graph(ctx.options.generic_builder, ctx.pool);
-  ctx.report.verdict.edges = dep.graph.edge_count();
+  ctx.report.verdict.edges =
+      ctx.artifacts.edge_count(ctx.options.generic_builder, ctx.pool);
   if (acyclicity != nullptr) {
     ctx.report.verdict.dep_acyclic = acyclicity->acyclic;
   }
@@ -63,22 +62,24 @@ Diagnostic make_diagnostic(
 /// Stage 1: materialize the channel-dependency graph and account the
 /// enumeration work — the generic construction's (port, dest) domain plus
 /// one check per produced edge, a deterministic count independent of
-/// sharding and of which (bit-identical) builder ran.
+/// sharding and of which (bit-identical) builder ran. A fault variant of a
+/// certified acyclic base builds no graph here: it reads the edge count
+/// its base's degrees give (AnalysisArtifacts::edge_count).
 class BuildDepGraphCheck final : public Check {
  public:
   const char* name() const override { return "build_depgraph"; }
   const char* description() const override {
     return "materialize the channel-dependency graph (Sec. IV.A); "
-           "analytic O(ports) builder, else per-destination on the pool";
+           "analytic O(ports) builder, else per-destination on the pool; "
+           "fault variants of an acyclic base count edges from the base";
   }
 
   StageStats run(CheckContext& ctx) const override {
     StageStats stats;
     stats.stage = name();
-    const PortDepGraph& dep =
-        ctx.artifacts.dep_graph(ctx.options.generic_builder, ctx.pool);
     InstanceVerdict& verdict = ctx.report.verdict;
-    verdict.edges = dep.graph.edge_count();
+    verdict.edges =
+        ctx.artifacts.edge_count(ctx.options.generic_builder, ctx.pool);
     stats.checks = static_cast<std::uint64_t>(
                        ctx.artifacts.topology().port_count()) *
                        ctx.artifacts.topology().destination_count() +
@@ -97,13 +98,16 @@ class BuildDepGraphCheck final : public Check {
 };
 
 /// Stage 2: Theorem 1 / (C-3) — acyclicity of the dependency graph, with a
-/// DFS cycle witness on failure.
+/// DFS cycle witness on failure. A fault variant of an acyclic base
+/// inherits the base's rank-certified verdict without a DFS of its own
+/// (AnalysisArtifacts::acyclicity).
 class SccAcyclicityCheck final : public Check {
  public:
   const char* name() const override { return "scc_acyclicity"; }
   const char* description() const override {
     return "decide (C-3) acyclicity (Theorem 1) via one sequential DFS, "
-           "with a cycle witness on failure";
+           "with a cycle witness on failure; fault variants of an acyclic "
+           "base inherit its rank-certified verdict";
   }
 
   StageStats run(CheckContext& ctx) const override {

@@ -204,10 +204,15 @@ TEST(Campaign, SingleFaultMeshIsFullyVerifiedOffOneBaseContext) {
   EXPECT_EQ(report.deadlock_free, 60u);
   EXPECT_EQ(report.deadlocked, 0u);
   EXPECT_FALSE(report.any_deadlock());
-  // The batch-sharing guarantee: the base dependency graph is built exactly
-  // once, and every variant's delta build reads it as a cache hit.
+  // The batch-sharing guarantee: the base dependency graph and its
+  // acyclicity verdict are computed exactly once. Every variant inherits
+  // the verdict (one base acyclicity hit each) and counts its edges from
+  // the base graph's degrees (one base dep_graph hit each); none builds a
+  // graph of its own.
   EXPECT_EQ(report.cache.dep_graph.misses, 1u);
-  EXPECT_EQ(report.cache.dep_graph.hits, report.variants_total);
+  EXPECT_EQ(report.cache.dep_graph.hits, 60u);
+  EXPECT_EQ(report.cache.acyclicity.misses, 1u);
+  EXPECT_EQ(report.cache.acyclicity.hits, report.variants_total);
   EXPECT_EQ(report.cache.contexts.misses, 1u);
   for (const VariantOutcome& out : report.variants) {
     EXPECT_FALSE(out.screened);

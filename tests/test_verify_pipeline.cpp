@@ -269,15 +269,22 @@ TEST(VerifyPipeline, SpecRunMatchesInstanceRunOnPresetsAndFaultVariants) {
   InstanceVerifyOptions options;
   options.runner = &runner;
   std::size_t delta_built = 0;
+  std::size_t inherited = 0;
   for (const InstanceSpec& spec : specs) {
     const NetworkInstance instance(spec);
     const std::string context = instance.name();
-    const VerifyReport want =
-        VerifyPipeline::standard().run(instance, options);
+    VerifyReport want = VerifyPipeline::standard().run(instance, options);
     ArtifactStore store;
     const std::shared_ptr<AnalysisArtifacts> artifacts = store.acquire(spec);
     const VerifyReport got =
         VerifyPipeline::standard().run(spec, *artifacts, options);
+    if (store.context_count() == 2 && want.verdict.dep_acyclic) {
+      // A variant of an acyclic base inherits the verdict and counts its
+      // edges from the base: it neither builds nor reads a graph of its own.
+      EXPECT_EQ(got.cache.dep_graph, (ArtifactCounter{0, 0})) << context;
+      want.cache.dep_graph = got.cache.dep_graph;
+      ++inherited;
+    }
     expect_reports_equal(got, want, context);
     // The header fields, straight from the constructed instance.
     EXPECT_EQ(got.verdict.instance, instance.name()) << context;
@@ -291,6 +298,7 @@ TEST(VerifyPipeline, SpecRunMatchesInstanceRunOnPresetsAndFaultVariants) {
     delta_built += store.context_count() == 2 ? 1 : 0;  // variant + base
   }
   EXPECT_EQ(delta_built, 2u);
+  EXPECT_EQ(inherited, 1u);  // the mesh variant; the torus base is cyclic
 }
 
 TEST(VerifyPipeline, BatchSweepPrimesEachDistinctClosureExactlyOnce) {
