@@ -205,6 +205,22 @@ void escape_analytic_64x64(benchmark::State& state) {
   report_rss(state);
 }
 
+// The analytic escape analysis with its fault terms live: a 64x64 torus
+// missing three links, one of them a wrap link the XY lane never takes.
+void escape_analytic_faulted_64x64(benchmark::State& state) {
+  const Mesh2D torus(64, 64, true, true,
+                     {LinkFault{65, PortName::kEast},
+                      LinkFault{2080, PortName::kSouth},
+                      LinkFault{4095, PortName::kEast}});
+  const TorusXYRouting routing(torus);
+  const XYRouting escape(torus);
+  for (auto _ : state) {
+    const EscapeAnalysis analysis = analyze_escape(routing, escape);
+    benchmark::DoNotOptimize(analysis.deadlock_free);
+  }
+  report_rss(state);
+}
+
 // One analysis context of the 256x256 XY mesh: the topology tables and the
 // routing, what `artifact:context_build` spans before any stage runs.
 void context_build_256x256(benchmark::State& state) {
@@ -290,6 +306,7 @@ GUARD_BENCH(campaign_rebuild_mesh16_single, kMicrosecond);
 GUARD_BENCH(escape_sequential_64x64, kMillisecond);
 GUARD_BENCH(escape_parallel_64x64, kMillisecond);
 GUARD_BENCH(escape_analytic_64x64, kMillisecond);
+GUARD_BENCH(escape_analytic_faulted_64x64, kMillisecond);
 GUARD_BENCH(context_build_256x256, kMillisecond);
 GUARD_BENCH(verify_mesh128_xy, kMillisecond);
 GUARD_BENCH(verify_mesh256_xy, kMillisecond);

@@ -6,9 +6,11 @@
 #include <optional>
 #include <sstream>
 #include <utility>
+#include <vector>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "routing/torus_xy.hpp"
 #include "routing/xy.hpp"
 #include "routing/yx.hpp"
 #include "util/require.hpp"
@@ -46,6 +48,16 @@ constexpr std::uint64_t kLinkEdge = 1;  // lane bit of an OUT port's link
 using State = std::pair<std::size_t, PortId>;
 constexpr State kNoState{std::numeric_limits<std::size_t>::max(),
                          kInvalidPort};
+
+/// "<in-port> / <destination>" of a missing-escape state; empty for
+/// kNoState.
+std::string state_label(const Topology& topo, State state) {
+  if (state == kNoState) {
+    return {};
+  }
+  return topo.port_label(state.second) + " / " +
+         topo.port_label(topo.destination_id(state.first));
+}
 
 /// The out-port named by the lowest set bit of \p mask in a node's slot table.
 PortId lowest_out(const PortId* slots, std::uint64_t mask) {
@@ -170,66 +182,139 @@ EscapeAnalysis finish(EscapeAnalysis result) {
   return result;
 }
 
-/// The lane's dimension order (true: x first) when analyze_escape's
-/// analytic path applies to the pair, else nullopt: an unfaulted grid, a
-/// deterministic node-uniform adaptive function with exact in-port unions,
-/// an XY or YX lane, and both functions only ever select existing out-ports
-/// (their terminal unions — every destination's choice at a node — exist).
-std::optional<bool> analytic_lane_order(const RoutingFunction& adaptive,
-                                        const RoutingFunction& escape) {
-  const auto* mesh = dynamic_cast<const Mesh2D*>(&adaptive.topology());
-  std::optional<bool> x_first;
-  if (dynamic_cast<const XYRouting*>(&escape) != nullptr) {
-    x_first = true;
-  } else if (dynamic_cast<const YXRouting*>(&escape) != nullptr) {
-    x_first = false;
+/// The dimension order of XY, YX and Torus-XY routing, else nullopt.
+struct DimensionOrder {
+  bool x_first = true;
+  bool wrap = false;
+};
+
+std::optional<DimensionOrder> dimension_order_of(
+    const RoutingFunction& routing) {
+  if (dynamic_cast<const XYRouting*>(&routing) != nullptr) {
+    return DimensionOrder{true, false};
   }
-  if (mesh == nullptr || mesh->has_faults() || !x_first.has_value() ||
-      &escape.topology() != mesh || !adaptive.is_deterministic() ||
-      !adaptive.node_uniform() || !adaptive.has_in_port_unions()) {
-    return std::nullopt;
+  if (dynamic_cast<const YXRouting*>(&routing) != nullptr) {
+    return DimensionOrder{false, false};
   }
-  const std::size_t local = static_cast<std::size_t>(PortName::kLocal);
-  for (std::size_t node = 0; node < mesh->node_count(); ++node) {
-    const std::uint64_t selected =
-        adaptive.in_port_union(node, local) |
-        dimension_order_in_port_union(*mesh, node, local, *x_first, false);
-    if ((selected & ~mesh->out_exists_mask(node)) != 0) {
-      return std::nullopt;
-    }
+  if (dynamic_cast<const TorusXYRouting*>(&routing) != nullptr) {
+    return DimensionOrder{true, true};
   }
-  return x_first;
+  return std::nullopt;
 }
 
-/// The closed form of the sweep for analytic_lane_order's pairs.
-EscapeAnalysis analyze_escape_analytic(const Mesh2D& mesh, bool x_first) {
+/// What analyze_escape's analytic path needs beyond the two functions.
+struct AnalyticPlan {
+  bool lane_x_first = true;
+  /// (node, out-name bits) of the out-ports the grid's failed links
+  /// removed, in node order; empty on an unfaulted grid.
+  std::vector<std::pair<std::size_t, std::uint64_t>> removed;
+};
+
+/// analyze_escape's analytic plan when its path applies to the pair, else
+/// nullopt: a grid (faulted or not), XY, YX or Torus-XY adaptive routing,
+/// an XY or YX lane on the same grid, and both functions only ever select
+/// out-ports of the UNFAULTED grid. That check reads the coordinate-only
+/// Local unions (every destination's choice at a node), which hold
+/// whatever the faults removed.
+std::optional<AnalyticPlan> analytic_plan(const RoutingFunction& adaptive,
+                                          const RoutingFunction& escape) {
+  const auto* mesh = dynamic_cast<const Mesh2D*>(&adaptive.topology());
+  const std::optional<DimensionOrder> order = dimension_order_of(adaptive);
+  const std::optional<DimensionOrder> lane = dimension_order_of(escape);
+  if (mesh == nullptr || &escape.topology() != mesh || !order.has_value() ||
+      !lane.has_value() || lane->wrap) {
+    return std::nullopt;
+  }
+  AnalyticPlan plan{lane->x_first, {}};
+  const std::size_t local = static_cast<std::size_t>(PortName::kLocal);
+  for (std::size_t node = 0; node < mesh->node_count(); ++node) {
+    std::uint64_t unfaulted = port_name_bit(PortName::kLocal);
+    for (const PortName name : {PortName::kEast, PortName::kWest,
+                                PortName::kNorth, PortName::kSouth}) {
+      if (link_fault_exists(LinkFault{static_cast<std::int32_t>(node), name},
+                            mesh->width(), mesh->height(), mesh->wraps_x(),
+                            mesh->wraps_y())) {
+        unfaulted |= port_name_bit(name);
+      }
+    }
+    const std::uint64_t selected =
+        dimension_order_in_port_union(*mesh, node, local, order->x_first,
+                                      order->wrap) |
+        dimension_order_in_port_union(*mesh, node, local, lane->x_first,
+                                      /*wrap=*/false);
+    if ((selected & ~unfaulted) != 0) {
+      return std::nullopt;
+    }
+    if (const std::uint64_t removed =
+            unfaulted & ~mesh->out_exists_mask(node)) {
+      plan.removed.emplace_back(node, removed);
+    }
+  }
+  return plan;
+}
+
+/// The closed form of the sweep for analytic_plan's pairs. Toward each
+/// destination every terminal in-port holds a packet, and the
+/// deterministic adaptive function takes one hop at every other node; a
+/// hop that exists fills the one in-port its link feeds. Both functions
+/// choose from coordinates alone, so faults only delete ports, and the
+/// fault terms live at the nodes that lost an out-port: a destination
+/// whose adaptive hop there was removed fills no link in-port, and one
+/// whose lane hop was removed leaves every adaptive-reachable in-port of
+/// the node without an escape. With no faults the terms vanish: each
+/// destination reaches the terminal in-ports plus node_count - 1 link
+/// in-ports, and nothing misses a lane hop.
+EscapeAnalysis analyze_escape_analytic(const RoutingFunction& adaptive,
+                                       const RoutingFunction& escape,
+                                       const AnalyticPlan& plan) {
   obs::TraceSpan span("escape_analytic");
   static obs::Counter& builds =
       obs::MetricsRegistry::global().counter("escape.analytic_builds");
   builds.increment();
-  // Toward each destination the deterministic adaptive function takes one
-  // existing hop at every other node, and each hop fills the one in-port
-  // its link feeds; packets enter at every terminal in-port. So per
-  // destination it reaches the terminal in-ports plus node_count - 1 link
-  // in-ports. The lane always has an existing hop, so nothing is missing.
+  const Mesh2D& mesh = adaptive.mesh();
+  const std::size_t dest_count = mesh.destination_count();
+  const std::uint64_t terminal = mesh.terminal_name_mask();
   std::uint64_t terminal_ins = 0;
   for (std::size_t node = 0; node < mesh.node_count(); ++node) {
-    for (std::uint64_t t = mesh.terminal_name_mask(); t != 0; t &= t - 1) {
+    for (std::uint64_t t = terminal; t != 0; t &= t - 1) {
       const auto name = static_cast<std::size_t>(std::countr_zero(t));
       terminal_ins += mesh.slot_id(node, name, Direction::kIn) != kInvalidPort;
     }
   }
   EscapeAnalysis result;
+  std::uint64_t dead_ends = 0;
+  State missing = kNoState;
+  for (const auto& [node, removed] : plan.removed) {
+    for (std::size_t dest = 0; dest < dest_count; ++dest) {
+      dead_ends += (adaptive.out_mask_id(node, dest) & removed) != 0;
+      if ((escape.out_mask_id(node, dest) & removed) == 0) {
+        continue;
+      }
+      for (std::size_t name = 0; name < mesh.name_count(); ++name) {
+        const PortId in = mesh.slot_id(node, name, Direction::kIn);
+        if (in != kInvalidPort && adaptive.closure_reachable_id(in, dest)) {
+          ++result.missing_states;
+          missing = std::min(missing, State{dest, in});
+        }
+      }
+    }
+  }
   result.states_checked =
-      mesh.destination_count() * (terminal_ins + mesh.node_count() - 1);
-  result.escape_always_available = true;
+      dest_count * (terminal_ins + mesh.node_count() - 1) - dead_ends;
+  result.escape_always_available = result.missing_states == 0;
+  result.missing_escape = state_label(mesh, missing);
   // Lane in-ports are filled only through the lane's own links, never the
   // wrap links it does not take, so its UNWRAPPED table is exact there; the
-  // adaptive-lane in-ports a packet escapes from add no lane edge.
+  // adaptive-lane in-ports a packet escapes from add no lane edge. A
+  // surviving lane in-port holds the same destinations as on the unfaulted
+  // grid (its driver is seeded from its own node's terminal in-port), so
+  // the emitter's existence filter yields the unfaulted escape graph
+  // induced on the surviving ports.
   result.escape_graph = emit_dep_graph_from_unions(
       mesh,
-      [&mesh, x_first](std::size_t node, std::size_t in_name) {
-        return dimension_order_in_port_union(mesh, node, in_name, x_first,
+      [&mesh, &plan](std::size_t node, std::size_t in_name) {
+        return dimension_order_in_port_union(mesh, node, in_name,
+                                             plan.lane_x_first,
                                              /*wrap=*/false);
       },
       /*terminal_in_edges=*/false);
@@ -303,11 +388,7 @@ EscapeAnalysis analyze_escape_sweep(const RoutingFunction& adaptive,
     }
   }
   result.escape_always_available = result.missing_states == 0;
-  if (missing != kNoState) {
-    result.missing_escape =
-        topo.port_label(missing.second) + " / " +
-        topo.port_label(topo.destination_id(missing.first));
-  }
+  result.missing_escape = state_label(topo, missing);
   Digraph& graph = result.escape_graph.graph;
   for (PortId pid = 0; pid < port_count; ++pid) {
     if (topo.dir_of(pid) == Direction::kOut) {
@@ -329,10 +410,9 @@ EscapeAnalysis analyze_escape(const RoutingFunction& adaptive,
                               const RoutingFunction& escape,
                               ThreadPool* pool) {
   obs::TraceSpan span("escape_analysis");
-  if (const std::optional<bool> x_first =
-          analytic_lane_order(adaptive, escape)) {
-    return analyze_escape_analytic(
-        static_cast<const Mesh2D&>(adaptive.topology()), *x_first);
+  if (const std::optional<AnalyticPlan> plan =
+          analytic_plan(adaptive, escape)) {
+    return analyze_escape_analytic(adaptive, escape, *plan);
   }
   return analyze_escape_sweep(adaptive, escape, pool);
 }

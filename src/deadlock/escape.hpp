@@ -25,16 +25,19 @@
 ///
 /// Two paths compute the same analysis. The node-mode SWEEP
 /// (analyze_escape_sweep) walks the adaptive closure once per destination
-/// and works for any pair. The ANALYTIC path is O(ports) and is taken when
-/// the grid is an unfaulted Mesh2D (wrapped or not), the adaptive function
-/// is deterministic and node-uniform with exact in-port unions (XY, YX,
-/// Torus-XY) and the lane is XY or YX. There, toward each destination, the
-/// adaptive function takes one existing hop from every other node, so it
-/// reaches every terminal in-port plus one link in-port per other node;
-/// the lane always has an existing hop, so no state misses one. Lane
-/// in-ports fill only through the lane's own links, never through a wrap
-/// link, so the lane's UNWRAPPED next_outs table (without the terminal
-/// in-ports, where no packet enters the lane) is exactly the escape graph.
+/// and works for any pair. The ANALYTIC path is O(ports + faults x dests)
+/// and is taken when the grid is a Mesh2D (wrapped or not, faulted or
+/// not), the adaptive function is XY, YX or Torus-XY and the lane is XY or
+/// YX. There, toward each destination, every terminal in-port holds a
+/// packet and the adaptive function takes one hop from every other node,
+/// which fills one link in-port unless a failed link removed it; the lane
+/// has a hop wherever no failed link removed it, and only the
+/// adaptive-reachable in-ports of those nodes miss one. Both functions
+/// choose from coordinates alone, so faults only delete ports and these
+/// terms vanish on an unfaulted grid. Lane in-ports fill only through the
+/// lane's own links, never through a wrap link, so the lane's UNWRAPPED
+/// next_outs table (without the terminal in-ports, where no packet enters
+/// the lane), filtered to the surviving ports, is exactly the escape graph.
 /// The analytic graph still gets the acyclicity check. The tests pin both
 /// paths against each other and against a per-state oracle.
 ///

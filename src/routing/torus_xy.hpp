@@ -8,9 +8,9 @@
 /// so (C-3) fails and Theorem 1's sufficiency direction yields concrete
 /// wormhole deadlocks. The classic fixes are dateline virtual channels or —
 /// in this library's terms — an escape lane routed by plain (non-wrapping)
-/// mesh XY or YX, which analyze_escape() proves sufficient in O(ports) on
-/// unfaulted grids (its analytic path: the lane's unwrapped next_outs table
-/// is its escape graph) and by its per-destination sweep on faulted ones.
+/// mesh XY or YX, which analyze_escape() proves sufficient analytically on
+/// every grid, fault variants included (the lane's unwrapped next_outs
+/// table, filtered to the surviving ports, is its escape graph).
 #pragma once
 
 #include "routing/routing.hpp"

@@ -57,9 +57,12 @@ class XYRouting final : public RoutingFunction {
   /// union of out-names per in-name — enables the O(ports) analytic
   /// dependency-graph build. Pure full meshes only: on wrapped grids the
   /// closed-form history claims ports (e.g. a wrap-fed W,IN at x = 0) no
-  /// route semantically visits, and on faulted meshes routes dead-end at
-  /// the fault so the full-grid table over-approximates — both stay on the
-  /// per-destination sweep (faulted variants take the delta build).
+  /// route semantically visits, so they stay on the per-destination sweep.
+  /// On faulted meshes the full-grid table stays exact once filtered to the
+  /// surviving ports (every surviving in-port's driver injects toward every
+  /// destination it held before: build_dep_graph_delta's induced-subgraph
+  /// argument, which tests/test_depgraph_delta.cpp pins through the
+  /// emitter); faulted variants take the delta build from their base.
   bool has_in_port_unions() const override {
     return topology().family() == "mesh" && !mesh().has_faults();
   }

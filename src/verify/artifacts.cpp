@@ -298,8 +298,8 @@ const EscapeAnalysis& AnalysisArtifacts::escape_analysis(ThreadPool* pool) {
   // keeps any eager closure build inside this cache's compute-once
   // accounting (node-granular tiers build nothing — the escape shards
   // materialize their own rows with thread locality). Its analytic path
-  // (unfaulted grids, dimension-order adaptive routing and lane) reads no
-  // closure row at all.
+  // (dimension-order adaptive routing and lane on any grid, fault variants
+  // included) reads no closure row at all.
   ensure_primed_locked(pool);
   ++stats_.escape.misses;
   counters.misses.increment();

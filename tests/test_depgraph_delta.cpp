@@ -4,7 +4,9 @@
 // edge count, same CSR adjacency, edge for edge. Non-node-uniform presets
 // (odd_even) exercise the documented fallback: the variant constructor
 // degrades to a full build and equality holds trivially. mesh64-xy is
-// covered by a sampled sweep (every 97th link) to bound runtime.
+// covered by a sampled sweep (every 97th link) to bound runtime. The same
+// induced-subgraph argument makes the unfaulted XY/YX unions exact on
+// faulted meshes once filtered to the surviving ports.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -17,6 +19,9 @@
 #include "instance/registry.hpp"
 #include "instance/spec.hpp"
 #include "obs/metrics.hpp"
+#include "routing/xy.hpp"
+#include "routing/yx.hpp"
+#include "util/thread_pool.hpp"
 #include "verify/artifacts.hpp"
 
 namespace genoc {
@@ -37,11 +42,13 @@ void expect_identical(const PortDepGraph& delta, const PortDepGraph& full,
 }
 
 /// Sweeps every single-link variant of \p base (every \p stride-th link),
-/// comparing the delta-derived graph against a from-scratch rebuild.
-/// stride == 0 selects automatically: exhaustive where the delta path is
-/// live (node-uniform routing), sampled where the variant constructor can
-/// only fall back to full builds anyway. Returns the variants compared.
-std::size_t sweep_single_faults(const InstanceSpec& base, std::size_t stride) {
+/// comparing the delta-derived graph against a from-scratch rebuild, which
+/// shards over \p pool when one is given. stride == 0 selects
+/// automatically: exhaustive where the delta path is live (node-uniform
+/// routing), sampled where the variant constructor can only fall back to
+/// full builds anyway. Returns the variants compared.
+std::size_t sweep_single_faults(const InstanceSpec& base, std::size_t stride,
+                                ThreadPool* pool = nullptr) {
   const FaultModel model(base);
   FaultPlan plan;  // kSingle
   const std::vector<InstanceSpec> variants = model.variants(plan);
@@ -58,7 +65,7 @@ std::size_t sweep_single_faults(const InstanceSpec& base, std::size_t stride) {
     AnalysisArtifacts delta_artifacts(vspec, base_artifacts);
     AnalysisArtifacts full_artifacts(vspec);
     expect_identical(delta_artifacts.dep_graph(false, nullptr),
-                     full_artifacts.dep_graph(false, nullptr), context);
+                     full_artifacts.dep_graph(false, pool), context);
     ++compared;
   }
   return compared;
@@ -87,7 +94,54 @@ TEST(DepGraphDelta, BitIdenticalOnEveryGridPresetSingleFault) {
 TEST(DepGraphDelta, SampledSweepOnMesh64) {
   const InstanceSpec* spec = InstanceRegistry::global().find("mesh64-xy");
   ASSERT_NE(spec, nullptr);
-  EXPECT_GE(sweep_single_faults(*spec, 97), 80u);
+  // The oracle rebuilds are per-destination sweeps of a 64x64 grid; the
+  // pool shards them (the graph is bit-identical at any thread count).
+  ThreadPool pool(4);
+  EXPECT_GE(sweep_single_faults(*spec, 97, &pool), 80u);
+}
+
+TEST(DepGraphDelta, FullGridUnionsAreExactOnFaultedMeshes) {
+  // The induced-subgraph argument read through the analytic emitter: the
+  // unfaulted XY/YX next_outs tables, filtered to the surviving ports, give
+  // a faulted mesh's dependency graph edge for edge. Every surviving
+  // in-port holds the destinations it holds on the full grid, because its
+  // driver's own node injects toward all of them.
+  std::size_t compared = 0;
+  for (std::int32_t w = 1; w <= 6; ++w) {
+    for (std::int32_t h = 1; h <= 6; ++h) {
+      if (w * h < 2) {
+        continue;
+      }
+      for (std::int32_t node = 0; node < w * h; ++node) {
+        for (const PortName name : {PortName::kEast, PortName::kSouth}) {
+          const LinkFault link{node, name};
+          if (!link_fault_exists(link, w, h, false, false)) {
+            continue;
+          }
+          const Mesh2D mesh(w, h, false, false, {link});
+          const XYRouting xy(mesh);
+          const YXRouting yx(mesh);
+          for (const RoutingFunction* routing :
+               {static_cast<const RoutingFunction*>(&xy),
+                static_cast<const RoutingFunction*>(&yx)}) {
+            ASSERT_FALSE(routing->has_in_port_unions());
+            const PortDepGraph from_unions = emit_dep_graph_from_unions(
+                mesh,
+                [routing](std::size_t at, std::size_t in_name) {
+                  return routing->in_port_union(at, in_name);
+                },
+                /*terminal_in_edges=*/true);
+            expect_identical(from_unions, build_dep_graph_fast(*routing),
+                             routing->name() + " " + std::to_string(w) + "x" +
+                                 std::to_string(h) + " failed=" +
+                                 link_fault_token(link));
+            ++compared;
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 500u);
 }
 
 TEST(DepGraphDelta, DeltaPathIsActuallyTaken) {
