@@ -2,7 +2,8 @@
 /// \brief The micro-benchmarks the CI perf guards read
 ///        (tools/check_bench_guard.py) and the ROADMAP's perf trajectory
 ///        cites: fast vs generic dependency-graph builds, delta vs rebuilt
-///        fault-variant graphs, sequential vs sharded vs analytic escape
+///        fault-variant graphs, derived fault-variant contexts vs one grid
+///        build, sequential vs sharded vs analytic escape
 ///        analysis, the mesh256 context build, the headline mesh128/mesh256
 ///        verifies, the registry sweep and the compressed-closure prime.
 ///
@@ -14,8 +15,10 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "campaign/fault_model.hpp"
 #include "deadlock/depgraph.hpp"
 #include "deadlock/escape.hpp"
 #include "instance/batch_runner.hpp"
@@ -98,12 +101,11 @@ void depgraph_fast_256x256(benchmark::State& state) {
   report_rss(state);
 }
 
-/// Every 30th single-link fault of mesh16 (16 variants), each with the
-/// base ports its failed link removes.
+/// Every 30th single-link fault of mesh16 (16 variants), derived from the
+/// base grid; removed_base_ports() names the base ports each one lacks.
 struct FaultVariant {
   std::unique_ptr<Mesh2D> mesh;
   std::unique_ptr<XYRouting> routing;
-  std::vector<PortId> removed;
 };
 
 std::vector<FaultVariant> mesh16_fault_sample(const Mesh2D& base) {
@@ -118,19 +120,10 @@ std::vector<FaultVariant> mesh16_fault_sample(const Mesh2D& base) {
   }
   std::vector<FaultVariant> variants;
   for (std::size_t i = 0; i < links.size(); i += 30) {
-    const LinkFault fault = links[i];
-    const LinkFault peer = link_fault_peer(fault, 16, 16, false, false);
     FaultVariant variant;
-    variant.mesh = std::make_unique<Mesh2D>(16, 16, false, false,
-                                            std::vector<LinkFault>{fault});
+    variant.mesh =
+        std::make_unique<Mesh2D>(base, std::vector<LinkFault>{links[i]});
     variant.routing = std::make_unique<XYRouting>(*variant.mesh);
-    for (const LinkFault& end : {fault, peer}) {
-      for (const Direction dir : {Direction::kIn, Direction::kOut}) {
-        variant.removed.push_back(
-            base.id(Port{end.node % 16, end.node / 16, end.name, dir}));
-      }
-    }
-    std::sort(variant.removed.begin(), variant.removed.end());
     variants.push_back(std::move(variant));
   }
   return variants;
@@ -147,7 +140,8 @@ void campaign_delta_mesh16_single(benchmark::State& state) {
   for (auto _ : state) {
     for (const FaultVariant& v : variants) {
       const PortDepGraph dep =
-          build_dep_graph_delta(base_dep, *v.routing, v.removed);
+          build_dep_graph_delta(base_dep, *v.routing,
+                                v.mesh->removed_base_ports());
       benchmark::DoNotOptimize(dep.graph.edge_count());
     }
   }
@@ -162,6 +156,43 @@ void campaign_rebuild_mesh16_single(benchmark::State& state) {
       const PortDepGraph dep = build_dep_graph_fast(*v.routing);
       benchmark::DoNotOptimize(dep.graph.edge_count());
     }
+  }
+  report_rss(state);
+}
+
+// Fault-campaign per-variant set-up: the analysis context of every 31st
+// single-fault variant of the 32x32 XY mesh (64 variants), derived from
+// the campaign's base context as run_campaign derives it. CI guards it
+// per variant against one unfaulted 32x32 grid build (the next bench, its
+// side a run-time argument): deriving a variant must stay well under
+// re-enumerating its ports.
+void campaign_context_mesh32_single(benchmark::State& state) {
+  std::string error;
+  const InstanceSpec base_spec =
+      *parse_instance_spec("topology=mesh size=32x32 routing=xy", &error);
+  const auto base = std::make_shared<AnalysisArtifacts>(base_spec);
+  const FaultModel model(base_spec);
+  const FaultPlan single;
+  std::vector<InstanceSpec> variants;
+  for (std::size_t i = 0; i < model.variant_count(single); i += 31) {
+    variants.push_back(model.variant(single, i));
+  }
+  for (auto _ : state) {
+    for (const InstanceSpec& vspec : variants) {
+      const AnalysisArtifacts context(vspec, base);
+      benchmark::DoNotOptimize(context.topology().port_count());
+    }
+  }
+  state.counters["variants"] =
+      benchmark::Counter(static_cast<double>(variants.size()));
+  report_rss(state);
+}
+
+void campaign_mesh_build(benchmark::State& state) {
+  const std::int32_t side = static_cast<std::int32_t>(state.range(0));
+  for (auto _ : state) {
+    const Mesh2D mesh(side, side);
+    benchmark::DoNotOptimize(mesh.port_count());
   }
   report_rss(state);
 }
@@ -303,6 +334,8 @@ GUARD_BENCH(depgraph_fast_cmesh, kMicrosecond);
 GUARD_BENCH(depgraph_fast_256x256, kMillisecond);
 GUARD_BENCH(campaign_delta_mesh16_single, kMicrosecond);
 GUARD_BENCH(campaign_rebuild_mesh16_single, kMicrosecond);
+GUARD_BENCH(campaign_context_mesh32_single, kMicrosecond);
+GUARD_BENCH(campaign_mesh_build, kMicrosecond)->Arg(32);
 GUARD_BENCH(escape_sequential_64x64, kMillisecond);
 GUARD_BENCH(escape_parallel_64x64, kMillisecond);
 GUARD_BENCH(escape_analytic_64x64, kMillisecond);

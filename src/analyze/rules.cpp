@@ -1027,63 +1027,77 @@ class ConnectivityRule final : public AnalysisRule {
     stats.ran = true;
     const Topology& topo = ctx.topology;
     const std::size_t nodes = topo.node_count();
-    const std::size_t names = topo.name_count();
 
-    // Node-level BFS over surviving links. Links are removed in pairs
-    // (both directions of a channel), so the node graph is symmetric and
-    // one BFS from any terminal node decides mutual connectivity.
-    std::vector<char> terminal(nodes, 0);
-    for (const PortId source : topo.source_ids()) {
-      terminal[topo.node_of(source)] = 1;
-    }
-    for (const PortId dest : topo.destination_ids()) {
-      terminal[topo.node_of(dest)] = 1;
-    }
-    std::vector<char> seen(nodes, 0);
-    std::vector<std::size_t> queue;
-    queue.reserve(nodes);
-    for (std::size_t node = 0; node < nodes; ++node) {
-      if (terminal[node]) {
-        seen[node] = 1;
-        queue.push_back(node);
-        break;
+    // An unfaulted grid is connected, so a faulted one is iff each failed
+    // link's two endpoint nodes still reach each other (a base path detours
+    // around every removed link). Then no node is cut off, and the full
+    // BFS below would have visited every node and counted each OUT port
+    // once.
+    std::uint64_t disconnected = 0;
+    const auto* grid = dynamic_cast<const Mesh2D*>(&topo);
+    if (grid != nullptr && fault_endpoints_connected(*grid)) {
+      for (std::size_t node = 0; node < nodes; ++node) {
+        stats.checks += static_cast<std::uint64_t>(
+            std::popcount(topo.out_exists_mask(node)));
       }
-    }
-    while (!queue.empty()) {
-      const std::size_t node = queue.back();
-      queue.pop_back();
-      const PortId* slots = topo.node_slots(node);
-      for (std::size_t n = 0; n < names; ++n) {
-        const PortId out =
-            slots[n * 2 + static_cast<std::size_t>(Direction::kOut)];
-        if (out == kInvalidPort) {
+    } else {
+      // The full BFS from the first terminal node, which counts every OUT
+      // port it scans and lists the terminal nodes it never reaches. Links
+      // are removed in pairs (both directions of a channel), so the node
+      // graph is symmetric and one BFS decides mutual connectivity.
+      const std::size_t names = topo.name_count();
+      std::vector<char> terminal(nodes, 0);
+      for (const PortId source : topo.source_ids()) {
+        terminal[topo.node_of(source)] = 1;
+      }
+      for (const PortId dest : topo.destination_ids()) {
+        terminal[topo.node_of(dest)] = 1;
+      }
+      std::vector<char> seen(nodes, 0);
+      std::vector<std::size_t> queue;
+      queue.reserve(nodes);
+      for (std::size_t node = 0; node < nodes; ++node) {
+        if (terminal[node]) {
+          seen[node] = 1;
+          queue.push_back(node);
+          break;
+        }
+      }
+      while (!queue.empty()) {
+        const std::size_t node = queue.back();
+        queue.pop_back();
+        const PortId* slots = topo.node_slots(node);
+        for (std::size_t n = 0; n < names; ++n) {
+          const PortId out =
+              slots[n * 2 + static_cast<std::size_t>(Direction::kOut)];
+          if (out == kInvalidPort) {
+            continue;
+          }
+          ++stats.checks;
+          const PortId target = topo.link_target(out);
+          if (target == kInvalidPort) {
+            continue;  // terminal out-port: ejection, not a link
+          }
+          const std::size_t next = topo.node_of(target);
+          if (!seen[next]) {
+            seen[next] = 1;
+            queue.push_back(next);
+          }
+        }
+      }
+      for (std::size_t node = 0; node < nodes; ++node) {
+        if (!terminal[node] || seen[node]) {
           continue;
         }
-        ++stats.checks;
-        const PortId target = topo.link_target(out);
-        if (target == kInvalidPort) {
-          continue;  // terminal out-port: ejection, not a link
+        ++disconnected;
+        if (disconnected <= ctx.options.max_findings_per_code) {
+          ctx.report.diagnostics.push_back(make_diagnostic(
+              name(), Severity::kError, "net-disconnected",
+              "terminal node " + topo.node_label(node) +
+                  " is cut off from the rest of the network by the failed "
+                  "links",
+              {{"node", topo.node_label(node)}}));
         }
-        const std::size_t next = topo.node_of(target);
-        if (!seen[next]) {
-          seen[next] = 1;
-          queue.push_back(next);
-        }
-      }
-    }
-    std::uint64_t disconnected = 0;
-    for (std::size_t node = 0; node < nodes; ++node) {
-      if (!terminal[node] || seen[node]) {
-        continue;
-      }
-      ++disconnected;
-      if (disconnected <= ctx.options.max_findings_per_code) {
-        ctx.report.diagnostics.push_back(make_diagnostic(
-            name(), Severity::kError, "net-disconnected",
-            "terminal node " + topo.node_label(node) +
-                " is cut off from the rest of the network by the failed "
-                "links",
-            {{"node", topo.node_label(node)}}));
       }
     }
 
@@ -1169,6 +1183,49 @@ class ConnectivityRule final : public AnalysisRule {
           {{"uncovered", std::to_string(uncovered)}}));
     }
     return stats;
+  }
+
+ private:
+  /// True iff every failed link's endpoint nodes reach each other over the
+  /// surviving links: one BFS per fault, stopped at the other endpoint, so
+  /// a fault with a short detour costs a few nodes, not the whole grid.
+  static bool fault_endpoints_connected(const Mesh2D& mesh) {
+    if (!mesh.has_faults()) {
+      return true;
+    }
+    std::vector<std::uint32_t> seen(mesh.node_count(), 0);
+    std::vector<std::size_t> queue;
+    std::uint32_t stamp = 0;
+    for (const LinkFault& fault : mesh.failed_links()) {
+      const auto goal = static_cast<std::size_t>(
+          link_fault_peer(fault, mesh.width(), mesh.height(), mesh.wraps_x(),
+                          mesh.wraps_y())
+              .node);
+      ++stamp;
+      queue.assign(1, static_cast<std::size_t>(fault.node));
+      seen[queue.front()] = stamp;
+      bool reached = false;
+      for (std::size_t head = 0; head < queue.size() && !reached; ++head) {
+        const PortId* slots = mesh.node_slots(queue[head]);
+        for (const PortName name : {PortName::kEast, PortName::kWest,
+                                    PortName::kNorth, PortName::kSouth}) {
+          const PortId out = slots[port_slot(name, Direction::kOut)];
+          if (out == kInvalidPort) {
+            continue;
+          }
+          const std::size_t next = mesh.node_of(mesh.link_target(out));
+          reached = reached || next == goal;
+          if (seen[next] != stamp) {
+            seen[next] = stamp;
+            queue.push_back(next);
+          }
+        }
+      }
+      if (!reached) {
+        return false;
+      }
+    }
+    return true;
   }
 };
 

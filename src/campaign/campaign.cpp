@@ -39,15 +39,15 @@ CampaignReport run_campaign(const InstanceSpec& base,
   obs::TraceSpan span("campaign");
   Stopwatch timer;
   const FaultModel model(base);  // validates grid / unfaulted / spec
-  const std::vector<InstanceSpec> variants = model.variants(options.plan);
+  const std::size_t variant_count = model.variant_count(options.plan);
 
   CampaignReport report;
   report.instance = display_name(base);
   report.spec = to_spec_string(base);
   report.plan = to_string(options.plan);
   report.links = model.links().size();
-  report.variants_total = variants.size();
-  report.variants.resize(variants.size());
+  report.variants_total = variant_count;
+  report.variants.resize(variant_count);
 
   BatchRunner pool(options.threads);
   report.threads = pool.thread_count();
@@ -67,12 +67,14 @@ CampaignReport run_campaign(const InstanceSpec& base,
   const Analyzer& screen = screen_analyzer();
   const VerifyPipeline& pipeline = VerifyPipeline::standard();
   pool.parallel_for(
-      variants.size(), pool.recommended_grain(variants.size()),
+      variant_count, pool.recommended_grain(variant_count),
       [&](std::size_t begin, std::size_t end) {
         for (std::size_t i = begin; i < end; ++i) {
           obs::TraceSpan variant_span("campaign:variant");
           Stopwatch variant_timer;
-          const InstanceSpec& vspec = variants[i];
+          // Built here, not up front: a double-fault plan has O(links^2)
+          // variants, too many specs to hold at once.
+          const InstanceSpec vspec = model.variant(options.plan, i);
           VariantOutcome& out = report.variants[i];
           out.faults = join_failed_links(vspec.failed_links);
           if (variant_span.active()) {

@@ -7,17 +7,24 @@
 /// The campaign is the paper's decision procedure applied in bulk: Theorem 1
 /// decides each variant from its routing function alone, so a sweep over
 /// every single-link failure of a mesh is thousands of cheap static
-/// decisions, not thousands of simulations. Three mechanisms keep it cheap:
+/// decisions, not thousands of simulations. Four mechanisms keep it cheap:
 ///
 ///   1. ANALYZE-FIRST: each variant runs the spec_sanity / fault_sanity /
 ///      connectivity rule subset first; a variant with an error-severity
 ///      finding (a shattered network, a duplicate fault) is SCREENED on its
-///      stable diagnostic codes without spending a verify.
+///      stable diagnostic codes without spending a verify. Connectivity
+///      costs one short BFS per failed link: the grid stays connected iff
+///      each link's endpoints still reach each other.
 ///   2. BATCH-SHARED ARTIFACTS: one ArtifactStore holds the unfaulted BASE
 ///      context; its dependency graph and closure are built once, and every
 ///      variant keeps only a LOCAL artifact cache wired to that base (the
 ///      store's hit counters make the sharing assertable).
-///   3. INHERITED VERDICTS, DELTA GRAPHS: for link faults on node-uniform
+///   3. DERIVED GRIDS, STREAMED SPECS: a variant's grid is the base grid's
+///      tables minus the failed links' ports (Mesh2D's deriving
+///      constructor), not a fresh port enumeration, and each variant spec
+///      is built inside its shard (FaultModel::variant), so a double-fault
+///      plan never holds its O(links^2) specs at once.
+///   4. INHERITED VERDICTS, DELTA GRAPHS: for link faults on node-uniform
 ///      routings the variant dependency graph is the base graph's induced
 ///      subgraph on the surviving ports. Under an acyclic base every
 ///      variant is acyclic too: it inherits the base's rank-certified

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <cmath>
 
 #include "topology/mesh.hpp"
 #include "util/require.hpp"
@@ -120,48 +121,67 @@ std::size_t FaultModel::variant_count(const FaultPlan& plan) const {
     case FaultPlan::Kind::kDouble:
       return n * (n - 1) / 2;
     case FaultPlan::Kind::kRandom:
+      GENOC_REQUIRE(plan.count <= n,
+                    "random fault plan draws " + std::to_string(plan.count) +
+                        " links but the base has only " + std::to_string(n));
       return 1;
   }
   return 0;
 }
 
-std::vector<InstanceSpec> FaultModel::variants(const FaultPlan& plan) const {
+InstanceSpec FaultModel::variant(const FaultPlan& plan,
+                                 std::size_t index) const {
+  GENOC_REQUIRE(index < variant_count(plan),
+                "variant index " + std::to_string(index) +
+                    " is past the plan's variants");
+  std::vector<std::string> failed;
+  switch (plan.kind) {
+    case FaultPlan::Kind::kSingle:
+      failed = {links_[index]};
+      break;
+    case FaultPlan::Kind::kDouble: {
+      // Pairs (i, j > i) are numbered row by row: row i starts at
+      // first(i) = i * (2n - i - 1) / 2. Solve first(i) <= index for the
+      // largest i in floating point, then correct the rounding.
+      const std::size_t n = links_.size();
+      const auto first = [n](std::size_t i) { return i * (2 * n - i - 1) / 2; };
+      const double b = 2.0 * static_cast<double>(n) - 1.0;
+      const double root = std::sqrt(std::max(
+          0.0, b * b - 8.0 * static_cast<double>(index)));
+      auto i = static_cast<std::size_t>(std::max(0.0, (b - root) / 2.0));
+      i = std::min(i, n - 2);
+      while (i > 0 && first(i) > index) {
+        --i;
+      }
+      while (i + 1 < n - 1 && first(i + 1) <= index) {
+        ++i;
+      }
+      failed = {links_[i], links_[i + 1 + (index - first(i))]};
+      break;
+    }
+    case FaultPlan::Kind::kRandom: {
+      Rng rng(plan.seed);
+      const std::vector<std::size_t> order = rng.permutation(links_.size());
+      for (std::size_t i = 0; i < plan.count; ++i) {
+        failed.push_back(links_[order[i]]);
+      }
+      break;
+    }
+  }
   // The preset name is cleared so each variant's display name is its
   // canonical spec string (fault set included) instead of N copies of the
   // base's name.
-  InstanceSpec proto = base_;
-  proto.name.clear();
+  InstanceSpec result = base_.with_failed_links(failed);
+  result.name.clear();
+  return result;
+}
+
+std::vector<InstanceSpec> FaultModel::variants(const FaultPlan& plan) const {
+  const std::size_t count = variant_count(plan);
   std::vector<InstanceSpec> result;
-  switch (plan.kind) {
-    case FaultPlan::Kind::kSingle:
-      result.reserve(links_.size());
-      for (const std::string& link : links_) {
-        result.push_back(proto.with_failed_links({link}));
-      }
-      break;
-    case FaultPlan::Kind::kDouble:
-      result.reserve(variant_count(plan));
-      for (std::size_t i = 0; i < links_.size(); ++i) {
-        for (std::size_t j = i + 1; j < links_.size(); ++j) {
-          result.push_back(proto.with_failed_links({links_[i], links_[j]}));
-        }
-      }
-      break;
-    case FaultPlan::Kind::kRandom: {
-      GENOC_REQUIRE(plan.count <= links_.size(),
-                    "random fault plan draws " + std::to_string(plan.count) +
-                        " links but the base has only " +
-                        std::to_string(links_.size()));
-      Rng rng(plan.seed);
-      const std::vector<std::size_t> order = rng.permutation(links_.size());
-      std::vector<std::string> drawn;
-      drawn.reserve(plan.count);
-      for (std::size_t i = 0; i < plan.count; ++i) {
-        drawn.push_back(links_[order[i]]);
-      }
-      result.push_back(proto.with_failed_links(drawn));
-      break;
-    }
+  result.reserve(count);
+  for (std::size_t i = 0; i < count; ++i) {
+    result.push_back(variant(plan, i));
   }
   return result;
 }

@@ -59,13 +59,18 @@ class FaultModel {
   const std::vector<std::string>& links() const { return links_; }
 
   /// Number of variants \p plan induces without materializing them.
+  /// kRandom requires count <= links().size().
   std::size_t variant_count(const FaultPlan& plan) const;
 
-  /// The variant specs of \p plan, in deterministic order: link order for
-  /// kSingle, lexicographic pair order (i < j) for kDouble, one spec for
-  /// kRandom. Each variant is the base with `failed_links` set (and the
-  /// preset name cleared, so display names show the fault set). kRandom
-  /// requires count <= links().size().
+  /// Variant \p index of \p plan, built alone (for kDouble the pair index
+  /// is unranked in O(1)), so a campaign can stream its variants instead of
+  /// holding them all: link order for kSingle, lexicographic pair order
+  /// (i < j) for kDouble, one spec for kRandom. Each variant is the base
+  /// with `failed_links` set (and the preset name cleared, so display
+  /// names show the fault set). Requires index < variant_count(plan).
+  InstanceSpec variant(const FaultPlan& plan, std::size_t index) const;
+
+  /// Every variant of \p plan, in index order.
   std::vector<InstanceSpec> variants(const FaultPlan& plan) const;
 
  private:

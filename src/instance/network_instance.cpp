@@ -32,7 +32,8 @@ const T& family_cast(const Topology& topology, const std::string& name) {
 
 }  // namespace
 
-std::unique_ptr<Topology> make_topology(const InstanceSpec& spec) {
+std::unique_ptr<Topology> make_topology(const InstanceSpec& spec,
+                                        const Mesh2D* base) {
   if (spec.topology == "cmesh") {
     return std::make_unique<CMeshTopology>(spec.width, spec.height,
                                            spec.concentration);
@@ -52,8 +53,19 @@ std::unique_ptr<Topology> make_topology(const InstanceSpec& spec) {
     GENOC_REQUIRE(fault.has_value(), error);
     faults.push_back(*fault);
   }
-  return std::make_unique<Mesh2D>(spec.width, spec.height, spec.wrap_x(),
-                                  spec.wrap_y(), faults);
+  if (faults.empty()) {
+    return std::make_unique<Mesh2D>(spec.width, spec.height, spec.wrap_x(),
+                                    spec.wrap_y());
+  }
+  if (base == nullptr) {
+    return std::make_unique<Mesh2D>(spec.width, spec.height, spec.wrap_x(),
+                                    spec.wrap_y(), faults);
+  }
+  GENOC_REQUIRE(base->width() == spec.width && base->height() == spec.height &&
+                    base->wraps_x() == spec.wrap_x() &&
+                    base->wraps_y() == spec.wrap_y(),
+                "base grid does not match the faulted spec's grid");
+  return std::make_unique<Mesh2D>(*base, faults);
 }
 
 std::unique_ptr<RoutingFunction> make_routing(const std::string& name,

@@ -1,5 +1,6 @@
 #include "topology/mesh.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <charconv>
 
@@ -114,15 +115,7 @@ LinkFault canonical_link_fault(const LinkFault& fault, std::int32_t width,
 
 Mesh2D::Mesh2D(std::int32_t width, std::int32_t height, bool wrap_x,
                bool wrap_y)
-    : Mesh2D(width, height, wrap_x, wrap_y, {}) {}
-
-Mesh2D::Mesh2D(std::int32_t width, std::int32_t height, bool wrap_x,
-               bool wrap_y, const std::vector<LinkFault>& failed_links)
-    : width_(width),
-      height_(height),
-      wrap_x_(wrap_x),
-      wrap_y_(wrap_y),
-      failed_links_(failed_links) {
+    : width_(width), height_(height), wrap_x_(wrap_x), wrap_y_(wrap_y) {
   GENOC_REQUIRE(width >= 1 && height >= 1, "mesh dimensions must be positive");
   GENOC_REQUIRE(static_cast<std::int64_t>(width) * height >= 2,
                 "a mesh needs at least two nodes");
@@ -141,30 +134,6 @@ Mesh2D::Mesh2D(std::int32_t width, std::int32_t height, bool wrap_x,
     }
   }
 
-  // Failed links remove their four channel ports (both directed channels'
-  // OUT + IN) before enumeration, so fault handling is literally the same
-  // machinery as boundary nodes: the ports never get ids, and removal is
-  // closed under the link pairing (a surviving cardinal OUT port always
-  // keeps its surviving target).
-  std::vector<char> removed;
-  if (!failed_links_.empty()) {
-    removed.assign(nodes * kPortSlotsPerNode, 0);
-    for (const LinkFault& fault : failed_links_) {
-      GENOC_REQUIRE(
-          link_fault_exists(fault, width_, height_, wrap_x_, wrap_y_),
-          "failed link does not exist in this mesh: " +
-              link_fault_token(fault));
-      const LinkFault peer =
-          link_fault_peer(fault, width_, height_, wrap_x_, wrap_y_);
-      for (const LinkFault& end : {fault, peer}) {
-        const NodeCoord at = coords_[static_cast<std::size_t>(end.node)];
-        const Port base{at.x, at.y, end.name, Direction::kIn};
-        removed[slot(base)] = 1;
-        removed[slot(Port{base.x, base.y, base.name, Direction::kOut})] = 1;
-      }
-    }
-  }
-
   // Enumerate ports node-major so ids are stable and human-predictable.
   for (std::size_t node = 0; node < nodes; ++node) {
     const NodeCoord at = coords_[node];
@@ -172,13 +141,9 @@ Mesh2D::Mesh2D(std::int32_t width, std::int32_t height, bool wrap_x,
                           PortName::kSouth, PortName::kLocal}) {
       for (Direction direction : {Direction::kIn, Direction::kOut}) {
         const Port p{at.x, at.y, name, direction};
-        if (!port_physically_exists(p, width_, height_, wrap_x_, wrap_y_)) {
-          continue;
+        if (port_physically_exists(p, width_, height_, wrap_x_, wrap_y_)) {
+          add_port(node, static_cast<std::size_t>(name), direction);
         }
-        if (!removed.empty() && removed[slot(p)] != 0) {
-          continue;
-        }
-        add_port(node, static_cast<std::size_t>(name), direction);
       }
     }
   }
@@ -189,6 +154,43 @@ Mesh2D::Mesh2D(std::int32_t width, std::int32_t height, bool wrap_x,
     }
   }
   finish_topology();
+}
+
+Mesh2D::Mesh2D(std::int32_t width, std::int32_t height, bool wrap_x,
+               bool wrap_y, const std::vector<LinkFault>& failed_links)
+    : Mesh2D(Mesh2D(width, height, wrap_x, wrap_y), failed_links) {}
+
+Mesh2D::Mesh2D(const Mesh2D& base, const std::vector<LinkFault>& failed_links)
+    : width_(base.width_),
+      height_(base.height_),
+      wrap_x_(base.wrap_x_),
+      wrap_y_(base.wrap_y_),
+      failed_links_(failed_links),
+      coords_(base.coords_) {
+  GENOC_REQUIRE(!base.has_faults(),
+                "faulted grids derive from an unfaulted base grid");
+  // A failed link removes its four channel ports (both directed channels'
+  // OUT + IN), so removal is closed under the link pairing: a surviving
+  // cardinal OUT port always keeps its surviving target.
+  removed_base_ports_.reserve(failed_links_.size() * 4);
+  for (const LinkFault& fault : failed_links_) {
+    GENOC_REQUIRE(link_fault_exists(fault, width_, height_, wrap_x_, wrap_y_),
+                  "failed link does not exist in this mesh: " +
+                      link_fault_token(fault));
+    const LinkFault peer =
+        link_fault_peer(fault, width_, height_, wrap_x_, wrap_y_);
+    for (const LinkFault& end : {fault, peer}) {
+      const NodeCoord at = coords_[static_cast<std::size_t>(end.node)];
+      for (const Direction dir : {Direction::kIn, Direction::kOut}) {
+        removed_base_ports_.push_back(base.id(Port{at.x, at.y, end.name, dir}));
+      }
+    }
+  }
+  std::sort(removed_base_ports_.begin(), removed_base_ports_.end());
+  removed_base_ports_.erase(
+      std::unique(removed_base_ports_.begin(), removed_base_ports_.end()),
+      removed_base_ports_.end());
+  derive_topology(base, removed_base_ports_);
 }
 
 std::string Mesh2D::family() const {

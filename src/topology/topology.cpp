@@ -1,5 +1,7 @@
 #include "topology/topology.hpp"
 
+#include <algorithm>
+
 #include "topology/port.hpp"
 #include "util/require.hpp"
 
@@ -84,6 +86,43 @@ void Topology::set_link(PortId out, PortId in) {
   GENOC_REQUIRE(dir_of(out) == Direction::kOut && dir_of(in) == Direction::kIn,
                 "links run from an OUT port to an IN port");
   link_to_[out] = in;
+}
+
+void Topology::derive_topology(const Topology& base,
+                               const std::vector<PortId>& removed) {
+  node_count_ = base.node_count_;
+  names_ = base.names_;
+  terminal_mask_ = base.terminal_mask_;
+  // remap: base id -> derived id, kInvalidPort for a removed port.
+  std::vector<PortId> remap(base.port_count());
+  port_info_.clear();
+  port_info_.reserve(base.port_count() - std::min(removed.size(),
+                                                  base.port_count()));
+  auto next_removed = removed.begin();
+  for (PortId pid = 0; pid < base.port_count(); ++pid) {
+    if (next_removed != removed.end() && *next_removed == pid) {
+      remap[pid] = kInvalidPort;
+      ++next_removed;
+      continue;
+    }
+    remap[pid] = static_cast<PortId>(port_info_.size());
+    port_info_.push_back(base.port_info_[pid]);
+  }
+  GENOC_REQUIRE(next_removed == removed.end(),
+                "removed ports must be sorted, distinct base port ids");
+  const auto renumber = [&remap](PortId pid) {
+    return pid == kInvalidPort ? kInvalidPort : remap[pid];
+  };
+  slot_ids_.resize(base.slot_ids_.size());
+  std::transform(base.slot_ids_.begin(), base.slot_ids_.end(),
+                 slot_ids_.begin(), renumber);
+  link_to_.assign(port_info_.size(), kInvalidPort);
+  for (PortId pid = 0; pid < base.port_count(); ++pid) {
+    if (remap[pid] != kInvalidPort) {
+      link_to_[remap[pid]] = renumber(base.link_to_[pid]);
+    }
+  }
+  finish_topology();
 }
 
 void Topology::finish_topology() {

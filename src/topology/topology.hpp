@@ -55,7 +55,8 @@ const std::vector<TopologyFamilyInfo>& topology_families();
 bool is_grid_family(const std::string& family);
 
 /// An immutable port graph. Subclass constructors describe themselves
-/// through begin_topology()/add_port()/set_link()/finish_topology(); all
+/// through begin_topology()/add_port()/set_link()/finish_topology(), or
+/// as a built topology minus some ports through derive_topology(); all
 /// queries afterwards are flat table lookups, shared by every RouteSweeper
 /// over the topology instead of being rebuilt per sweeper.
 ///
@@ -169,6 +170,15 @@ class Topology {
   /// exist masks, and validates the link relation (every non-terminal OUT
   /// port must drive an IN port).
   void finish_topology();
+
+  /// Describes \p base minus the ports \p removed (sorted, distinct base
+  /// ids) and seals it with finish_topology(): the surviving ports keep
+  /// their base enumeration order under dense ids, and the slot table and
+  /// the links are the base's, renumbered. No port is re-enumerated, so
+  /// this is the cheap way to remove ports from a built topology. A
+  /// surviving OUT port whose link target was removed fails the seal.
+  void derive_topology(const Topology& base,
+                       const std::vector<PortId>& removed);
 
  private:
   struct PortInfo {

@@ -32,53 +32,30 @@ KindCounters kind_counters(const char* kind) {
 
 }  // namespace
 
-AnalysisArtifacts::AnalysisArtifacts(const InstanceSpec& spec) {
+AnalysisArtifacts::AnalysisArtifacts(const InstanceSpec& spec)
+    : AnalysisArtifacts(spec, nullptr) {}
+
+AnalysisArtifacts::AnalysisArtifacts(const InstanceSpec& spec,
+                                     std::shared_ptr<AnalysisArtifacts> base) {
   const std::string invalid = validate_spec(spec);
   GENOC_REQUIRE(invalid.empty(), "invalid instance spec: " + invalid);
-  topo_ = make_topology(spec);
+  // Failed links validate only on grids, so a variant and its base are
+  // both meshes; the variant grid is derived from the base's tables.
+  const Mesh2D* base_mesh = nullptr;
+  if (base != nullptr && !spec.failed_links.empty()) {
+    base_mesh = dynamic_cast<const Mesh2D*>(&base->topology());
+    GENOC_REQUIRE(base_mesh != nullptr,
+                  "delta base context does not match the variant's grid");
+  }
+  topo_ = make_topology(spec, base_mesh);
   routing_ = make_routing(spec.routing, *topo_);
   if (!spec.escape.empty()) {
     escape_ = make_routing(spec.escape, *topo_);
   }
-}
-
-AnalysisArtifacts::AnalysisArtifacts(const InstanceSpec& spec,
-                                     std::shared_ptr<AnalysisArtifacts> base)
-    : AnalysisArtifacts(spec) {
   if (base == nullptr || spec.failed_links.empty() ||
       !routing_->node_uniform()) {
     return;  // nothing to delta from — full builds as usual
   }
-  // Failed links validate only on grids, so both contexts are meshes.
-  const auto* variant_mesh = dynamic_cast<const Mesh2D*>(topo_.get());
-  const auto* base_mesh = dynamic_cast<const Mesh2D*>(&base->topology());
-  GENOC_REQUIRE(variant_mesh != nullptr && base_mesh != nullptr &&
-                    base_mesh->width() == variant_mesh->width() &&
-                    base_mesh->height() == variant_mesh->height() &&
-                    base_mesh->wraps_x() == variant_mesh->wraps_x() &&
-                    base_mesh->wraps_y() == variant_mesh->wraps_y() &&
-                    !base_mesh->has_faults(),
-                "delta base context does not match the variant's grid");
-  // The base-graph ids of the variant's removed ports: four per distinct
-  // failed link (both directed channels' OUT + IN), read from the faults
-  // make_topology already parsed. Duplicate faults are idempotent, hence
-  // the dedup.
-  for (const LinkFault& fault : variant_mesh->failed_links()) {
-    const LinkFault peer =
-        link_fault_peer(fault, base_mesh->width(), base_mesh->height(),
-                        base_mesh->wraps_x(), base_mesh->wraps_y());
-    for (const LinkFault& end : {fault, peer}) {
-      const Port in{end.node % base_mesh->width(),
-                    end.node / base_mesh->width(), end.name, Direction::kIn};
-      removed_base_ports_.push_back(base_mesh->id(in));
-      removed_base_ports_.push_back(
-          base_mesh->id(Port{in.x, in.y, in.name, Direction::kOut}));
-    }
-  }
-  std::sort(removed_base_ports_.begin(), removed_base_ports_.end());
-  removed_base_ports_.erase(
-      std::unique(removed_base_ports_.begin(), removed_base_ports_.end()),
-      removed_base_ports_.end());
   base_ = std::move(base);
 }
 
@@ -104,6 +81,10 @@ std::string AnalysisArtifacts::key(const InstanceSpec& spec) {
     prefix += " failed=" + join_failed_links(spec.failed_links);
   }
   return prefix;
+}
+
+const std::vector<PortId>& AnalysisArtifacts::removed_base_ports() const {
+  return static_cast<const Mesh2D&>(*topo_).removed_base_ports();
 }
 
 void AnalysisArtifacts::ensure_primed_locked(ThreadPool* pool) {
@@ -157,7 +138,8 @@ const PortDepGraph& AnalysisArtifacts::dep_graph_locked(bool generic_builder,
     static obs::Counter& delta_builds =
         obs::MetricsRegistry::global().counter("artifacts.dep_graph.delta_builds");
     const PortDepGraph& base_graph = base_->dep_graph(false, pool);
-    dep_ = build_dep_graph_delta(base_graph, *routing_, removed_base_ports_);
+    dep_ = build_dep_graph_delta(base_graph, *routing_,
+                                 removed_base_ports());
     delta_builds.increment();
   } else {
     dep_ = build_dep_graph_fast(*routing_, pool);
@@ -178,7 +160,7 @@ std::size_t AnalysisArtifacts::edge_count(bool generic_builder,
     if (!inherits_locked(generic_builder, pool)) {
       return dep_graph_locked(generic_builder, pool).graph.edge_count();
     }
-    edge_count_ = base_->surviving_edge_count(removed_base_ports_);
+    edge_count_ = base_->surviving_edge_count(removed_base_ports());
   }
   return *edge_count_;
 }

@@ -104,19 +104,23 @@ class AnalysisArtifacts {
   /// spec; throws ContractViolation otherwise.
   explicit AnalysisArtifacts(const InstanceSpec& spec);
 
-  /// Constructor for a FAULT VARIANT sharing its unfaulted base context:
-  /// when \p spec has failed links, a grid topology and a node-uniform
-  /// routing, the variant's dependency graph is the base graph's induced
-  /// subgraph on the surviving ports. Two things follow, the campaign hot
-  /// path:
+  /// Constructor for a FAULT VARIANT sharing its unfaulted base context.
+  /// When \p spec has failed links, its grid is derived from the base's
+  /// (Mesh2D's deriving constructor: the base tables compacted, no port
+  /// enumerated), and the grid names the base ids of the removed ports.
+  /// With a node-uniform routing on top, the variant's dependency graph is
+  /// the base graph's induced subgraph on the surviving ports. Two things
+  /// follow, the campaign hot path:
   ///   - when the base is acyclic, so is the variant: acyclicity() and
   ///     edge_count() are answered from the base (see acyclicity()), and no
   ///     variant graph is built unless dep_graph() itself is asked for;
   ///   - otherwise the graph is built by DELTA from the base graph
   ///     (build_dep_graph_delta) instead of a full rebuild.
   /// \p base must be the context of this spec with failed_links cleared
-  /// (same grid, same routing/escape); passing nullptr, or a spec where the
-  /// delta does not apply, degrades to the plain constructor.
+  /// (same grid, same routing/escape; a base of another grid throws);
+  /// passing nullptr, or an unfaulted spec, degrades to the plain
+  /// constructor, and a routing that is not node-uniform keeps the derived
+  /// grid but builds its own graph.
   AnalysisArtifacts(const InstanceSpec& spec,
                     std::shared_ptr<AnalysisArtifacts> base);
 
@@ -194,6 +198,9 @@ class AnalysisArtifacts {
   /// Base side: this graph's edge count once \p removed (sorted base ids)
   /// and every edge touching them are deleted. Needs certified_acyclic().
   std::size_t surviving_edge_count(const std::vector<PortId>& removed);
+  /// Variant side (base_ set): the base-graph ids of the ports this
+  /// variant's faults removed, as its derived grid records them.
+  const std::vector<PortId>& removed_base_ports() const;
   /// Primes the routing's (and escape lane's) lazily built reachability
   /// closure exactly once, so subsequent reachable() queries are read-only
   /// and shareable across threads. With a pool, compressed-tier rows are
@@ -208,10 +215,8 @@ class AnalysisArtifacts {
   std::unique_ptr<RoutingFunction> escape_;  ///< null without an escape lane
 
   // Fault-variant delta state: the unfaulted base context (keeps the base
-  // graph alive and shares its compute across every variant of a campaign)
-  // and the base-graph ids of the ports this variant's faults removed.
+  // graph alive and shares its compute across every variant of a campaign).
   std::shared_ptr<AnalysisArtifacts> base_;
-  std::vector<PortId> removed_base_ports_;
   std::optional<bool> inherits_;          ///< variant: asked the base yet?
   std::optional<std::size_t> edge_count_;  ///< variant: inherited count
 

@@ -24,17 +24,22 @@ the `max_rss_kb` counter.
      (base-graph edge filtering) keeps a >= 5x advantage over rebuilding
      every variant's dependency graph from scratch. Measured ~35x; the
      loose bound absorbs runner noise on the small 16-variant sample.
-  4. With --escape-speedup X (multicore CI only): escape_parallel_64x64
+  4. Always: campaign_context_mesh32_single, per variant (its
+     `variants` counter), must finish within 50% of one unfaulted 32x32
+     grid build (campaign_mesh_build/32) from the same run — a fault
+     variant's context derives its grid from the base grid's tables and
+     has not gone back to enumerating every port. Measured ~0.3.
+  5. With --escape-speedup X (multicore CI only): escape_parallel_64x64
      must be at least X times faster than escape_sequential_64x64 from the
      same run — the destination-sharded escape sweep actually beats the
      sequential lane walk. Skipped by default because the ratio is
      meaningless on single-core runners, where the sharded sweep can only
      tie the sequential one.
-  5. With --max-ns NAME=NS (repeatable): the named benchmark's time per
+  6. With --max-ns NAME=NS (repeatable): the named benchmark's time per
      operation must not exceed the absolute ceiling — e.g.
      --max-ns verify_mesh128_xy=2000000000 pins the headline "mesh128
      verifies in under 2 s at 4 threads".
-  6. With --max-rss-kb NAME=KB (repeatable): the named benchmark's
+  7. With --max-rss-kb NAME=KB (repeatable): the named benchmark's
      max_rss_kb (peak process RSS when it finished) must not exceed the
      ceiling — the memory gate for the mesh256-xy verify.
 
@@ -64,6 +69,13 @@ REBUILD_CAMPAIGN = "campaign_rebuild_mesh16_single"
 # Measured ~35x on the 16-variant single-link mesh16 sample (delta <=
 # 0.03 * rebuild); 0.20 pins the >= 5x acceptance bound without flaking.
 CAMPAIGN_LIMIT_FRACTION = 0.20
+
+VARIANT_CONTEXT = "campaign_context_mesh32_single"
+GRID_BUILD = "campaign_mesh_build"
+# Measured ~0.3 grid builds per derived variant context; 0.5 leaves room
+# for runner noise and still fails a variant that re-enumerates its ports
+# (about one grid build each).
+VARIANT_CONTEXT_LIMIT_FRACTION = 0.5
 
 ESCAPE_PARALLEL = "escape_parallel_64x64"
 ESCAPE_SEQUENTIAL = "escape_sequential_64x64"
@@ -173,6 +185,23 @@ def check_campaign(results: dict[str, dict]) -> bool:
                        "rebuilds")
 
 
+def check_variant_context(results: dict[str, dict]) -> bool:
+    per_variant = (ns_per_op(results, VARIANT_CONTEXT) /
+                   bench_field(results, VARIANT_CONTEXT, "variants"))
+    build = ns_per_op(results, GRID_BUILD)
+    limit = VARIANT_CONTEXT_LIMIT_FRACTION * build
+    print(f"{VARIANT_CONTEXT}: {per_variant:,.0f} ns/variant, {GRID_BUILD}: "
+          f"{build:,.0f} ns/op ({per_variant / build:.2f} of a grid build, "
+          f"limit {limit:,.0f} ns/variant)")
+    if per_variant > limit:
+        print(f"FAIL: a fault variant's context costs more than "
+              f"{VARIANT_CONTEXT_LIMIT_FRACTION:.0%} of a 32x32 grid build — "
+              "variants went back to enumerating their ports")
+        return False
+    print("OK: fault-variant contexts derive their grid from the base")
+    return True
+
+
 def check_escape(results: dict[str, dict], min_speedup: float) -> bool:
     parallel = ns_per_op(results, ESCAPE_PARALLEL)
     sequential = ns_per_op(results, ESCAPE_SEQUENTIAL)
@@ -218,6 +247,7 @@ def main() -> int:
         ok = check_depgraph(results)
         ok = check_cmesh(results) and ok
         ok = check_campaign(results) and ok
+        ok = check_variant_context(results) and ok
         if args.escape_speedup is not None:
             ok = check_escape(results, args.escape_speedup) and ok
     for spec in args.max_ns:
