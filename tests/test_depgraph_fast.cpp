@@ -219,11 +219,16 @@ TEST(DepGraphFast, NodeMaskMatchesAppendNextHopsOnEveryInPort) {
           }
           continue;
         }
+        // The hops also come out in strictly ascending PortName order
+        // (E, W, N, S, L): the simulator's rng.pick indexes into them.
         std::uint8_t seen = 0;
         for (const Port& hop : hops) {
           EXPECT_EQ(hop.dir, Direction::kOut) << to_string(p);
           EXPECT_EQ(hop.x, p.x);
           EXPECT_EQ(hop.y, p.y);
+          EXPECT_LT(seen, port_name_bit(hop.name))
+              << "hop " << to_string(hop) << " out of PortName order from "
+              << to_string(p) << " dest " << to_string(d);
           seen |= port_name_bit(hop.name);
         }
         EXPECT_EQ(seen, routing.node_out_mask(p.x, p.y, d))
