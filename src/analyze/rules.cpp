@@ -164,36 +164,10 @@ struct HopFold {
   }
 };
 
-/// Grid functions: R(in, dest) in the Port tuple. An own-node OUT hop is
-/// a name bit, dropped when that out-port does not exist; any other hop is
-/// foreign, dropped when try_id finds no such port. This is the existence
-/// filter of next_hop_ids_into with the own-node lookup replaced by the
-/// node's existence mask. fold_id_hops would give the same verdict for a
-/// grid function; this path exists for speed alone (sequential `genoc
-/// analyze --rules uniformity`, 4-vCPU VM, 10 alternating runs: mesh256-xy
-/// 70 -> 45 ms, torus64-xy-escape 143 -> 102 ms).
-HopFold fold_grid_hops(const RoutingFunction& routing, const Mesh2D& grid,
-                       const Port& in, const Port& dest, std::uint64_t exists,
-                       std::vector<Port>& scratch) {
-  HopFold fold;
-  scratch.clear();
-  routing.append_next_hops(in, dest, scratch);
-  for (const Port& hop : scratch) {
-    if (hop.x == in.x && hop.y == in.y && hop.dir == Direction::kOut) {
-      const std::uint64_t bit = port_name_bit(hop.name);
-      if ((exists & bit) != 0) {
-        fold.add_name(bit);
-      }
-    } else if (grid.try_id(hop) >= 0) {
-      fold.add_foreign();
-    }
-  }
-  return fold;
-}
-
-/// id-native functions emit existing ports only, so every hop counts (an id
-/// past the port table is foreign, not a lookup); only own-node OUT hops
-/// are name bits.
+/// R(in, dest) through the id adapter next_hop_ids_into, which drops a
+/// grid hop to a port that does not exist; id-native functions emit
+/// existing ports only. So every hop counts (an id past the port table is
+/// foreign, not a lookup); only own-node OUT hops are name bits.
 HopFold fold_id_hops(const RoutingFunction& routing, const Topology& topo,
                      PortId in, std::size_t node, std::size_t dest_index,
                      std::vector<PortId>& hops, std::vector<Port>& scratch) {
@@ -508,55 +482,80 @@ class TurnConformanceRule final : public AnalysisRule {
 /// Rule 4: the node-uniformity audit. A function claiming node_uniform()
 /// feeds the zero-storage closure tier, the NODE-mode sweeps and the
 /// node-granular escape analysis, where a wrong claim silently corrupts
-/// every downstream artifact — so cross-check out_mask_id() against the
-/// hops from EVERY in-port of sampled (node, destination) pairs, for the
-/// routing and (when declared) the escape lane alike, each on the full
-/// budget. The contract covers all pairs, not just closure-reachable ones
-/// (the sweeps evaluate masks off-route too).
+/// every downstream artifact. A NodeUniformRouting cannot make a wrong
+/// claim: its hops are derived from node_out_mask, so it gets one info
+/// record, uniformity-by-construction, and no audit. Every other claimant
+/// (the id-native families, hand-written test functions) is audited:
+/// out_mask_id() is cross-checked against the hops from EVERY in-port of
+/// sampled (node, destination) pairs, for the routing and (when declared)
+/// the escape lane alike, each on the full budget. The contract covers all
+/// pairs, not just closure-reachable ones (the sweeps evaluate masks
+/// off-route too).
 ///
 /// The kernel compares 64-bit out-name masks. The claim is the node's
 /// existing out-ports `out_mask_id(node, d) & out_exists_mask(node)`; an
 /// in-port agrees iff its existing hops are exactly those ports, each once.
-/// fold_grid_hops / fold_id_hops fold the hops into a name mask and clear
-/// `exact` on a repeated name or on an existing hop off the node's out-
-/// ports; a hop to a port that does not exist is dropped, as the id
-/// adapter next_hop_ids_into drops it. So `exact && mask == claim` holds
-/// iff the sorted hop ids equal the sorted claimed out-port ids, which is
-/// what the test oracle (tests/uniformity_oracle.hpp) compares. Sampled
-/// destinations shard over the pool (sweep_sampled); the finding cap spans
-/// both audits.
+/// fold_id_hops folds the hops into a name mask and clears `exact` on a
+/// repeated name or on an existing hop off the node's out-ports. So
+/// `exact && mask == claim` holds iff the sorted hop ids equal the sorted
+/// claimed out-port ids, which is what the test oracle
+/// (tests/uniformity_oracle.hpp) compares. Sampled destinations shard over
+/// the pool (sweep_sampled); the finding cap spans both audits.
 class UniformityRule final : public AnalysisRule {
  public:
   const char* name() const override { return "uniformity"; }
   const char* description() const override {
     return "audit the node_uniform() claims of the routing and the escape "
-           "lane: the per-node out-mask must equal the hop set from every "
-           "in-port of the node (protects the zero-storage closure tier and "
-           "the node-granular escape analysis)";
+           "lane that do not hold by construction: the per-node out-mask "
+           "must equal the hop set from every in-port of the node (protects "
+           "the zero-storage closure tier and the node-granular escape "
+           "analysis)";
   }
 
   StageStats run(AnalyzeContext& ctx) const override {
     StageStats stats;
     stats.stage = name();
-    const bool escape_claims =
-        ctx.escape != nullptr && ctx.escape->node_uniform();
-    if (!ctx.routing.node_uniform() && !escape_claims) {
+    using Claimant = std::pair<const RoutingFunction*, const char*>;
+    const Claimant claimants[] = {{&ctx.routing, "routing"},
+                                  {ctx.escape, "escape"}};
+    bool any_claim = false;
+    std::vector<Claimant> audited;
+    for (const auto& [function, role] : claimants) {
+      if (function == nullptr || !function->node_uniform()) {
+        continue;
+      }
+      any_claim = true;
+      if (dynamic_cast<const NodeUniformRouting*>(function) == nullptr) {
+        audited.emplace_back(function, role);
+        continue;
+      }
+      ctx.report.diagnostics.push_back(make_diagnostic(
+          name(), Severity::kInfo, "uniformity-by-construction",
+          std::string(role) + " " + function->name() +
+              " is node-uniform by construction: its hops derive from "
+              "node_out_mask",
+          {{"function", role}}));
+    }
+    if (audited.empty()) {
       stats.ran = false;
       stats.passed = true;
-      stats.skip_reason =
-          ctx.escape == nullptr
-              ? "routing does not claim node-uniformity (port-mode closure)"
-              : "neither routing nor escape lane claims node-uniformity "
-                "(port-mode closure)";
+      if (any_claim) {
+        stats.skip_reason =
+            "nothing to audit: every node-uniformity claim holds by "
+            "construction (NodeUniformRouting)";
+      } else {
+        stats.skip_reason =
+            ctx.escape == nullptr
+                ? "routing does not claim node-uniformity (port-mode closure)"
+                : "neither routing nor escape lane claims node-uniformity "
+                  "(port-mode closure)";
+      }
       return stats;
     }
     stats.ran = true;
     std::uint64_t violations = 0;
-    if (ctx.routing.node_uniform()) {
-      audit(ctx, ctx.routing, "routing", stats, violations);
-    }
-    if (escape_claims) {
-      audit(ctx, *ctx.escape, "escape", stats, violations);
+    for (const auto& [function, role] : audited) {
+      audit(ctx, *function, role, stats, violations);
     }
     stats.passed = violations == 0;
     if (stats.passed) {
@@ -595,17 +594,12 @@ class UniformityRule final : public AnalysisRule {
     const std::size_t nodes = topo.node_count();
     const std::size_t names = topo.name_count();
     const std::uint64_t cap = ctx.options.max_findings_per_code;
-    const Mesh2D* grid = routing.id_native() ? nullptr : &routing.mesh();
 
     const auto scan = [&](std::size_t d, ShardScratch& scratch,
                           DestinationTally<UniformityFinding>& tally) {
-      const Port dest =
-          grid != nullptr ? grid->port(topo.destination_id(d)) : Port{};
       for (std::size_t node = 0; node < nodes; ++node) {
-        const NodeCoord at =
-            grid != nullptr ? grid->nodes()[node] : NodeCoord{};
-        const std::uint64_t exists = topo.out_exists_mask(node);
-        const std::uint64_t claim = routing.out_mask_id(node, d) & exists;
+        const std::uint64_t claim =
+            routing.out_mask_id(node, d) & topo.out_exists_mask(node);
         const PortId* slots = topo.node_slots(node);
         for (std::size_t name_index = 0; name_index < names; ++name_index) {
           const PortId in =
@@ -613,15 +607,8 @@ class UniformityRule final : public AnalysisRule {
           if (in == kInvalidPort) {
             continue;
           }
-          const HopFold fold =
-              grid != nullptr
-                  ? fold_grid_hops(routing, *grid,
-                                   Port{at.x, at.y,
-                                        static_cast<PortName>(name_index),
-                                        Direction::kIn},
-                                   dest, exists, scratch.hop_ports)
-                  : fold_id_hops(routing, topo, in, node, d, scratch.hop_ids,
-                                 scratch.hop_ports);
+          const HopFold fold = fold_id_hops(routing, topo, in, node, d,
+                                            scratch.hop_ids, scratch.hop_ports);
           ++tally.checks;
           if (fold.exact && fold.mask == claim) {
             continue;

@@ -86,8 +86,9 @@ struct EscapeAnalysis {
 /// (name tables of <= 64 names; the registry's xy/yx lanes are): availability
 /// is NODE-granular — one existence-filtered out-mask per (node,
 /// destination) decides every adaptive-reachable in-port of the node, and
-/// the lane walk reads the same masks. The analysis trusts that mask; the
-/// analyzer's `uniformity` rule audits the claim.
+/// the lane walk reads the same masks. The analysis trusts that mask: xy/yx
+/// hold it by construction (NodeUniformRouting), and the analyzer's
+/// `uniformity` rule audits any other claimant.
 ///
 /// Takes the analytic path where it applies (see the file comment) and
 /// falls back to analyze_escape_sweep() otherwise; the results are equal.

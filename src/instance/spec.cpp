@@ -138,9 +138,8 @@ std::optional<InstanceSpec> parse_instance_spec(const std::string& text,
   std::string* err = error != nullptr ? error : &local_error;
   std::istringstream tokens(text);
   std::string token;
-  bool any = false;
+  std::vector<std::string> keys;
   while (tokens >> token) {
-    any = true;
     const std::size_t eq = token.find('=');
     if (eq == std::string::npos || eq == 0 || eq + 1 == token.size()) {
       *err = "malformed token '" + token + "': expected key=value";
@@ -148,6 +147,13 @@ std::optional<InstanceSpec> parse_instance_spec(const std::string& text,
     }
     const std::string key = normalize(token.substr(0, eq));
     const std::string raw = token.substr(eq + 1);
+    // A repeated key would silently drop the earlier value (a second
+    // failed= list, a second routing=), so it is an error.
+    if (contains(keys, key)) {
+      *err = "key '" + key + "' given twice (each key may appear once)";
+      return std::nullopt;
+    }
+    keys.push_back(key);
     std::uint64_t number = 0;
     if (key == "topology") {
       spec.topology = normalize(raw);
@@ -235,9 +241,8 @@ std::optional<InstanceSpec> parse_instance_spec(const std::string& text,
         return std::nullopt;
       }
     } else if (key == "failed") {
-      // Later tokens override earlier ones, like every other key; tokens
-      // are syntax-checked here and canonicalized after the loop (the
-      // geometry keys they canonicalize against may come later).
+      // Tokens are syntax-checked here and canonicalized after the loop
+      // (the geometry keys they canonicalize against may come later).
       spec.failed_links.clear();
       if (normalize(raw) != "none") {
         for (const std::string& fault_token : split_failed_links(raw)) {
@@ -277,7 +282,7 @@ std::optional<InstanceSpec> parse_instance_spec(const std::string& text,
       return std::nullopt;
     }
   }
-  if (!any) {
+  if (keys.empty()) {
     *err = "empty instance spec";
     return std::nullopt;
   }

@@ -121,8 +121,9 @@ const std::vector<std::string>& turn_model_routings();
 /// Parses a booksim2-style spec: whitespace-separated `key=value` tokens.
 /// Keys: topology, size (N or WxH), width, height, routing, switching,
 /// buffers, escape (routing name or "none"), failed (comma-separated
-/// failed-link tokens or "none"), pattern, messages, flits, seed. Later
-/// tokens override earlier ones. Values are normalized
+/// failed-link tokens or "none"), pattern, messages, flits, seed. A key
+/// may appear once; size, width and height set the same fields and apply
+/// in token order. Values are normalized
 /// ('-' == '_' for routing/switching, pattern aliases resolved) and
 /// validated, including cross-field consistency via validate_spec().
 /// On failure returns nullopt and stores a human-readable message naming

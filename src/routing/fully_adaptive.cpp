@@ -2,23 +2,6 @@
 
 namespace genoc {
 
-void FullyAdaptiveRouting::append_out_choices(const Port& current,
-                                              const Port& dest,
-                                              std::vector<Port>& out) const {
-  if (dest.x > current.x) {
-    out.push_back(trans(current, PortName::kEast, Direction::kOut));
-  }
-  if (dest.x < current.x) {
-    out.push_back(trans(current, PortName::kWest, Direction::kOut));
-  }
-  if (dest.y < current.y) {
-    out.push_back(trans(current, PortName::kNorth, Direction::kOut));
-  }
-  if (dest.y > current.y) {
-    out.push_back(trans(current, PortName::kSouth, Direction::kOut));
-  }
-}
-
 std::uint8_t FullyAdaptiveRouting::node_out_mask(std::int32_t x,
                                                  std::int32_t y,
                                                  const Port& dest) const {

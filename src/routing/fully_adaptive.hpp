@@ -8,27 +8,39 @@
 /// witness builder constructs a concrete deadlock configuration, which the
 /// simulator confirms (Ω holds). This closes the loop on the paper's
 /// "deadlock-free iff acyclic" equivalence from the negative side.
+///
+/// The paper restricts its deadlock condition to deterministic routing and
+/// names adaptive routing as future work (Section IX: "The main tasks will
+/// be to define a different dependency graph and formally check the
+/// condition"). The adaptive functions (this one, West-First, North-Last,
+/// Negative-First, Odd-Even) implement that extension: they return hop
+/// *sets*, their dependency graphs are built by the same generic
+/// enumeration, and acyclicity (or the SCC-based Taktak check, Sec. VIII)
+/// is applied to the result.
+///
+/// All of them are *minimal*: every choice strictly reduces the Manhattan
+/// distance to the destination, so a positional (memoryless) formulation
+/// coincides with the history-aware turn-model definitions on all
+/// reachable states — the turn already taken is implied by which
+/// coordinates still differ.
 #pragma once
 
-#include "routing/adaptive.hpp"
+#include "routing/routing.hpp"
 
 namespace genoc {
 
-class FullyAdaptiveRouting final : public AdaptiveRouting {
+class FullyAdaptiveRouting final : public NodeUniformRouting {
  public:
-  explicit FullyAdaptiveRouting(const Mesh2D& mesh) : AdaptiveRouting(mesh) {}
+  explicit FullyAdaptiveRouting(const Mesh2D& mesh)
+      : NodeUniformRouting(mesh) {}
 
   std::string name() const override { return "Fully-Adaptive"; }
+  bool is_deterministic() const override { return false; }
 
   /// Every productive direction from every in-port: node-level by
   /// definition.
-  bool node_uniform() const override { return true; }
   std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
                              const Port& dest) const override;
-
- protected:
-  void append_out_choices(const Port& current, const Port& dest,
-                          std::vector<Port>& out) const override;
 };
 
 }  // namespace genoc

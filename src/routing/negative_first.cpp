@@ -2,27 +2,6 @@
 
 namespace genoc {
 
-void NegativeFirstRouting::append_out_choices(const Port& current,
-                                              const Port& dest,
-                                              std::vector<Port>& out) const {
-  const std::size_t before = out.size();
-  if (dest.x < current.x) {
-    out.push_back(trans(current, PortName::kWest, Direction::kOut));
-  }
-  if (dest.y < current.y) {
-    out.push_back(trans(current, PortName::kNorth, Direction::kOut));
-  }
-  if (out.size() != before) {
-    return;
-  }
-  if (dest.x > current.x) {
-    out.push_back(trans(current, PortName::kEast, Direction::kOut));
-  }
-  if (dest.y > current.y) {
-    out.push_back(trans(current, PortName::kSouth, Direction::kOut));
-  }
-}
-
 std::uint8_t NegativeFirstRouting::node_out_mask(std::int32_t x,
                                                  std::int32_t y,
                                                  const Port& dest) const {

@@ -2,27 +2,6 @@
 
 namespace genoc {
 
-void NorthLastRouting::append_out_choices(const Port& current,
-                                          const Port& dest,
-                                          std::vector<Port>& out) const {
-  const std::size_t before = out.size();
-  if (dest.x > current.x) {
-    out.push_back(trans(current, PortName::kEast, Direction::kOut));
-  }
-  if (dest.x < current.x) {
-    out.push_back(trans(current, PortName::kWest, Direction::kOut));
-  }
-  if (dest.y > current.y) {
-    out.push_back(trans(current, PortName::kSouth, Direction::kOut));
-  }
-  if (out.size() != before) {
-    return;
-  }
-  // Only the northbound hop remains (dest.y < current.y, same column): the
-  // "last" phase. Minimality guarantees we never need to leave it.
-  out.push_back(trans(current, PortName::kNorth, Direction::kOut));
-}
-
 std::uint8_t NorthLastRouting::node_out_mask(std::int32_t x, std::int32_t y,
                                              const Port& dest) const {
   std::uint8_t mask = 0;
@@ -38,6 +17,8 @@ std::uint8_t NorthLastRouting::node_out_mask(std::int32_t x, std::int32_t y,
   if (mask != 0) {
     return mask;
   }
+  // Only the northbound hop remains (same column): the "last" phase.
+  // Minimality guarantees we never need to leave it.
   return dest.y < y ? port_name_bit(PortName::kNorth)
                     : port_name_bit(PortName::kLocal);
 }

@@ -7,24 +7,20 @@
 /// to the destination. The prohibited turns are the two turns out of North.
 #pragma once
 
-#include "routing/adaptive.hpp"
+#include "routing/routing.hpp"
 
 namespace genoc {
 
-class NorthLastRouting final : public AdaptiveRouting {
+class NorthLastRouting final : public NodeUniformRouting {
  public:
-  explicit NorthLastRouting(const Mesh2D& mesh) : AdaptiveRouting(mesh) {}
+  explicit NorthLastRouting(const Mesh2D& mesh) : NodeUniformRouting(mesh) {}
 
   std::string name() const override { return "North-Last"; }
+  bool is_deterministic() const override { return false; }
 
   /// Choice depends only on the node coordinates.
-  bool node_uniform() const override { return true; }
   std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
                              const Port& dest) const override;
-
- protected:
-  void append_out_choices(const Port& current, const Port& dest,
-                          std::vector<Port>& out) const override;
 };
 
 }  // namespace genoc

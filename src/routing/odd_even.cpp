@@ -20,9 +20,19 @@ bool odd(std::int32_t x) { return (x % 2) != 0; }
 ///  - an eastbound move is forbidden when it would strand the packet one
 ///    hop west of an even destination column with vertical hops remaining
 ///    (the EN/ES turn there would be illegal).
-void OddEvenRouting::append_out_choices(const Port& current,
-                                        const Port& dest,
-                                        std::vector<Port>& out) const {
+void OddEvenRouting::append_next_hops(const Port& current, const Port& dest,
+                                      std::vector<Port>& out) const {
+  // OUT ports forward along the link; Local OUT ports terminate.
+  if (current.dir == Direction::kOut) {
+    if (current.name != PortName::kLocal) {
+      out.push_back(mesh().next_in(current));
+    }
+    return;
+  }
+  if (current.x == dest.x && current.y == dest.y) {
+    out.push_back(trans(current, PortName::kLocal, Direction::kOut));
+    return;
+  }
   const std::int32_t ex = dest.x - current.x;
   const std::int32_t ey = dest.y - current.y;
   const bool odd_column = odd(current.x);

@@ -106,6 +106,23 @@ void RoutingFunction::fill_node_masks(std::size_t dest_index,
   }
 }
 
+void NodeUniformRouting::append_next_hops(const Port& current,
+                                          const Port& dest,
+                                          std::vector<Port>& out) const {
+  if (current.dir == Direction::kOut) {
+    if (current.name != PortName::kLocal) {
+      out.push_back(mesh().next_in(current));
+    }
+    return;
+  }
+  // Ascending bit order is ascending PortName order.
+  for (unsigned mask = node_out_mask(current.x, current.y, dest); mask != 0;
+       mask &= mask - 1) {
+    out.push_back(trans(current, static_cast<PortName>(std::countr_zero(mask)),
+                        Direction::kOut));
+  }
+}
+
 std::uint64_t RoutingFunction::in_port_union(std::size_t /*node*/,
                                              std::size_t /*in_name*/) const {
   GENOC_REQUIRE(false, "in_port_union requires has_in_port_unions() (" +

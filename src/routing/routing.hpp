@@ -197,17 +197,18 @@ class RoutingFunction {
   /// destination — not on which in-port of the node holds the message.
   /// Every function in this library except Odd-Even (whose legal turns
   /// depend on the travel direction, i.e. the in-port name) satisfies it.
-  /// Opt-in (default false): a wrong claim would silently corrupt the fast
-  /// builder, so subclasses assert it explicitly and the test suite
-  /// cross-validates the mask against append_next_hops on every in-port.
+  /// A wrong claim would silently corrupt the node-granular sweeps. Grid
+  /// functions get the property by type from NodeUniformRouting, whose
+  /// hops are derived from node_out_mask; any other claimant (the
+  /// id-native families, hand-written test functions) is audited by the
+  /// analyzer's `uniformity` rule.
   virtual bool node_uniform() const { return false; }
 
   /// For node-uniform grid functions only: the mask of out-port NAMES
   /// (port_name_bit) chosen from any in-port of node (x, y) toward
-  /// \p dest; the kLocal bit means delivery (x, y are dest's node).
-  /// Mirrors the IN-port case of append_next_hops in closed form so the
-  /// per-destination sweep runs one virtual call per node instead of one
-  /// per port.
+  /// \p dest; the kLocal bit means delivery (x, y are dest's node). The
+  /// per-destination sweep runs one call of it per node instead of one
+  /// append_next_hops per port.
   virtual std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
                                      const Port& dest) const;
 
@@ -356,6 +357,39 @@ class RoutingFunction {
 
   mutable std::atomic<std::uint64_t> rows_built_{0};
   mutable std::atomic<std::uint64_t> bytes_{0};
+};
+
+/// A grid routing function that is node-uniform by construction: the one
+/// formula a subclass writes is node_out_mask(), and every hop derives from
+/// it. This is the shape of the paper's port-level Rxy (Sec. V.3), whose
+/// IN-port case reads the node and the destination, never the in-port name:
+///  - a cardinal OUT port forwards along its link to next_in(p);
+///  - a Local OUT port terminates (the message is delivered);
+///  - an IN port at (x, y) gets trans(p, name, OUT) for each name bit of
+///    node_out_mask(x, y, dest), in ascending PortName order (E, W, N, S,
+///    L). The simulator picks among the hops by index, so the order is
+///    part of the contract.
+/// Every reader of the claim (the sweeps, the closure tier, escape
+/// analysis) goes through node_out_mask, so there are no two copies to
+/// disagree and the analyzer does not audit these functions.
+class NodeUniformRouting : public RoutingFunction {
+ public:
+  explicit NodeUniformRouting(const Mesh2D& mesh) : RoutingFunction(mesh) {}
+
+  void append_next_hops(const Port& current, const Port& dest,
+                        std::vector<Port>& out) const final;
+
+  bool node_uniform() const final { return true; }
+  std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
+                             const Port& dest) const override = 0;
+  std::uint64_t out_mask_id(std::size_t node,
+                            std::size_t dest_index) const final {
+    return RoutingFunction::out_mask_id(node, dest_index);
+  }
+  void fill_node_masks(std::size_t dest_index,
+                       std::uint64_t* masks) const final {
+    RoutingFunction::fill_node_masks(dest_index, masks);
+  }
 };
 
 /// The exact in_port_union of dimension-order routing on \p mesh, x first

@@ -4,7 +4,8 @@
 
 namespace genoc {
 
-TorusXYRouting::TorusXYRouting(const Mesh2D& mesh) : RoutingFunction(mesh) {
+TorusXYRouting::TorusXYRouting(const Mesh2D& mesh)
+    : NodeUniformRouting(mesh) {
   GENOC_REQUIRE(mesh.wraps_x() || mesh.wraps_y(),
                 "TorusXYRouting needs a wrapped dimension; use XYRouting on "
                 "plain meshes");
@@ -22,36 +23,6 @@ std::int32_t TorusXYRouting::shortest_delta(std::int32_t from,
   }
   // forward in [0, extent); take the shorter way, ties forward (positive).
   return forward <= extent / 2 ? forward : forward - extent;
-}
-
-void TorusXYRouting::append_next_hops(const Port& current, const Port& dest,
-                                      std::vector<Port>& out) const {
-  if (current.dir == Direction::kOut) {
-    if (current.name != PortName::kLocal) {
-      out.push_back(mesh().next_in(current));
-    }
-    return;
-  }
-  const PortName choice = [&] {
-    const std::int32_t dx = shortest_delta(current.x, dest.x, mesh().width(),
-                                           mesh().wraps_x());
-    const std::int32_t dy = shortest_delta(current.y, dest.y, mesh().height(),
-                                           mesh().wraps_y());
-    if (dx < 0) {
-      return PortName::kWest;
-    }
-    if (dx > 0) {
-      return PortName::kEast;
-    }
-    if (dy < 0) {
-      return PortName::kNorth;
-    }
-    if (dy > 0) {
-      return PortName::kSouth;
-    }
-    return PortName::kLocal;
-  }();
-  out.push_back(trans(current, choice, Direction::kOut));
 }
 
 std::uint8_t TorusXYRouting::node_out_mask(std::int32_t x, std::int32_t y,

@@ -17,7 +17,7 @@
 
 namespace genoc {
 
-class TorusXYRouting final : public RoutingFunction {
+class TorusXYRouting final : public NodeUniformRouting {
  public:
   /// Requires the mesh to wrap in at least one dimension (otherwise this
   /// is exactly XYRouting — use that instead).
@@ -26,11 +26,7 @@ class TorusXYRouting final : public RoutingFunction {
   std::string name() const override { return "Torus-XY"; }
   bool is_deterministic() const override { return true; }
 
-  void append_next_hops(const Port& current, const Port& dest,
-                        std::vector<Port>& out) const override;
-
   /// Shortest-way dimension order decides from the node coordinates alone.
-  bool node_uniform() const override { return true; }
   std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
                              const Port& dest) const override;
 

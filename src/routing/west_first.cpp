@@ -2,31 +2,13 @@
 
 namespace genoc {
 
-void WestFirstRouting::append_out_choices(const Port& current,
-                                          const Port& dest,
-                                          std::vector<Port>& out) const {
-  // Phase 1: any pending westbound hop must be taken before anything else.
-  if (dest.x < current.x) {
-    out.push_back(trans(current, PortName::kWest, Direction::kOut));
-    return;
-  }
-  // Phase 2: fully adaptive among the productive non-West directions.
-  if (dest.x > current.x) {
-    out.push_back(trans(current, PortName::kEast, Direction::kOut));
-  }
-  if (dest.y < current.y) {
-    out.push_back(trans(current, PortName::kNorth, Direction::kOut));
-  }
-  if (dest.y > current.y) {
-    out.push_back(trans(current, PortName::kSouth, Direction::kOut));
-  }
-}
-
 std::uint8_t WestFirstRouting::node_out_mask(std::int32_t x, std::int32_t y,
                                              const Port& dest) const {
+  // Phase 1: any pending westbound hop must be taken before anything else.
   if (dest.x < x) {
     return port_name_bit(PortName::kWest);
   }
+  // Phase 2: fully adaptive among the productive non-West directions.
   std::uint8_t mask = 0;
   if (dest.x > x) {
     mask |= port_name_bit(PortName::kEast);

@@ -8,24 +8,20 @@
 /// graph stays acyclic, as the test suite verifies.
 #pragma once
 
-#include "routing/adaptive.hpp"
+#include "routing/routing.hpp"
 
 namespace genoc {
 
-class WestFirstRouting final : public AdaptiveRouting {
+class WestFirstRouting final : public NodeUniformRouting {
  public:
-  explicit WestFirstRouting(const Mesh2D& mesh) : AdaptiveRouting(mesh) {}
+  explicit WestFirstRouting(const Mesh2D& mesh) : NodeUniformRouting(mesh) {}
 
   std::string name() const override { return "West-First"; }
+  bool is_deterministic() const override { return false; }
 
   /// The west-first phases read only the node coordinates.
-  bool node_uniform() const override { return true; }
   std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
                              const Port& dest) const override;
-
- protected:
-  void append_out_choices(const Port& current, const Port& dest,
-                          std::vector<Port>& out) const override;
 };
 
 }  // namespace genoc

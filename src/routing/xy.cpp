@@ -2,28 +2,6 @@
 
 namespace genoc {
 
-void XYRouting::append_next_hops(const Port& current, const Port& dest,
-                                 std::vector<Port>& out) const {
-  if (current.dir == Direction::kOut) {
-    if (current.name == PortName::kLocal) {
-      return;  // delivered: Local OUT ports hand the message to the core
-    }
-    out.push_back(mesh().next_in(current));
-    return;
-  }
-  if (dest.x < current.x) {
-    out.push_back(trans(current, PortName::kWest, Direction::kOut));
-  } else if (dest.x > current.x) {
-    out.push_back(trans(current, PortName::kEast, Direction::kOut));
-  } else if (dest.y < current.y) {
-    out.push_back(trans(current, PortName::kNorth, Direction::kOut));
-  } else if (dest.y > current.y) {
-    out.push_back(trans(current, PortName::kSouth, Direction::kOut));
-  } else {
-    out.push_back(trans(current, PortName::kLocal, Direction::kOut));
-  }
-}
-
 std::uint8_t XYRouting::node_out_mask(std::int32_t x, std::int32_t y,
                                       const Port& dest) const {
   if (dest.x < x) {

@@ -18,19 +18,14 @@
 
 namespace genoc {
 
-class XYRouting final : public RoutingFunction {
+class XYRouting final : public NodeUniformRouting {
  public:
-  explicit XYRouting(const Mesh2D& mesh) : RoutingFunction(mesh) {}
+  explicit XYRouting(const Mesh2D& mesh) : NodeUniformRouting(mesh) {}
 
   std::string name() const override { return "XY"; }
   bool is_deterministic() const override { return true; }
 
-  void append_next_hops(const Port& current, const Port& dest,
-                        std::vector<Port>& out) const override;
-
-  /// XY decides from the node coordinates alone (the in-port name never
-  /// enters the formula), OUT ports forward along their link.
-  bool node_uniform() const override { return true; }
+  /// The IN-port case of Rxy: one bit, decided from the node coordinates.
   std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
                              const Port& dest) const override;
 

@@ -9,18 +9,14 @@
 
 namespace genoc {
 
-class YXRouting final : public RoutingFunction {
+class YXRouting final : public NodeUniformRouting {
  public:
-  explicit YXRouting(const Mesh2D& mesh) : RoutingFunction(mesh) {}
+  explicit YXRouting(const Mesh2D& mesh) : NodeUniformRouting(mesh) {}
 
   std::string name() const override { return "YX"; }
   bool is_deterministic() const override { return true; }
 
-  void append_next_hops(const Port& current, const Port& dest,
-                        std::vector<Port>& out) const override;
-
   /// Vertical-first mirror of XY: same node-level decision structure.
-  bool node_uniform() const override { return true; }
   std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
                              const Port& dest) const override;
 

@@ -321,7 +321,7 @@ TEST(AnalyzerPositive, MeshXyIsCleanUnderEveryRule) {
   EXPECT_TRUE(has_code(report, "sanity-ok"));
   EXPECT_TRUE(has_code(report, "ports-live"));
   EXPECT_TRUE(has_code(report, "turns-conform"));
-  EXPECT_TRUE(has_code(report, "uniformity-audited"));
+  EXPECT_TRUE(has_code(report, "uniformity-by-construction"));
   EXPECT_TRUE(has_code(report, "totality-holds"));
   EXPECT_TRUE(has_code(report, "net-connected"));
   EXPECT_FALSE(stats_of(report, "escape").ran);        // no escape lane declared
@@ -527,12 +527,18 @@ TEST(AnalyzerMutant, LyingEscapeMaskTripsUniformity) {
     EXPECT_NE(function, d.witness.end()) << analyze_report_json(report);
   }
   EXPECT_GT(violated, 0u);
-  // Each audited function gets the full budget: twice the routing-only
-  // pair count.
+  // XY is node-uniform by construction and audits no pair; the escape
+  // audit gets the full budget, every in-port toward every destination.
   const AnalyzeReport routing_only =
       Analyzer::standard().run(spec, mesh, routing, nullptr);
+  EXPECT_EQ(stats_of(routing_only, "uniformity").checks, 0u);
+  EXPECT_TRUE(has_code(routing_only, "uniformity-by-construction"));
+  std::uint64_t in_ports = 0;
+  for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
+    in_ports += mesh.dir_of(pid) == Direction::kIn ? 1 : 0;
+  }
   EXPECT_EQ(stats_of(report, "uniformity").checks,
-            2 * stats_of(routing_only, "uniformity").checks);
+            mesh.destination_count() * in_ports);
 }
 
 // ---------------------------------------------------------------------------

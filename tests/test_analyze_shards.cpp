@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "analyze/analyzer.hpp"
+#include "escape_testing.hpp"
 #include "instance/registry.hpp"
 #include "instance/spec.hpp"
 #include "routing/cmesh_dor.hpp"
@@ -151,13 +152,13 @@ TEST(AnalyzeShards, TurnsMatchTheOracleOnEveryPreset) {
 }
 
 TEST(AnalyzeShards, HeadlinePairCountsAreUnchanged) {
+  // Both headlines route (and escape) by NodeUniformRouting functions, so
+  // `uniformity` audits no pair and records the claim as by construction.
   const InstanceRegistry& registry = InstanceRegistry::global();
   const struct {
     const char* preset;
-    std::uint64_t uniformity;
     std::uint64_t turns;
-  } expected[] = {{"mesh256-xy", 8493056, 851955},
-                  {"torus64-xy-escape", 16793600, 839475}};
+  } expected[] = {{"mesh256-xy", 851955}, {"torus64-xy-escape", 839475}};
   for (const auto& row : expected) {
     const InstanceSpec* spec = registry.find(row.preset);
     ASSERT_NE(spec, nullptr) << row.preset;
@@ -167,11 +168,17 @@ TEST(AnalyzeShards, HeadlinePairCountsAreUnchanged) {
     EXPECT_TRUE(report.clean()) << row.preset;
     for (const StageStats& stats : report.rules) {
       if (stats.stage == "uniformity") {
-        EXPECT_EQ(stats.checks, row.uniformity) << row.preset;
+        EXPECT_EQ(stats.checks, 0u) << row.preset;
+        EXPECT_FALSE(stats.ran) << row.preset;
       } else if (stats.stage == "turns") {
         EXPECT_EQ(stats.checks, row.turns) << row.preset;
       }
     }
+    EXPECT_EQ(count_code(report.diagnostics, "uniformity-by-construction"),
+              spec->escape.empty() ? 1u : 2u)
+        << row.preset;
+    EXPECT_EQ(count_code(report.diagnostics, "uniformity-audited"), 0u)
+        << row.preset;
   }
 }
 
@@ -441,6 +448,126 @@ TEST(AnalyzeShards, TurnsCapOrderHoldsAcrossShards) {
       turns_oracle(routing, "xy", AnalyzeOptions{});
   EXPECT_EQ(oracle.violations, 18u);
   expect_cap_order("turns", spec, mesh, routing, oracle, 4);
+}
+
+// ---------------------------------------------------------------------------
+// Who is audited: every grid function but Odd-Even is a NodeUniformRouting
+// and holds the claim by construction; the id-native families and the
+// hand-written mutants are audited, at every pool setting.
+// ---------------------------------------------------------------------------
+
+/// The `function` witnesses of the uniformity-by-construction records.
+std::vector<std::string> by_construction_roles(
+    const std::vector<Diagnostic>& diagnostics) {
+  std::vector<std::string> roles;
+  for (const Diagnostic& diagnostic : diagnostics) {
+    if (diagnostic.code != "uniformity-by-construction") {
+      continue;
+    }
+    for (const auto& [key, value] : diagnostic.witness) {
+      if (key == "function") {
+        roles.push_back(value);
+      }
+    }
+  }
+  return roles;
+}
+
+TEST(AnalyzeShards, UniformityAuditsOnlyClaimsThatCanBeWrong) {
+  const Analyzer analyzer = single_rule("uniformity");
+  using Roles = std::vector<std::string>;
+  const struct {
+    const char* spec;
+    Roles roles;
+  } unaudited[] = {
+      {"topology=mesh size=6x5 routing=xy", {"routing"}},
+      {"topology=mesh size=6x5 routing=yx", {"routing"}},
+      {"topology=mesh size=6x5 routing=west_first", {"routing"}},
+      {"topology=mesh size=6x5 routing=north_last", {"routing"}},
+      {"topology=mesh size=6x5 routing=negative_first", {"routing"}},
+      {"topology=mesh size=6x5 routing=fully_adaptive escape=xy",
+       {"routing", "escape"}},
+      {"topology=mesh size=6x5 routing=fully_adaptive escape=yx",
+       {"routing", "escape"}},
+      {"topology=torus size=6x5 routing=torus_xy escape=xy",
+       {"routing", "escape"}},
+      {"topology=mesh size=6x5 routing=odd_even escape=yx", {"escape"}},
+      {"topology=mesh size=6x5 routing=odd_even", {}},
+  };
+  for (const auto& row : unaudited) {
+    const InstanceSpec spec = spec_or_die(row.spec);
+    AnalysisArtifacts artifacts(spec);
+    for (ThreadPool* pool : pools()) {
+      SCOPED_TRACE(std::string(row.spec) + ", " + pool_label(pool));
+      const AnalyzeReport report = analyzer.run(spec, artifacts, {}, pool);
+      ASSERT_EQ(report.rules.size(), 1u);
+      EXPECT_FALSE(report.rules[0].ran);
+      EXPECT_FALSE(report.rules[0].skip_reason.empty());
+      EXPECT_EQ(report.rules[0].checks, 0u);
+      EXPECT_EQ(by_construction_roles(report.diagnostics), row.roles);
+      EXPECT_EQ(report.diagnostics,
+                uniformity_oracle(artifacts.topology(), artifacts.routing(),
+                                  artifacts.escape_routing(), {})
+                    .diagnostics);
+    }
+  }
+
+  // The id-native claimants keep their audit and its pair counts.
+  const struct {
+    const char* preset;
+    std::uint64_t pairs;
+  } audited[] = {{"cmesh4-dor", 7168}, {"dragonfly9-min", 18144}};
+  for (const auto& row : audited) {
+    const InstanceSpec* spec = InstanceRegistry::global().find(row.preset);
+    ASSERT_NE(spec, nullptr) << row.preset;
+    AnalysisArtifacts artifacts(*spec);
+    for (ThreadPool* pool : pools()) {
+      SCOPED_TRACE(std::string(row.preset) + ", " + pool_label(pool));
+      const AnalyzeReport report = analyzer.run(*spec, artifacts, {}, pool);
+      ASSERT_EQ(report.rules.size(), 1u);
+      EXPECT_TRUE(report.rules[0].ran);
+      EXPECT_EQ(report.rules[0].checks, row.pairs);
+      ASSERT_EQ(report.diagnostics.size(), 1u);
+      EXPECT_EQ(report.diagnostics[0].code, "uniformity-audited");
+    }
+  }
+
+  // Hand-written claimants are audited and still trip (expect_rule_matches
+  // runs every pool setting against the oracle).
+  const InstanceSpec mutant_spec =
+      spec_or_die("topology=mesh size=5x4 routing=fully_adaptive escape=xy");
+  const Mesh2D mesh(5, 4);
+  for (const ExtraHop extra :
+       {ExtraHop::kDuplicate, ExtraHop::kNeighbourPort, ExtraHop::kOwnNodeIn}) {
+    const ExtraHopXY routing(mesh, extra);
+    const RuleOracleResult oracle =
+        uniformity_oracle(mesh, routing, nullptr, AnalyzeOptions{});
+    EXPECT_GT(oracle.violations, 0u);
+    EXPECT_EQ(oracle.diagnostics.back().code, "uniformity-refuted");
+    expect_uniformity_matches(mutant_spec, mesh, routing, nullptr);
+  }
+  const Mesh2D wide(16, 16);  // SparseLyingMask lies toward index 5 mod 23
+  const SparseLyingMask lying(wide);
+  const RuleOracleResult lying_oracle =
+      uniformity_oracle(wide, lying, nullptr, AnalyzeOptions{});
+  EXPECT_EQ(lying_oracle.diagnostics.back().code, "uniformity-refuted");
+  expect_uniformity_matches(
+      spec_or_die("topology=mesh size=16x16 routing=fully_adaptive"), wide,
+      lying, nullptr);
+
+  // A punctured XY escape lane: its claim holds (audited, with the XY
+  // routing recorded by construction), and the escape rule trips on it.
+  const XYRouting xy(mesh);
+  const HolePuncturedXY punctured(mesh);
+  const RuleOracleResult punctured_oracle =
+      uniformity_oracle(mesh, xy, &punctured, AnalyzeOptions{});
+  EXPECT_EQ(by_construction_roles(punctured_oracle.diagnostics),
+            Roles{"routing"});
+  EXPECT_EQ(punctured_oracle.diagnostics.back().code, "uniformity-audited");
+  expect_uniformity_matches(mutant_spec, mesh, xy, &punctured);
+  const AnalyzeReport escape_report = single_rule("escape").run(
+      mutant_spec, mesh, xy, &punctured, {}, pools()[2]);
+  EXPECT_FALSE(escape_report.clean());
 }
 
 }  // namespace

@@ -121,6 +121,24 @@ TEST(InstanceSpec, RejectsMalformedTokensAndNumbers) {
   EXPECT_NE(parse_err("flits=0").find("outside"), std::string::npos);
 }
 
+TEST(InstanceSpec, RejectsRepeatedKeys) {
+  // Keeping the last value would drop the first failed link, or verify a
+  // routing other than the first one named, without a word.
+  const std::string faults = parse_err(
+      "topology=mesh size=4x4 routing=xy failed=0:E failed=5:S");
+  EXPECT_NE(faults.find("'failed' given twice"), std::string::npos) << faults;
+  const std::string routing =
+      parse_err("topology=mesh size=4x4 routing=xy routing=fully_adaptive");
+  EXPECT_NE(routing.find("'routing' given twice"), std::string::npos)
+      << routing;
+  // The same value twice, and spelling variants of one key, count too.
+  EXPECT_NE(parse_err("seed=1 seed=1").find("'seed'"), std::string::npos);
+  EXPECT_NE(parse_err("Routing=xy routing=xy").find("'routing'"),
+            std::string::npos);
+  // size, width and height are different keys.
+  EXPECT_EQ(parse_ok("size=8x8 width=6 height=3").width, 6);
+}
+
 TEST(InstanceSpec, ValidatesCrossFieldConsistency) {
   // torus_xy needs wrap links to route over.
   EXPECT_NE(parse_err("topology=mesh routing=torus_xy").find("torus_xy"),

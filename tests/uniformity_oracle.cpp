@@ -92,15 +92,30 @@ RuleOracleResult uniformity_oracle(const Topology& topology,
                                    const RoutingFunction* escape,
                                    const AnalyzeOptions& options) {
   RuleOracleResult result;
-  const bool escape_claims = escape != nullptr && escape->node_uniform();
-  if (!routing.node_uniform() && !escape_claims) {
+  // The by-construction records come first, then the audits.
+  std::vector<std::pair<const RoutingFunction*, const char*>> audited;
+  for (const auto& [function, role] :
+       {std::pair<const RoutingFunction*, const char*>{&routing, "routing"},
+        {escape, "escape"}}) {
+    if (function == nullptr || !function->node_uniform()) {
+      continue;
+    }
+    if (dynamic_cast<const NodeUniformRouting*>(function) == nullptr) {
+      audited.emplace_back(function, role);
+      continue;
+    }
+    result.diagnostics.push_back(uniformity_diagnostic(
+        Severity::kInfo, "uniformity-by-construction",
+        std::string(role) + " " + function->name() +
+            " is node-uniform by construction: its hops derive from "
+            "node_out_mask",
+        {{"function", role}}));
+  }
+  if (audited.empty()) {
     return result;
   }
-  if (routing.node_uniform()) {
-    audit(topology, routing, "routing", options, result);
-  }
-  if (escape_claims) {
-    audit(topology, *escape, "escape", options, result);
+  for (const auto& [function, role] : audited) {
+    audit(topology, *function, role, options, result);
   }
   if (result.violations == 0) {
     result.diagnostics.push_back(uniformity_diagnostic(

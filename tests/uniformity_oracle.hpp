@@ -36,7 +36,9 @@ std::size_t oracle_stride(std::size_t count, std::uint64_t cost_per,
 
 /// The uniformity rule's result for \p routing and, when it claims
 /// node-uniformity too, \p escape (nullptr for none). Field for field what
-/// the rule must report; empty when neither function claims the property.
+/// the rule must report: a NodeUniformRouting is not audited and yields one
+/// uniformity-by-construction record; empty when neither function claims
+/// the property.
 RuleOracleResult uniformity_oracle(const Topology& topology,
                                    const RoutingFunction& routing,
                                    const RoutingFunction* escape,
