@@ -1,7 +1,8 @@
 /// \file guards.cpp
 /// \brief The micro-benchmarks the CI perf guards read
 ///        (tools/check_bench_guard.py) and the ROADMAP's perf trajectory
-///        cites: fast vs generic dependency-graph builds, delta vs rebuilt
+///        cites: fast vs generic dependency-graph builds, sequential vs
+///        sharded sweep builds, delta vs rebuilt
 ///        fault-variant graphs, derived fault-variant contexts vs one grid
 ///        build, sequential vs sharded vs analytic escape
 ///        analysis, the mesh256 context build, the headline mesh128/mesh256
@@ -96,6 +97,30 @@ void depgraph_fast_256x256(benchmark::State& state) {
   const XYRouting routing(mesh);
   for (auto _ : state) {
     const PortDepGraph dep = build_dep_graph_fast(routing);
+    benchmark::DoNotOptimize(dep.graph.edge_count());
+  }
+  report_rss(state);
+}
+
+// The per-destination sweep (a failed link keeps XY off the analytic
+// build), sequential vs destination-sharded: CI guards the
+// parallel/sequential ratio, so the shard merge keeps paying.
+void depgraph_sweep_sequential_faulted_64x64(benchmark::State& state) {
+  const Mesh2D mesh(64, 64, false, false, {LinkFault{2080, PortName::kEast}});
+  const XYRouting routing(mesh);
+  for (auto _ : state) {
+    const PortDepGraph dep = build_dep_graph_fast(routing);
+    benchmark::DoNotOptimize(dep.graph.edge_count());
+  }
+  report_rss(state);
+}
+
+void depgraph_sweep_parallel_faulted_64x64(benchmark::State& state) {
+  const Mesh2D mesh(64, 64, false, false, {LinkFault{2080, PortName::kEast}});
+  const XYRouting routing(mesh);
+  BatchRunner& runner = pool();
+  for (auto _ : state) {
+    const PortDepGraph dep = build_dep_graph_fast(routing, &runner);
     benchmark::DoNotOptimize(dep.graph.edge_count());
   }
   report_rss(state);
@@ -332,6 +357,8 @@ GUARD_BENCH(depgraph_fast_8x8, kMicrosecond);
 GUARD_BENCH(depgraph_generic_cmesh, kMicrosecond);
 GUARD_BENCH(depgraph_fast_cmesh, kMicrosecond);
 GUARD_BENCH(depgraph_fast_256x256, kMillisecond);
+GUARD_BENCH(depgraph_sweep_sequential_faulted_64x64, kMillisecond);
+GUARD_BENCH(depgraph_sweep_parallel_faulted_64x64, kMillisecond);
 GUARD_BENCH(campaign_delta_mesh16_single, kMicrosecond);
 GUARD_BENCH(campaign_rebuild_mesh16_single, kMicrosecond);
 GUARD_BENCH(campaign_context_mesh32_single, kMicrosecond);

@@ -67,14 +67,15 @@ struct DestinationTally {
 /// Per-shard scratch of the destination-sampled rules, reused across the
 /// shard's destinations.
 ///
-/// A shard writes the head of its hop buffers once per scanned in-port. A
-/// small buffer can land in a heap chunk that another thread freed, on the
-/// cache line of another shard's buffer, and the two threads then bounce
-/// that line at every hop: on torus64-xy-escape two of the pool's workers
-/// did, and the 4-thread uniformity audit took ~30% more CPU. Buffers of
-/// kHopBufferBytes are past the allocator's small-chunk caches, so each
-/// comes from its own thread's arena, and no two buffer heads can share a
-/// line.
+/// A shard writes the head of its hop buffers once per scanned in-port.
+/// Buffers of kHopBufferBytes are past the allocator's small-chunk caches,
+/// so each comes from its own thread's arena and no two shards' buffer
+/// heads share a cache line. `turns` is the only grid rule using them. On
+/// torus64-xy-escape at 4 threads (Release, 4-vCPU Xeon, 118 alternating
+/// `verify --json` pairs in four sets), dropping the reserve raised the
+/// median `turns` CPU in all four sets (by 1-2.5 of 55-64 ms) and its
+/// median wall in three (by 0.7-1.6 of 16-27 ms); per pair it was a coin
+/// flip, so the gain is small but not shown to be zero.
 struct ShardScratch {
   static constexpr std::size_t kHopBufferBytes = 2048;
 

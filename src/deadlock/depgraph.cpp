@@ -14,9 +14,8 @@ namespace genoc {
 
 namespace {
 
-/// Post-finalize edge count: deterministic at any thread count (finalize
-/// dedups the shards' repeat emissions), so the counter stays comparable
-/// across 1/4/8-thread runs.
+/// Post-finalize edge count: deterministic at any thread count (the graph
+/// is), so the counter stays comparable across 1/4/8-thread runs.
 void count_built_edges(const PortDepGraph& result) {
   static obs::Counter& edges =
       obs::MetricsRegistry::global().counter("depgraph.edges_built");
@@ -133,6 +132,35 @@ PortDepGraph build_dep_graph_analytic(const RoutingFunction& routing) {
   return result;
 }
 
+PortDepGraph emit_dep_graph_from_out_bits(
+    const Topology& topo, const std::vector<std::uint64_t>& out_bits) {
+  GENOC_REQUIRE(out_bits.size() == topo.port_count(),
+                "one edge-bit word per port");
+  constexpr auto kOut = static_cast<std::size_t>(Direction::kOut);
+  PortDepGraph result;
+  bind_topology(result, topo);
+  result.graph = Digraph(topo.port_count());
+  // Port order, and out-ports in name order within a node: the edges come
+  // out sorted, so finalize() skips its sort.
+  for (PortId pid = 0; pid < topo.port_count(); ++pid) {
+    std::uint64_t bits = out_bits[pid];
+    if (bits == 0) {
+      continue;
+    }
+    if (topo.dir_of(pid) == Direction::kOut) {
+      result.graph.add_edge(pid, topo.link_target(pid));
+      continue;
+    }
+    const PortId* slots = topo.node_slots(topo.node_of(pid));
+    for (; bits != 0; bits &= bits - 1) {
+      const auto name = static_cast<std::size_t>(std::countr_zero(bits));
+      result.graph.add_edge(pid, slots[name * 2 + kOut]);
+    }
+  }
+  result.graph.finalize();
+  return result;
+}
+
 PortDepGraph build_dep_graph_fast(const RoutingFunction& routing,
                                   ThreadPool* pool) {
   if (routing.has_in_port_unions()) {
@@ -147,25 +175,22 @@ PortDepGraph build_dep_graph_fast(const RoutingFunction& routing,
   const std::size_t grain = pool != nullptr
                                 ? pool->recommended_grain(dest_count)
                                 : std::max<std::size_t>(dest_count, 1);
-  std::vector<std::vector<RouteSweeper::Edge>> shards((dest_count + grain - 1) /
-                                                      grain);
+  // Per shard: one edge-bit word per port. The edges repeat across
+  // destinations, so the bits saturate; shards merge by OR.
+  std::vector<std::vector<std::uint64_t>> shards;
+  while (shards.empty() || shards.size() * grain < dest_count) {
+    shards.emplace_back(topo.port_count(), 0);
+  }
   const auto sweep_shard = [&](std::size_t begin, std::size_t end) {
     obs::TraceSpan shard_span("depgraph_shard");
     if (shard_span.active()) {
       shard_span.set_detail("dests " + std::to_string(begin) + ".." +
                             std::to_string(end));
     }
-    auto& local = shards[begin / grain];
-    // A sweeper per shard: the emitted-edge dedup cache is sweeper-local,
-    // so shards may re-emit edges another shard saw — merge order and
-    // duplicates are both erased by finalize(). The sweeper suppresses
-    // repeat emissions, so a whole-range buffer stays near the final edge
-    // count; ~3 edges per port covers every routing here.
+    std::uint64_t* bits = shards[begin / grain].data();
     RouteSweeper sweeper(routing);
-    local.reserve(pool != nullptr ? topo.port_count() / 2
-                                  : topo.port_count() * 3);
     for (std::size_t dest = begin; dest < end; ++dest) {
-      sweeper.sweep(dest, &local, nullptr);
+      sweeper.sweep(dest, bits, nullptr);
     }
   };
   if (pool != nullptr) {
@@ -175,20 +200,13 @@ PortDepGraph build_dep_graph_fast(const RoutingFunction& routing,
   }
 
   obs::TraceSpan merge_span("depgraph_merge");
-  PortDepGraph result;
-  bind_topology(result, topo);
-  result.graph = Digraph(topo.port_count());
-  std::size_t total = 0;
-  for (const auto& shard : shards) {
-    total += shard.size();
-  }
-  result.graph.reserve_edges(total);
-  for (const auto& shard : shards) {
-    for (const auto& [from, to] : shard) {
-      result.graph.add_edge(from, to);
+  std::vector<std::uint64_t>& bits = shards.front();
+  for (std::size_t shard = 1; shard < shards.size(); ++shard) {
+    for (std::size_t pid = 0; pid < bits.size(); ++pid) {
+      bits[pid] |= shards[shard][pid];
     }
   }
-  result.graph.finalize();
+  PortDepGraph result = emit_dep_graph_from_out_bits(topo, bits);
   count_built_edges(result);
   return result;
 }

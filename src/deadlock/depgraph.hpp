@@ -25,6 +25,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "graph/digraph.hpp"
 #include "routing/routing.hpp"
@@ -78,14 +79,27 @@ PortDepGraph build_dep_graph(const RoutingFunction& routing);
 /// build_dep_graph()'s on every routing function (the test suite checks
 /// all registry presets).
 ///
+/// Second precondition: every hop fits the sweeps' edge bits — an in-port
+/// hops only to out-ports of its own node, an out-port only to its link
+/// target. A port-mode routing that breaks it gets a ContractViolation
+/// (no registry function does); the generic oracle still builds it.
+///
 /// With a \p pool the sweeps are sharded over destinations, each shard
-/// collecting its edge list locally; Digraph::finalize() (sort + dedup)
-/// canonicalizes the merge, so the graph is BIT-IDENTICAL with and without
-/// a pool. Each shard owns its RouteSweeper, so the routing function is
-/// only entered through its stateless const interface (node_out_mask /
-/// append_next_hops) — no prime() warm-up needed.
+/// OR-ing its edges into its own per-port bit array; the merge ORs the
+/// shards and emits once in port order, so the graph is BIT-IDENTICAL with
+/// and without a pool. Each shard owns its RouteSweeper, so the routing
+/// function is only entered through its stateless const interface
+/// (node_out_mask / append_next_hops) — no prime() warm-up needed.
 PortDepGraph build_dep_graph_fast(const RoutingFunction& routing,
                                   ThreadPool* pool = nullptr);
+
+/// The emitter behind every sweep (build_dep_graph_fast, the escape
+/// sweep): \p out_bits holds one word per port in RouteSweeper's edge
+/// encoding — any bit on an out-port for the edge to its link target, the
+/// out-name bits of its node's out-ports on an in-port. Edges come out in
+/// port order. Finalized, edges not counted.
+PortDepGraph emit_dep_graph_from_out_bits(
+    const Topology& topo, const std::vector<std::uint64_t>& out_bits);
 
 /// The O(ports) ANALYTIC construction, for routings that publish their
 /// exact per-in-port out-name unions (RoutingFunction::in_port_union — the

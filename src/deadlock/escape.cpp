@@ -10,6 +10,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "routing/sweep.hpp"
 #include "routing/torus_xy.hpp"
 #include "routing/xy.hpp"
 #include "routing/yx.hpp"
@@ -43,7 +44,6 @@ std::string EscapeAnalysis::summary() const {
 namespace {
 
 constexpr auto kOutSlot = static_cast<std::size_t>(Direction::kOut);
-constexpr std::uint64_t kLinkEdge = 1;  // lane bit of an OUT port's link
 /// A (destination index, in-port) state; kNoState orders after all others.
 using State = std::pair<std::size_t, PortId>;
 constexpr State kNoState{std::numeric_limits<std::size_t>::max(),
@@ -78,9 +78,9 @@ struct EscapeShard {
   std::uint32_t epoch = 0;
   std::vector<PortId> frontier;
   std::vector<std::uint64_t> masks;  // per node: the escape out-mask
-  // Per port: the lane edges seen so far, in RouteSweeper's emitted-bit
-  // encoding (kLinkEdge on OUT ports, out-name bits on IN ports). The lane
-  // repeats across destinations, so the bits saturate; shards merge by OR.
+  // Per port: the lane edges seen so far, in RouteSweeper's edge encoding
+  // (kLinkBit on OUT ports, out-name bits on IN ports). The lane repeats
+  // across destinations, so the bits saturate; shards merge by OR.
   std::vector<std::uint64_t> lane;
 
   std::uint64_t states_checked = 0;
@@ -162,7 +162,7 @@ void sweep_escape_destination(const RoutingFunction& adaptive,
     } else if (((terminal >> topo.name_of(pid)) & 1) != 0) {
       continue;  // consumed
     } else {
-      shard.lane[pid] |= kLinkEdge;
+      shard.lane[pid] |= RouteSweeper::kLinkBit;
       seed(topo.link_target(pid));
     }
     ++shard.lane_ports;
@@ -338,9 +338,6 @@ EscapeAnalysis analyze_escape_sweep(const RoutingFunction& adaptive,
   const std::size_t dest_count = topo.destination_count();
 
   EscapeAnalysis result;
-  result.escape_graph.topo = &topo;
-  result.escape_graph.mesh = dynamic_cast<const Mesh2D*>(&topo);
-  result.escape_graph.graph = Digraph(port_count);
 
   // Sequential: one shard sweeps every destination in order.
   const std::size_t grain = pool == nullptr
@@ -389,20 +386,7 @@ EscapeAnalysis analyze_escape_sweep(const RoutingFunction& adaptive,
   }
   result.escape_always_available = result.missing_states == 0;
   result.missing_escape = state_label(topo, missing);
-  Digraph& graph = result.escape_graph.graph;
-  for (PortId pid = 0; pid < port_count; ++pid) {
-    if (topo.dir_of(pid) == Direction::kOut) {
-      if (lane[pid] != 0) {
-        graph.add_edge(pid, topo.link_target(pid));
-      }
-      continue;
-    }
-    const PortId* slots = topo.node_slots(topo.node_of(pid));
-    for (std::uint64_t bits = lane[pid]; bits != 0; bits &= bits - 1) {
-      graph.add_edge(pid, lowest_out(slots, bits));
-    }
-  }
-  graph.finalize();
+  result.escape_graph = emit_dep_graph_from_out_bits(topo, lane);
   return finish(std::move(result));
 }
 

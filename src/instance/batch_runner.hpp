@@ -6,10 +6,10 @@
 ///
 ///   1. WITHIN one instance: build_dep_graph_fast (deadlock/depgraph.hpp),
 ///      given the pool, shards the per-DESTINATION route sweeps
-///      (RouteSweeper), each shard collecting its edge list locally; the
-///      shards are merged and canonicalized by Digraph::finalize() (sort +
-///      dedup), so the parallel graph is BIT-IDENTICAL to the sequential
-///      one — and to the generic oracle's.
+///      (RouteSweeper), each shard OR-ing its edges into its own per-port
+///      out-name bits; the OR of the shards is emitted once in port order,
+///      so the parallel graph is BIT-IDENTICAL to the sequential one — and
+///      to the generic oracle's.
 ///   2. ACROSS instances: `genoc verify --all` verifies every registered
 ///      instance, each writing its verdict into a fixed slot, so the
 ///      report order is deterministic too.

@@ -23,118 +23,95 @@ RouteSweeper::RouteSweeper(const RoutingFunction& routing)
       // port name. Topology caps name tables at 64, so this always holds
       // today; the guard keeps a wider future family from corrupting masks.
       node_mode_(routing.node_uniform() && topo_->name_count() <= 64) {
-  stamp_.assign(port_count_, 0);
-  emitted_.assign(port_count_, 0);
   mask_.assign(node_count_, 0);
 }
 
-void RouteSweeper::sweep(std::size_t dest_index, std::vector<Edge>* edges,
+void RouteSweeper::sweep(std::size_t dest_index, std::uint64_t* edge_bits,
                          std::uint64_t* row) {
   GENOC_REQUIRE(dest_index < topo_->destination_count(),
                 "destination index out of range");
   if (node_mode_) {
-    sweep_nodes(dest_index, edges, row);
+    sweep_nodes(dest_index, edge_bits, row);
   } else {
-    sweep_ports(dest_index, edges, row);
+    sweep_ports(dest_index, edge_bits, row);
   }
-}
-
-void RouteSweeper::emit_in_edges(PortId pid, const PortId* slots,
-                                 std::uint64_t mask,
-                                 std::vector<Edge>& edges) {
-  std::uint64_t fresh = mask & ~emitted_[pid];
-  if (fresh == 0) {
-    return;
-  }
-  emitted_[pid] |= fresh;
-  do {
-    const unsigned name = static_cast<unsigned>(std::countr_zero(fresh));
-    edges.emplace_back(
-        pid, slots[name * 2 + static_cast<std::size_t>(Direction::kOut)]);
-    fresh &= fresh - 1;
-  } while (fresh != 0);
 }
 
 void RouteSweeper::sweep_nodes(std::size_t dest_index,
-                               std::vector<Edge>* edges, std::uint64_t* row) {
-  ++epoch_;
-  frontier_.clear();
+                               std::uint64_t* edge_bits, std::uint64_t* row) {
   const std::uint64_t terminal = topo_->terminal_name_mask();
   const std::size_t spn = topo_->slots_per_node();
   constexpr auto kOut = static_cast<std::size_t>(Direction::kOut);
   constexpr auto kIn = static_cast<std::size_t>(Direction::kIn);
+  // Non-existent out-ports drop out of a node's mask, mirroring the generic
+  // construction's existence filter.
+  const auto out_mask = [this](std::size_t node) {
+    return mask_[node] & topo_->out_exists_mask(node);
+  };
 
-  // Pass 1: one mask per node decides the out-ports of every in-port of
-  // that node; selected non-terminal out-ports mark the in-port their link
-  // drives (the route tree's hops). Terminal IN ports are always visited
-  // (messages inject everywhere), so their edges emit right here. The masks
-  // come batched — fill_node_masks hoists the per-destination lookups out
-  // of the node loop.
+  // One mask per node decides the out-ports of every in-port of that node
+  // (the node-uniformity contract). Terminal IN ports are always visited
+  // (messages inject everywhere); a selected non-terminal out-port visits
+  // the in-port its link drives (the route tree's hop), which takes its
+  // own node's mask. The masks come batched — fill_node_masks hoists the
+  // per-destination lookups out of the node loop.
   routing_->fill_node_masks(dest_index, mask_.data());
   const PortId* slots = topo_->node_slots(0);
   for (std::size_t node = 0; node < node_count_; ++node, slots += spn) {
-    // Non-existent out-ports drop out of the mask, mirroring the generic
-    // construction's existence filter.
-    const std::uint64_t mask = mask_[node] & topo_->out_exists_mask(node);
-    mask_[node] = mask;
-    std::uint64_t term_in = terminal;
-    while (term_in != 0) {
-      const unsigned name = static_cast<unsigned>(std::countr_zero(term_in));
-      term_in &= term_in - 1;
-      const PortId tin = slots[name * 2 + kIn];
+    const std::uint64_t mask = out_mask(node);
+    for (std::uint64_t term_in = terminal; term_in != 0;
+         term_in &= term_in - 1) {
+      const PortId tin = slots[std::countr_zero(term_in) * 2 + kIn];
       if (tin == kInvalidPort) {
         continue;
       }
       if (row != nullptr) {
         set_bit(row, tin);
       }
-      if (edges != nullptr) {
-        emit_in_edges(tin, slots, mask, *edges);
+      if (edge_bits != nullptr) {
+        edge_bits[tin] |= mask;
       }
     }
-    std::uint64_t cardinal = mask & ~terminal;
-    while (cardinal != 0) {
-      const unsigned name = static_cast<unsigned>(std::countr_zero(cardinal));
-      cardinal &= cardinal - 1;
-      const PortId opid = slots[name * 2 + kOut];
+    for (std::uint64_t cardinal = mask & ~terminal; cardinal != 0;
+         cardinal &= cardinal - 1) {
+      const PortId opid = slots[std::countr_zero(cardinal) * 2 + kOut];
       const PortId tgt = topo_->link_target(opid);
       if (row != nullptr) {
         set_bit(row, opid);
+        set_bit(row, tgt);
       }
-      if (edges != nullptr && (emitted_[opid] & kLinkEmitted) == 0) {
-        emitted_[opid] |= kLinkEmitted;
-        edges->emplace_back(opid, tgt);
-      }
-      if (stamp_[tgt] != epoch_) {
-        stamp_[tgt] = epoch_;
-        frontier_.push_back(tgt);
+      if (edge_bits != nullptr) {
+        edge_bits[opid] |= kLinkBit;
+        edge_bits[tgt] |= out_mask(topo_->node_of(tgt));
       }
     }
-    std::uint64_t deliver = mask & terminal;
-    while (deliver != 0 && row != nullptr) {
-      const unsigned name = static_cast<unsigned>(std::countr_zero(deliver));
-      deliver &= deliver - 1;
-      set_bit(row, slots[name * 2 + kOut]);
-    }
-  }
-
-  // Pass 2: the marked in-ports take the same out-ports as their node's
-  // terminal IN ports (the node-uniformity contract).
-  for (const PortId pid : frontier_) {
-    if (row != nullptr) {
-      set_bit(row, pid);
-    }
-    if (edges != nullptr) {
-      const std::size_t n = topo_->node_of(pid);
-      emit_in_edges(pid, topo_->node_slots(n), mask_[n], *edges);
+    for (std::uint64_t deliver = mask & terminal; deliver != 0 && row != nullptr;
+         deliver &= deliver - 1) {
+      set_bit(row, slots[std::countr_zero(deliver) * 2 + kOut]);
     }
   }
 }
 
+std::uint64_t RouteSweeper::hop_edge_bits(PortId pid) const {
+  const bool out = topo_->dir_of(pid) == Direction::kOut;
+  std::uint64_t bits = 0;
+  for (const PortId q : hop_ids_) {
+    GENOC_REQUIRE(out ? q == topo_->link_target(pid)
+                      : topo_->dir_of(q) == Direction::kOut &&
+                            topo_->node_of(q) == topo_->node_of(pid),
+                  "hop " + topo_->port_label(pid) + " -> " +
+                      topo_->port_label(q) +
+                      " has no edge bit: an in-port hops to its node's "
+                      "out-ports, an out-port to its link target");
+    bits |= out ? kLinkBit : std::uint64_t{1} << topo_->name_of(q);
+  }
+  return bits;
+}
+
 void RouteSweeper::sweep_ports(std::size_t dest_index,
-                               std::vector<Edge>* edges, std::uint64_t* row) {
-  if (cache_ == nullptr) {
-    cache_ = std::make_unique<EdgeDedupCache>(port_count_);
+                               std::uint64_t* edge_bits, std::uint64_t* row) {
+  if (stamp_.empty()) {
+    stamp_.assign(port_count_, 0);
   }
   ++epoch_;
   frontier_.clear();
@@ -148,10 +125,10 @@ void RouteSweeper::sweep_ports(std::size_t dest_index,
     const PortId pid = frontier_[head];
     hop_ids_.clear();
     routing_->next_hop_ids_into(pid, dest_index, hop_ids_, hops_);
+    if (edge_bits != nullptr) {
+      edge_bits[pid] |= hop_edge_bits(pid);
+    }
     for (const PortId q : hop_ids_) {
-      if (edges != nullptr && cache_->fresh(pid, q)) {
-        edges->emplace_back(pid, q);
-      }
       if (stamp_[q] != epoch_) {
         stamp_[q] = epoch_;
         frontier_.push_back(q);

@@ -19,19 +19,17 @@
 ///
 /// Both modes are topology-agnostic — they read the Topology's shared slot,
 /// link and existence tables instead of rebuilding grid tables per sweeper —
-/// and emit exactly the edge set of build_dep_graph(): every (p, q) with p
+/// and record exactly the edge set of build_dep_graph(): every (p, q) with p
 /// route-reachable for d, q in R(p, d) and q existing, plus the same
-/// visited-port rows the reachability closure stores. One engine therefore
-/// backs build_dep_graph_fast() (with or without a pool) and
-/// RoutingFunction::prime(). Repeat edge emissions are suppressed by a
-/// per-sweeper cache (Digraph::finalize would coalesce them anyway, this
-/// keeps the merge buffers near the size of the final edge set).
+/// visited-port rows the reachability closure stores. Edges are recorded as
+/// per-port out-name bits, which repeat across destinations and merge across
+/// shards by OR; emit_dep_graph_from_out_bits() (deadlock/depgraph.hpp)
+/// turns them into the graph. One engine therefore backs
+/// build_dep_graph_fast() (with or without a pool) and
+/// RoutingFunction::prime().
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "routing/routing.hpp"
@@ -39,43 +37,11 @@
 
 namespace genoc {
 
-/// First-N-distinct-targets edge filter of the port-mode dependency sweep
-/// (the node-granular escape-lane analysis needs none: it records edges as
-/// per-port name bits): a port emits at most a node's worth of distinct
-/// out-targets (or one link target), so kSlots slots suppress virtually
-/// every repeat emission across destinations; on overflow the edge is
-/// simply emitted again and Digraph::finalize coalesces it.
-class EdgeDedupCache {
- public:
-  explicit EdgeDedupCache(std::size_t port_count)
-      : slots_(port_count), counts_(port_count, 0) {}
-
-  /// True exactly when (from, to) was not seen before (caller emits then).
-  bool fresh(PortId from, PortId to) {
-    auto& slots = slots_[from];
-    auto& count = counts_[from];
-    for (int i = 0; i < count; ++i) {
-      if (slots[static_cast<std::size_t>(i)] == to) {
-        return false;
-      }
-    }
-    if (count < kSlots) {
-      slots[static_cast<std::size_t>(count)] = to;
-      ++count;
-    }
-    return true;
-  }
-
- private:
-  static constexpr int kSlots = 6;
-
-  std::vector<std::array<PortId, kSlots>> slots_;
-  std::vector<std::uint8_t> counts_;
-};
-
 class RouteSweeper {
  public:
-  using Edge = std::pair<PortId, PortId>;
+  /// The edge bit of an OUT port: the dependency on its link target. An IN
+  /// port's edge bits are the out-name bits of its node's out-ports.
+  static constexpr std::uint64_t kLinkBit = 1;
 
   explicit RouteSweeper(const RoutingFunction& routing);
 
@@ -91,25 +57,24 @@ class RouteSweeper {
 
   /// Sweeps destination \p dest_index (position in the topology's
   /// destination_ids(); the row-major node index on grids). Dependency
-  /// edges are appended to *edges (first emission per sweeper only);
-  /// visited-port bits are OR-ed into \p row (row_words() words, caller
-  /// zeroed). Either sink may be nullptr.
-  void sweep(std::size_t dest_index, std::vector<Edge>* edges,
+  /// edges are OR-ed into \p edge_bits (one word per port, kLinkBit on OUT
+  /// ports, out-name bits on IN ports); visited-port bits are OR-ed into
+  /// \p row (row_words() words, caller zeroed). Either sink may be nullptr.
+  ///
+  /// Port mode throws ContractViolation on a hop the edge bits cannot
+  /// hold: an IN port's hop off its own node's out-ports, or an OUT port's
+  /// hop other than its link target. No registry function emits one.
+  void sweep(std::size_t dest_index, std::uint64_t* edge_bits,
              std::uint64_t* row);
 
  private:
-  static constexpr std::uint64_t kLinkEmitted = 1;  // emitted_ bit, OUT ports
-
-  void sweep_nodes(std::size_t dest_index, std::vector<Edge>* edges,
+  void sweep_nodes(std::size_t dest_index, std::uint64_t* edge_bits,
                    std::uint64_t* row);
-  void sweep_ports(std::size_t dest_index, std::vector<Edge>* edges,
+  void sweep_ports(std::size_t dest_index, std::uint64_t* edge_bits,
                    std::uint64_t* row);
 
-  /// Edges from in-port \p pid to the (existing) out-ports selected at its
-  /// node, deduplicated by the per-port emitted-name mask. \p slots points
-  /// at the node's slots_per_node()-entry id table.
-  void emit_in_edges(PortId pid, const PortId* slots, std::uint64_t mask,
-                     std::vector<Edge>& edges);
+  /// The edge bits of \p pid's hops in hop_ids_ (port mode).
+  std::uint64_t hop_edge_bits(PortId pid) const;
 
   const RoutingFunction* routing_;
   const Topology* topo_;
@@ -117,17 +82,14 @@ class RouteSweeper {
   std::size_t node_count_ = 0;
   bool node_mode_ = false;
 
+  // Port mode: the BFS over (port, destination) states.
   std::uint32_t epoch_ = 0;
   std::vector<std::uint32_t> stamp_;  // per port: epoch of the current dest
-  std::vector<PortId> frontier_;      // BFS worklist / marked in-ports
-  std::vector<Port> hops_;            // grid Port-tuple scratch (port mode)
-  std::vector<PortId> hop_ids_;       // next_hop_ids_into sink (port mode)
+  std::vector<PortId> frontier_;      // BFS worklist
+  std::vector<Port> hops_;            // grid Port-tuple scratch
+  std::vector<PortId> hop_ids_;       // next_hop_ids_into sink
 
-  std::vector<std::uint64_t> mask_;     // per node: current dest's out mask
-  std::vector<std::uint64_t> emitted_;  // per port: emitted out-name bits
-
-  // Port-mode edge filter, allocated on first port-mode sweep.
-  std::unique_ptr<EdgeDedupCache> cache_;
+  std::vector<std::uint64_t> mask_;  // node mode: per node, the dest's mask
 };
 
 }  // namespace genoc

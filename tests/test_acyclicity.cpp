@@ -146,31 +146,40 @@ TEST(Acyclicity, Mesh128MatchesTarjan) {
 
 // The two large-graph checks below keep the ParallelScc suite name of the
 // pooled SCC decomposition they used to test. The pooled part is now the
-// dependency-graph build; acyclicity on the graph it yields is decided by
-// find_cycle() and checked against sequential Tarjan.
+// dependency-graph build, so both take the sweep (a failed link keeps a
+// grid off the analytic build, which never reads the pool); acyclicity on
+// the graph it yields is decided by find_cycle() and checked against
+// sequential Tarjan.
 
 TEST(ParallelScc, SixtyFourBySixtyFourMatchesTarjan) {
-  const Mesh2D mesh(64, 64);
+  const Mesh2D mesh(64, 64, false, false, {LinkFault{2080, PortName::kEast}});
   const XYRouting xy(mesh);
-  ThreadPool pool(8);
-  const PortDepGraph dep = build_dep_graph_fast(xy, &pool);
-  EXPECT_FALSE(find_cycle(dep.graph).has_value());
-  expect_agrees_with_tarjan(dep.graph);
-  // Acyclic: every Tarjan component is a single vertex.
-  EXPECT_EQ(tarjan_scc(dep.graph).components.size(), dep.graph.vertex_count());
+  ASSERT_FALSE(xy.has_in_port_unions());
+  for (const std::size_t threads : {1u, 4u, 8u}) {
+    SCOPED_TRACE(threads);
+    ThreadPool pool(threads);
+    const PortDepGraph dep = build_dep_graph_fast(xy, &pool);
+    EXPECT_FALSE(find_cycle(dep.graph).has_value());
+    expect_agrees_with_tarjan(dep.graph);
+    // Acyclic: every Tarjan component is a single vertex.
+    EXPECT_EQ(tarjan_scc(dep.graph).components.size(),
+              dep.graph.vertex_count());
+  }
 }
 
 TEST(ParallelScc, LevelSynchronousTrimOnCyclicTorus64) {
-  // The 64x64 torus keeps its wrap rings: a cyclic graph at the scale the
-  // level-synchronous trim used to target. Built on pools of 2, 4 and 8
-  // threads, it must give the same cycle witness each time.
-  const Mesh2D torus(64, 64, true, true);
+  // The 64x64 torus keeps its wrap rings (one failed link breaks only its
+  // own): a cyclic graph at the scale the level-synchronous trim used to
+  // target. Built on pools of 1, 4 and 8 threads, it must give the same
+  // cycle witness each time.
+  const Mesh2D torus(64, 64, true, true, {LinkFault{2080, PortName::kNorth}});
   const TorusXYRouting routing(torus);
+  ASSERT_FALSE(routing.has_in_port_unions());
   const PortDepGraph sequential = build_dep_graph_fast(routing);
   const std::optional<CycleWitness> want = find_cycle(sequential.graph);
   ASSERT_TRUE(want.has_value());
   expect_agrees_with_tarjan(sequential.graph);
-  for (const std::size_t threads : {2u, 4u, 8u}) {
+  for (const std::size_t threads : {1u, 4u, 8u}) {
     SCOPED_TRACE(threads);
     ThreadPool pool(threads);
     const PortDepGraph rings = build_dep_graph_fast(routing, &pool);

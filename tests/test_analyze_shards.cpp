@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "analyze/analyzer.hpp"
+#include "deadlock/depgraph.hpp"
 #include "escape_testing.hpp"
 #include "instance/registry.hpp"
 #include "instance/spec.hpp"
@@ -24,6 +25,7 @@
 #include "topology/mesh.hpp"
 #include "turns_oracle.hpp"
 #include "uniformity_oracle.hpp"
+#include "util/require.hpp"
 #include "util/thread_pool.hpp"
 #include "verify/artifacts.hpp"
 
@@ -198,11 +200,16 @@ enum class ExtraHop {
 
 class ExtraHopXY final : public RoutingFunction {
  public:
-  ExtraHopXY(const Mesh2D& mesh, ExtraHop extra)
-      : RoutingFunction(mesh), inner_(mesh), extra_(extra) {}
+  /// With \p node_uniform false the claim is withdrawn, so the sweeps run
+  /// in port mode over append_next_hops.
+  ExtraHopXY(const Mesh2D& mesh, ExtraHop extra, bool node_uniform = true)
+      : RoutingFunction(mesh),
+        inner_(mesh),
+        extra_(extra),
+        node_uniform_(node_uniform) {}
   std::string name() const override { return "extra-hop-xy"; }
   bool is_deterministic() const override { return false; }
-  bool node_uniform() const override { return true; }
+  bool node_uniform() const override { return node_uniform_; }
   std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
                              const Port& dest) const override {
     return inner_.node_out_mask(x, y, dest);
@@ -248,6 +255,7 @@ class ExtraHopXY final : public RoutingFunction {
  private:
   XYRouting inner_;
   ExtraHop extra_;
+  bool node_uniform_;
 };
 
 void expect_extra_hop(ExtraHop extra, bool violates) {
@@ -279,6 +287,24 @@ TEST(AnalyzeShards, OwnNodeInHopIsAViolation) {
 
 TEST(AnalyzeShards, HopToAMissingBoundaryOutPortIsDropped) {
   expect_extra_hop(ExtraHop::kMissingBoundary, false);
+}
+
+TEST(AnalyzeShards, PortModeHopOffTheNodeIsAContractViolation) {
+  // The sweeps record an in-port's edges as its node's out-name bits, so a
+  // port-mode hop onto the neighbour's West IN has no bit to land in: the
+  // fast builder refuses it, with and without a pool. The generic oracle
+  // still builds the graph, extra edge included.
+  const Mesh2D mesh(5, 4);
+  const ExtraHopXY routing(mesh, ExtraHop::kNeighbourPort,
+                           /*node_uniform=*/false);
+  ASSERT_FALSE(routing.has_in_port_unions());
+  EXPECT_THROW(build_dep_graph_fast(routing), ContractViolation);
+  ThreadPool pool(4);
+  EXPECT_THROW(build_dep_graph_fast(routing, &pool), ContractViolation);
+  const PortDepGraph generic = build_dep_graph(routing);
+  EXPECT_TRUE(generic.graph.has_edge(
+      mesh.id(Port{1, 1, PortName::kLocal, Direction::kIn}),
+      mesh.id(Port{2, 1, PortName::kWest, Direction::kIn})));
 }
 
 // ---------------------------------------------------------------------------

@@ -80,10 +80,13 @@ TEST(BatchRunner, SingleThreadedPoolStillWorks) {
   EXPECT_EQ(sum.load(), 100);
 }
 
-/// The determinism bar: pooled results bit-identical to the generic oracle
-/// and to the same builder without a pool — equal vertex counts, equal CSR
-/// edge lists.
+/// The determinism bar: a sharded build (each shard's edge bits OR-ed,
+/// then emitted once) bit-identical to the generic oracle and to the same
+/// builder without a pool — equal vertex counts, equal CSR edge lists.
+/// Only sweep-path routings shard, so \p routing must not publish in-port
+/// unions: the analytic build never reads the pool.
 void expect_identical(const RoutingFunction& routing, BatchRunner& runner) {
+  ASSERT_FALSE(routing.has_in_port_unions()) << routing.name();
   const PortDepGraph sequential = build_dep_graph(routing);
   const PortDepGraph parallel = build_dep_graph_fast(routing, &runner);
   ASSERT_EQ(parallel.graph.vertex_count(), sequential.graph.vertex_count());
@@ -95,17 +98,18 @@ void expect_identical(const RoutingFunction& routing, BatchRunner& runner) {
 }
 
 TEST(BatchRunner, ParallelDepGraphIsBitIdenticalToSequential) {
-  BatchRunner runner(4);
-  {
-    const Mesh2D mesh(12, 12);
+  // Small grids, since the generic oracle is O(ports x destinations): a
+  // failed link keeps XY (node mode) and Torus-XY (cyclic) on the sweep,
+  // and Odd-Even always sweeps in port mode.
+  const Mesh2D mesh(12, 12, false, false, {LinkFault{65, PortName::kEast}});
+  const Mesh2D odd_even_mesh(9, 7);
+  const Mesh2D torus(6, 6, /*wrap_x=*/true, /*wrap_y=*/true,
+                     {LinkFault{14, PortName::kNorth}});
+  for (const std::size_t threads : {1u, 4u, 8u}) {
+    SCOPED_TRACE(threads);
+    BatchRunner runner(threads);
     expect_identical(XYRouting(mesh), runner);
-  }
-  {
-    const Mesh2D mesh(9, 7);
-    expect_identical(OddEvenRouting(mesh), runner);  // lazy-closure path
-  }
-  {
-    const Mesh2D torus(6, 6, /*wrap_x=*/true, /*wrap_y=*/true);
+    expect_identical(OddEvenRouting(odd_even_mesh), runner);
     expect_identical(TorusXYRouting(torus), runner);  // cyclic graph
   }
 }

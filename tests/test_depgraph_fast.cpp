@@ -19,6 +19,7 @@
 #include "instance/batch_runner.hpp"
 #include "instance/network_instance.hpp"
 #include "instance/registry.hpp"
+#include "routing/odd_even.hpp"
 #include "routing/sweep.hpp"
 #include "routing/torus_xy.hpp"
 #include "routing/xy.hpp"
@@ -29,17 +30,11 @@ namespace genoc {
 namespace {
 
 Digraph digraph_from_sweeper(RouteSweeper& sweeper, const Topology& topo) {
-  std::vector<RouteSweeper::Edge> edges;
+  std::vector<std::uint64_t> bits(topo.port_count(), 0);
   for (std::size_t dest = 0; dest < topo.destination_count(); ++dest) {
-    sweeper.sweep(dest, &edges, nullptr);
+    sweeper.sweep(dest, bits.data(), nullptr);
   }
-  Digraph graph(topo.port_count());
-  graph.reserve_edges(edges.size());
-  for (const auto& [from, to] : edges) {
-    graph.add_edge(from, to);
-  }
-  graph.finalize();
-  return graph;
+  return emit_dep_graph_from_out_bits(topo, bits).graph;
 }
 
 void expect_fast_equals_generic(const InstanceSpec& spec) {
@@ -134,27 +129,6 @@ TEST(DepGraphFast, FaultedTorusAndRingStayOnTheSweep) {
     EXPECT_FALSE(routing.has_in_port_unions());
     EXPECT_EQ(build_dep_graph_fast(routing).graph.edges(),
               build_dep_graph(routing).graph.edges());
-  }
-}
-
-TEST(DepGraphFast, LargestPresetFastMatchesParallel) {
-  // The 128x128 oracle run costs minutes even in release; the fast
-  // builder is instead cross-checked against the sharded build, and both
-  // sweep modes (size-generic code) agree with the oracle on every other
-  // preset up to 64x64. (Selected by size, not by the heavy tag — the
-  // heavy jail is retired and the tag list is empty today.)
-  const InstanceRegistry& registry = InstanceRegistry::global();
-  for (const InstanceSpec& spec : registry.presets()) {
-    if (spec.node_count() <= InstanceRegistry::kOracleNodeLimit) {
-      continue;
-    }
-    SCOPED_TRACE(spec.name);
-    const NetworkInstance instance(spec);
-    const PortDepGraph fast = build_dep_graph_fast(instance.routing());
-    BatchRunner runner(4);
-    const PortDepGraph parallel =
-        build_dep_graph_fast(instance.routing(), &runner);
-    EXPECT_EQ(fast.graph.edges(), parallel.graph.edges());
   }
 }
 
@@ -269,18 +243,27 @@ TEST(DepGraphFast, NodeAndPortModeClosureRowsAgree) {
 }
 
 TEST(DepGraphFast, ParallelBuildBitIdenticalAcrossThreadCounts) {
-  std::string error;
-  const auto spec64 =
-      InstanceRegistry::global().resolve("mesh64-xy", &error);
-  ASSERT_TRUE(spec64.has_value()) << error;
-  const NetworkInstance instance(*spec64);
-  const PortDepGraph fast = build_dep_graph_fast(instance.routing());
-  for (const std::size_t threads : {1u, 4u, 8u}) {
-    BatchRunner runner(threads);
-    const PortDepGraph parallel =
-        build_dep_graph_fast(instance.routing(), &runner);
-    EXPECT_EQ(parallel.graph.edges(), fast.graph.edges())
-        << threads << " threads";
+  // Sweep-path routings only (the analytic build never reads the pool): a
+  // faulted 64x64 mesh (node mode), Odd-Even (port mode, at 32x32: its BFS
+  // is the slowest sweep) and a faulted 64x64 torus (cyclic).
+  const Mesh2D mesh(64, 64, false, false, {LinkFault{2080, PortName::kEast}});
+  const Mesh2D odd_even_mesh(32, 32);
+  const Mesh2D torus(64, 64, true, true, {LinkFault{2080, PortName::kNorth}});
+  const XYRouting xy(mesh);
+  const OddEvenRouting odd_even(odd_even_mesh);
+  const TorusXYRouting torus_xy(torus);
+  for (const RoutingFunction* routing :
+       std::initializer_list<const RoutingFunction*>{&xy, &odd_even,
+                                                     &torus_xy}) {
+    SCOPED_TRACE(routing->name());
+    ASSERT_FALSE(routing->has_in_port_unions());
+    const PortDepGraph fast = build_dep_graph_fast(*routing);
+    for (const std::size_t threads : {1u, 4u, 8u}) {
+      BatchRunner runner(threads);
+      const PortDepGraph parallel = build_dep_graph_fast(*routing, &runner);
+      EXPECT_EQ(parallel.graph.edges(), fast.graph.edges())
+          << threads << " threads";
+    }
   }
 }
 

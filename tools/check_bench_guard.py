@@ -35,16 +35,25 @@ the `max_rss_kb` counter.
      sequential lane walk. Skipped by default because the ratio is
      meaningless on single-core runners, where the sharded sweep can only
      tie the sequential one.
-  6. With --max-ns NAME=NS (repeatable): the named benchmark's time per
+  6. With --sweep-speedup X (multicore CI only):
+     depgraph_sweep_parallel_faulted_64x64 must be at least X times faster
+     than depgraph_sweep_sequential_faulted_64x64 from the same run — the
+     destination-sharded dependency-graph sweep (XY on a 64x64 mesh with
+     one failed link, which keeps it off the analytic build) pays for its
+     shards and their OR merge. Run the pair with
+     --benchmark_repetitions=5; the guard reads the median. Skipped by
+     default for the same reason as the escape guard.
+  7. With --max-ns NAME=NS (repeatable): the named benchmark's time per
      operation must not exceed the absolute ceiling — e.g.
      --max-ns verify_mesh128_xy=2000000000 pins the headline "mesh128
      verifies in under 2 s at 4 threads".
-  7. With --max-rss-kb NAME=KB (repeatable): the named benchmark's
+  8. With --max-rss-kb NAME=KB (repeatable): the named benchmark's
      max_rss_kb (peak process RSS when it finished) must not exceed the
      ceiling — the memory gate for the mesh256-xy verify.
 
 Usage: tools/check_bench_guard.py [bench-results-dir] [--escape-speedup X]
-           [--max-ns NAME=NS ...] [--max-rss-kb NAME=KB ...]
+           [--sweep-speedup X] [--max-ns NAME=NS ...]
+           [--max-rss-kb NAME=KB ...]
 """
 import argparse
 import json
@@ -79,6 +88,9 @@ VARIANT_CONTEXT_LIMIT_FRACTION = 0.5
 
 ESCAPE_PARALLEL = "escape_parallel_64x64"
 ESCAPE_SEQUENTIAL = "escape_sequential_64x64"
+
+SWEEP_PARALLEL = "depgraph_sweep_parallel_faulted_64x64"
+SWEEP_SEQUENTIAL = "depgraph_sweep_sequential_faulted_64x64"
 
 
 NS_PER_UNIT = {"ns": 1.0, "us": 1e3, "ms": 1e6, "s": 1e9}
@@ -202,19 +214,21 @@ def check_variant_context(results: dict[str, dict]) -> bool:
     return True
 
 
-def check_escape(results: dict[str, dict], min_speedup: float) -> bool:
-    parallel = ns_per_op(results, ESCAPE_PARALLEL)
-    sequential = ns_per_op(results, ESCAPE_SEQUENTIAL)
+def check_speedup(results: dict[str, dict], parallel_name: str,
+                  sequential_name: str, min_speedup: float,
+                  what: str) -> bool:
+    parallel = ns_per_op(results, parallel_name)
+    sequential = ns_per_op(results, sequential_name)
     speedup = sequential / parallel if parallel > 0 else float("inf")
-    print(f"{ESCAPE_PARALLEL}: {parallel:,.0f} ns/op, "
-          f"{ESCAPE_SEQUENTIAL}: {sequential:,.0f} ns/op "
+    print(f"{parallel_name}: {parallel:,.0f} ns/op, "
+          f"{sequential_name}: {sequential:,.0f} ns/op "
           f"({speedup:.2f}x, required >= {min_speedup:.2f}x)")
     if speedup < min_speedup:
-        print(f"FAIL: the destination-sharded escape sweep is only "
-              f"{speedup:.2f}x the sequential analysis — the parallel "
-              "escape lane regressed")
+        print(f"FAIL: the destination-sharded {what} is only "
+              f"{speedup:.2f}x the sequential one — the parallel {what} "
+              "regressed")
         return False
-    print("OK: sharded escape sweep beats the sequential analysis")
+    print(f"OK: the sharded {what} beats the sequential one")
     return True
 
 
@@ -227,6 +241,12 @@ def main() -> int:
                         help="additionally require escape_parallel_64x64 to "
                              "be >= X times faster than the sequential "
                              "escape bench (use on multicore runners only)")
+    parser.add_argument("--sweep-speedup", type=float, default=None,
+                        metavar="X",
+                        help="additionally require "
+                             "depgraph_sweep_parallel_faulted_64x64 to be "
+                             ">= X times faster than the sequential sweep "
+                             "bench (use on multicore runners only)")
     parser.add_argument("--max-ns", action="append", default=[],
                         metavar="NAME=NS",
                         help="absolute ceiling on the named benchmark's "
@@ -249,7 +269,12 @@ def main() -> int:
         ok = check_campaign(results) and ok
         ok = check_variant_context(results) and ok
         if args.escape_speedup is not None:
-            ok = check_escape(results, args.escape_speedup) and ok
+            ok = check_speedup(results, ESCAPE_PARALLEL, ESCAPE_SEQUENTIAL,
+                               args.escape_speedup, "escape sweep") and ok
+        if args.sweep_speedup is not None:
+            ok = check_speedup(results, SWEEP_PARALLEL, SWEEP_SEQUENTIAL,
+                               args.sweep_speedup,
+                               "dependency-graph sweep") and ok
     for spec in args.max_ns:
         name, ceiling = parse_gate(spec, "--max-ns")
         ok = check_absolute(results, name, ceiling, "ns_per_op",
