@@ -132,6 +132,29 @@ TEST(DepGraphFast, FaultedTorusAndRingStayOnTheSweep) {
   }
 }
 
+TEST(DepGraphFast, LargestPresetFastMatchesParallel) {
+  // The 128x128 oracle run costs minutes even in release; the fast
+  // builder is instead cross-checked against the pooled build, and both
+  // sweep modes (size-generic code) agree with the oracle on every other
+  // preset up to 64x64. (Selected by size, not by the heavy tag — the
+  // heavy jail is retired and the tag list is empty today.) These presets
+  // take the analytic build; the sweep-path pooled build is covered by
+  // ParallelBuildBitIdenticalAcrossThreadCounts.
+  const InstanceRegistry& registry = InstanceRegistry::global();
+  for (const InstanceSpec& spec : registry.presets()) {
+    if (spec.node_count() <= InstanceRegistry::kOracleNodeLimit) {
+      continue;
+    }
+    SCOPED_TRACE(spec.name);
+    const NetworkInstance instance(spec);
+    const PortDepGraph fast = build_dep_graph_fast(instance.routing());
+    BatchRunner runner(4);
+    const PortDepGraph parallel =
+        build_dep_graph_fast(instance.routing(), &runner);
+    EXPECT_EQ(fast.graph.edges(), parallel.graph.edges());
+  }
+}
+
 TEST(DepGraphFast, PortModeSweepMatchesGenericOnEveryPreset) {
   // The generic BFS fallback (what non-node-uniform functions like
   // Odd-Even always use) must itself reproduce the oracle, on every
