@@ -6,7 +6,8 @@
 ///        fault-variant graphs, derived fault-variant contexts vs one grid
 ///        build, sequential vs sharded vs analytic escape
 ///        analysis, the mesh256 context build, the headline mesh128/mesh256
-///        verifies, the registry sweep and the compressed-closure prime.
+///        verifies, the mesh128 analyzer pre-screen, the registry sweep and
+///        the compressed-closure prime.
 ///
 /// Every case times wall clock (UseRealTime) and reports the process's
 /// peak RSS as the `max_rss_kb` counter. Parallel cases run on a pool of
@@ -19,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "analyze/analyzer.hpp"
 #include "campaign/fault_model.hpp"
 #include "deadlock/depgraph.hpp"
 #include "deadlock/escape.hpp"
@@ -336,6 +338,21 @@ void registry_verify_all_cached(benchmark::State& state) {
   report_rss(state);
 }
 
+// The analyzer pre-screen `genoc verify` runs before the pipeline (the
+// cheap rules, over the verify's pool), on one mesh128-xy context built
+// outside the timed loop: the layer the verify anchors above leave out.
+void prescreen_mesh128_xy(benchmark::State& state) {
+  const InstanceSpec spec = *InstanceRegistry::global().find("mesh128-xy");
+  AnalysisArtifacts context(spec);
+  BatchRunner& runner = pool();
+  for (auto _ : state) {
+    const AnalyzeReport report =
+        Analyzer::cheap().run(spec, context, {}, &runner);
+    benchmark::DoNotOptimize(report.checks);
+  }
+  report_rss(state);
+}
+
 // A fresh Odd-Even routing (port mode, compressed closure tier) fully
 // primed over the pool each iteration: the eager cost laziness avoids.
 void closure_prime_64x64(benchmark::State& state) {
@@ -372,6 +389,7 @@ GUARD_BENCH(verify_mesh128_xy, kMillisecond);
 GUARD_BENCH(verify_mesh256_xy, kMillisecond);
 GUARD_BENCH(registry_verify_all, kMillisecond);
 GUARD_BENCH(registry_verify_all_cached, kMicrosecond);
+GUARD_BENCH(prescreen_mesh128_xy, kMillisecond);
 GUARD_BENCH(closure_prime_64x64, kMillisecond);
 
 }  // namespace

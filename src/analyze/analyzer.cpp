@@ -39,8 +39,8 @@ const Analyzer& Analyzer::standard() {
 }
 
 const std::vector<std::string>& Analyzer::cheap_rule_names() {
-  static const std::vector<std::string> names = {"spec_sanity", "dead_ports",
-                                                 "turns", "uniformity"};
+  static const std::vector<std::string> names = {"spec_sanity", "turns",
+                                                 "uniformity"};
   return names;
 }
 

@@ -5,8 +5,8 @@
 /// The static sibling of VerifyPipeline: where the pipeline DECIDES
 /// deadlock freedom (Theorem 1 / escape lanes over the artifact cache),
 /// the analyzer LINTS the model the decision will run on — routing
-/// totality, the node-uniformity claim, turn-model conformance, dead
-/// ports, escape coverage, spec sanity — each as a budget-bounded rule
+/// totality, the node-uniformity claim, turn-model conformance, escape
+/// coverage, spec sanity, fault sets — each as a budget-bounded rule
 /// with stable diagnostic codes. `genoc analyze` is its CLI front end;
 /// `genoc verify --all` runs the cheap subset per instance as a
 /// pre-screen (the fault-campaign front door: reject a broken variant for
@@ -32,12 +32,12 @@ class Analyzer {
   static const Analyzer& standard();
 
   /// The cheap pre-screen subset `verify --all` attaches per instance:
-  /// spec_sanity, dead_ports, turns and uniformity — the rules whose cost
-  /// is O(ports) or destination-sampled, leaving the closure-heavier
-  /// totality/escape sweeps to an explicit `genoc analyze`. `genoc verify`
-  /// runs it on the verify's own pool, over which `turns` and `uniformity`
-  /// shard their sampled destinations; `genoc analyze` and the campaign
-  /// screen pass no pool and stay sequential.
+  /// spec_sanity, turns and uniformity — the rules whose cost is O(1) or
+  /// destination-sampled, leaving the closure-heavier totality/escape
+  /// sweeps to an explicit `genoc analyze`. `genoc verify` runs it on the
+  /// verify's own pool, over which `turns` and `uniformity` shard their
+  /// sampled destinations; `genoc analyze` and the campaign screen pass no
+  /// pool and stay sequential.
   static const Analyzer& cheap();
   static const std::vector<std::string>& cheap_rule_names();
 

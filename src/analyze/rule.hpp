@@ -113,8 +113,8 @@ class AnalysisRule {
  public:
   virtual ~AnalysisRule() = default;
 
-  /// Stable registry name (`--rules` token): "spec_sanity", "dead_ports",
-  /// "turns", "uniformity", "totality", "escape".
+  /// Stable registry name (`--rules` token): "spec_sanity", "turns",
+  /// "uniformity", "totality", "escape", "fault_sanity", "connectivity".
   virtual const char* name() const = 0;
 
   /// One-line description for `genoc list --rules`.

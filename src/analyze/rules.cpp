@@ -1,7 +1,8 @@
 /// \file rules.cpp
-/// \brief The built-in analyzer rules: spec sanity, dead-port detection,
-///        turn-model conformance, the node-uniformity audit, routing
-///        totality/minimality, and escape-lane coverage.
+/// \brief The built-in analyzer rules: spec sanity, turn-model
+///        conformance, the node-uniformity audit, routing
+///        totality/minimality, escape-lane coverage, fault-set sanity and
+///        connectivity under faults.
 ///
 /// Every rule is a static lint over the model constituents: read-only,
 /// deterministic, budget-bounded (destination sampling with a fixed
@@ -186,9 +187,9 @@ HopFold fold_id_hops(const RoutingFunction& routing, const Topology& topo,
   return fold;
 }
 
-/// Rule 6 in registry order 1: structural spec lint. Contradictory or
-/// vacuous key combinations become stable-coded diagnostics instead of
-/// ad-hoc parse errors — and specs constructed programmatically (bypassing
+/// Rule 1: structural spec lint. Contradictory or vacuous key
+/// combinations become stable-coded diagnostics instead of ad-hoc parse
+/// errors — and specs constructed programmatically (bypassing
 /// parse_instance_spec) get validate_spec's complaints surfaced the same
 /// way.
 class SpecSanityRule final : public AnalysisRule {
@@ -257,111 +258,7 @@ class SpecSanityRule final : public AnalysisRule {
   }
 };
 
-/// Rule 2: dead/unreachable port detection over the Topology port graph
-/// alone (routing-agnostic): forward BFS from the terminal IN ports over
-/// {in-port -> every out-port of its node, out-port -> link target} and
-/// backward BFS from the terminal OUT ports over the inverse relation.
-/// O(ports); no sampling.
-class DeadPortsRule final : public AnalysisRule {
- public:
-  const char* name() const override { return "dead_ports"; }
-  const char* description() const override {
-    return "flag ports no injection can ever reach (port-unreachable) and "
-           "ports from which no ejection is reachable (port-dead-end), "
-           "over the topology port graph";
-  }
-
-  StageStats run(AnalyzeContext& ctx) const override {
-    StageStats stats;
-    stats.stage = name();
-    stats.ran = true;
-    const Topology& topo = ctx.topology;
-    const std::size_t ports = topo.port_count();
-    const std::size_t names = topo.name_count();
-    std::vector<char> forward(ports, 0);
-    std::vector<char> backward(ports, 0);
-    std::vector<PortId> queue;
-    queue.reserve(ports);
-
-    const auto visit = [&queue](std::vector<char>& seen, PortId pid) {
-      if (pid != kInvalidPort && !seen[pid]) {
-        seen[pid] = 1;
-        queue.push_back(pid);
-      }
-    };
-
-    for (const PortId source : topo.source_ids()) {
-      visit(forward, source);
-    }
-    while (!queue.empty()) {
-      const PortId pid = queue.back();
-      queue.pop_back();
-      if (topo.dir_of(pid) == Direction::kIn) {
-        const PortId* slots = topo.node_slots(topo.node_of(pid));
-        for (std::size_t n = 0; n < names; ++n) {
-          visit(forward, slots[n * 2 + static_cast<std::size_t>(
-                                           Direction::kOut)]);
-        }
-      } else {
-        visit(forward, topo.link_target(pid));
-      }
-    }
-
-    for (const PortId dest : topo.destination_ids()) {
-      visit(backward, dest);
-    }
-    while (!queue.empty()) {
-      const PortId pid = queue.back();
-      queue.pop_back();
-      if (topo.dir_of(pid) == Direction::kOut) {
-        const PortId* slots = topo.node_slots(topo.node_of(pid));
-        for (std::size_t n = 0; n < names; ++n) {
-          visit(backward,
-                slots[n * 2 + static_cast<std::size_t>(Direction::kIn)]);
-        }
-      } else {
-        visit(backward, topo.link_source(pid));
-      }
-    }
-
-    std::uint64_t unreachable = 0;
-    std::uint64_t dead_ends = 0;
-    for (PortId pid = 0; pid < ports; ++pid) {
-      stats.checks += 2;
-      if (!forward[pid] && ++unreachable <= ctx.options.max_findings_per_code) {
-        ctx.report.diagnostics.push_back(make_diagnostic(
-            name(), Severity::kWarning, "port-unreachable",
-            "port " + topo.port_label(pid) +
-                " is unreachable from every injection port",
-            {{"port", topo.port_label(pid)}}));
-      }
-      if (!backward[pid] && ++dead_ends <= ctx.options.max_findings_per_code) {
-        ctx.report.diagnostics.push_back(make_diagnostic(
-            name(), Severity::kWarning, "port-dead-end",
-            "no ejection port is reachable from port " + topo.port_label(pid),
-            {{"port", topo.port_label(pid)}}));
-      }
-    }
-    stats.passed = unreachable == 0 && dead_ends == 0;
-    if (stats.passed) {
-      ctx.report.diagnostics.push_back(make_diagnostic(
-          name(), Severity::kInfo, "ports-live",
-          "all " + std::to_string(ports) +
-              " ports lie on some injection-to-ejection path",
-          {{"ports", std::to_string(ports)}}));
-    } else {
-      ctx.report.diagnostics.push_back(make_diagnostic(
-          name(), Severity::kWarning, "dead-ports-found",
-          std::to_string(unreachable) + " unreachable and " +
-              std::to_string(dead_ends) + " dead-end ports",
-          {{"unreachable", std::to_string(unreachable)},
-           {"dead_ends", std::to_string(dead_ends)}}));
-    }
-    return stats;
-  }
-};
-
-/// Rule 3: turn-model conformance. Enumerates the turns the routing
+/// Rule 2: turn-model conformance. Enumerates the turns the routing
 /// actually emits on closure-reachable states (travel direction = opposite
 /// of the in-port name) and lints them against the discipline's static
 /// prohibited-turn set from routing/turns.hpp. Destination-sampled and
@@ -480,7 +377,7 @@ class TurnConformanceRule final : public AnalysisRule {
   }
 };
 
-/// Rule 4: the node-uniformity audit. A function claiming node_uniform()
+/// Rule 3: the node-uniformity audit. A function claiming node_uniform()
 /// feeds the zero-storage closure tier, the NODE-mode sweeps and the
 /// node-granular escape analysis, where a wrong claim silently corrupts
 /// every downstream artifact. A NodeUniformRouting cannot make a wrong
@@ -644,7 +541,7 @@ class UniformityRule final : public AnalysisRule {
   }
 };
 
-/// Rule 5: routing totality and progress. Every closure-reachable
+/// Rule 4: routing totality and progress. Every closure-reachable
 /// (port, destination) state must yield at least one next hop (a stuck
 /// message is a modelling bug Theorem 1 never sees — the dependency graph
 /// simply lacks the edge), and a routing claiming is_minimal() must
@@ -765,7 +662,7 @@ class TotalityRule final : public AnalysisRule {
   }
 };
 
-/// Rule 6: escape-lane coverage. An `escape=` spec promises a connected,
+/// Rule 5: escape-lane coverage. An `escape=` spec promises a connected,
 /// deadlock-free sub-network: the escape routing's OWN dependency graph
 /// must be acyclic (the Duato precondition the verify stage assumes), and
 /// every node must select at least one existing escape out-port toward
@@ -857,7 +754,7 @@ class EscapeCoverageRule final : public AnalysisRule {
   }
 };
 
-/// Rule 7: fault-set sanity. A spec's failed= set is the unit the fault
+/// Rule 6: fault-set sanity. A spec's failed= set is the unit the fault
 /// campaign enumerates over, so malformed sets deserve stable codes the
 /// campaign can screen on instead of contract violations mid-sweep:
 /// duplicate faults (the same physical link listed twice — the variant
@@ -989,12 +886,12 @@ class FaultSanityRule final : public AnalysisRule {
   }
 };
 
-/// Rule 8: connectivity under faults. dead_ports runs its BFS from ALL
-/// injection ports jointly, so a network SPLIT by failed links — each half
-/// with its own sources and sinks — still shows every port live. This rule
-/// asks the campaign's question instead: are all terminal nodes in one
-/// component of the surviving link graph (`net-disconnected` screens the
-/// variant — the deadlock question is ill-posed on a shattered network),
+/// Rule 7: connectivity under faults. The topology seal proves every port
+/// live, and so it is on a network SPLIT by failed links too: each half
+/// keeps its own sources and sinks. This rule asks the campaign's
+/// question instead: are all terminal nodes in one component of the
+/// surviving link graph (`net-disconnected` screens the variant — the
+/// deadlock question is ill-posed on a shattered network),
 /// and does the routing still select an existing out-port toward every
 /// destination (`route-disconnected`, a WARNING: a minimal routing
 /// strands traffic at a fault but the deadlock verdict on what it does
@@ -1221,11 +1118,9 @@ class ConnectivityRule final : public AnalysisRule {
 
 RuleRegistry::RuleRegistry() {
   // Registry order is run order for Analyzer::standard(): cheap structural
-  // lints first, the closure-walking sweeps last; the fault-campaign rules
-  // append after the original six so existing --rules selections and
-  // reports keep their order.
+  // lints first, then the closure-walking sweeps; the fault-campaign rules
+  // come last so existing --rules selections and reports keep their order.
   owned_.push_back(std::make_unique<SpecSanityRule>());
-  owned_.push_back(std::make_unique<DeadPortsRule>());
   owned_.push_back(std::make_unique<TurnConformanceRule>());
   owned_.push_back(std::make_unique<UniformityRule>());
   owned_.push_back(std::make_unique<TotalityRule>());

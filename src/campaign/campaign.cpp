@@ -18,9 +18,10 @@ namespace {
 
 /// The screening subset: the rules that decide "is this variant worth a
 /// verify" in O(ports) — spec-level sanity, fault-set sanity, and
-/// connectivity under the failed links. The heavier cheap() rules
-/// (dead_ports, turns, uniformity) re-derive per-variant facts the delta
-/// machinery already guarantees, so the campaign skips them.
+/// connectivity under the failed links. The heavier cheap() rules (turns,
+/// uniformity) re-derive per-variant facts the delta machinery already
+/// guarantees, and port liveness is the variant topology's own seal, so
+/// the campaign skips them.
 const Analyzer& screen_analyzer() {
   static const Analyzer analyzer = [] {
     std::string error;

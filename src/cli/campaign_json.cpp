@@ -34,7 +34,8 @@ std::string variant_json(const genoc::VariantOutcome& out,
 }  // namespace
 
 std::string campaign_report_json(const genoc::CampaignReport& report,
-                                 bool include_timing) {
+                                 std::optional<double> total_wall_ms) {
+  const bool include_timing = total_wall_ms.has_value();
   JsonObject codes;
   for (const auto& [code, count] : report.screen_code_counts) {
     codes.add(code, count);
@@ -63,6 +64,7 @@ std::string campaign_report_json(const genoc::CampaignReport& report,
   if (include_timing) {
     obj.add("threads", static_cast<std::uint64_t>(report.threads))
         .add("wall_ms", report.wall_ms)
+        .add("total_wall_ms", *total_wall_ms)
         .add_raw("metrics",
                  metrics_json(genoc::obs::MetricsRegistry::global().snapshot()));
   }

@@ -1,8 +1,9 @@
 /// \file cmd_analyze.cpp
 /// \brief `genoc analyze` — the static model analyzer: rule-based lints
 ///        over an instance's model constituents (routing totality, the
-///        node-uniformity claim, turn-model conformance, dead ports,
-///        escape coverage, spec sanity), with stable diagnostic codes.
+///        node-uniformity claim, turn-model conformance, escape coverage,
+///        spec sanity, fault sets), with stable diagnostic codes. Port
+///        liveness needs no rule: the topology seal proves it.
 ///
 /// The fault-campaign front door: where `genoc verify` DECIDES deadlock
 /// freedom, `analyze` rejects broken model variants for milliseconds

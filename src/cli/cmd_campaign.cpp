@@ -16,6 +16,7 @@
 #include "cli/campaign_json.hpp"
 #include "cli/commands.hpp"
 #include "instance/registry.hpp"
+#include "util/stopwatch.hpp"
 #include "util/table.hpp"
 
 namespace genoc::cli {
@@ -67,6 +68,7 @@ int cmd_campaign(const Args& args) {
     return 2;
   }
 
+  const Stopwatch total_timer;
   std::string error;
   const std::optional<InstanceSpec> base =
       InstanceRegistry::global().resolve(instance, &error);
@@ -112,7 +114,8 @@ int cmd_campaign(const Args& args) {
   }
 
   if (json_given) {
-    const std::string rendered = campaign_report_json(report, true);
+    const std::string rendered =
+        campaign_report_json(report, total_timer.elapsed_ms());
     if (json_path.empty() || json_path == "-") {
       std::cout << rendered;
     } else {

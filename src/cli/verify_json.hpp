@@ -32,6 +32,13 @@ std::string report_json(const genoc::VerifyReport& report,
 
 std::string diagnostic_json(const genoc::Diagnostic& diagnostic);
 std::string stage_stats_json(const genoc::StageStats& stats);
+
+/// An artifact-cache hit/miss ledger: a row's own `cache`, or the run's
+/// top-level totals. The totals are the same at any thread count. The
+/// split between rows is not when instances share one context (mesh8-xy
+/// and mesh8-xy-sf): a row records what its context's counters did while
+/// it ran, so which row takes the misses, and whether a row also counts
+/// its twin's concurrent hits, depends on scheduling.
 std::string cache_stats_json(const genoc::ArtifactCacheStats& stats);
 
 /// The `metrics` section of the schema-v2 report: counters and gauges as

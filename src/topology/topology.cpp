@@ -1,6 +1,7 @@
 #include "topology/topology.hpp"
 
 #include <algorithm>
+#include <string>
 
 #include "topology/port.hpp"
 #include "util/require.hpp"
@@ -85,6 +86,9 @@ void Topology::set_link(PortId out, PortId in) {
                 "link endpoints must be existing ports");
   GENOC_REQUIRE(dir_of(out) == Direction::kOut && dir_of(in) == Direction::kIn,
                 "links run from an OUT port to an IN port");
+  GENOC_REQUIRE(((terminal_mask_ >> name_of(out)) & 1) == 0 &&
+                    ((terminal_mask_ >> name_of(in)) & 1) == 0,
+                "links join non-terminal ports; terminal ones face the core");
   link_to_[out] = in;
 }
 
@@ -131,11 +135,18 @@ void Topology::finish_topology() {
   dest_index_.assign(port_info_.size(), kNotADestination);
   exist_out_.assign(node_count_, 0);
   link_from_.assign(port_info_.size(), kInvalidPort);
+  std::size_t links = 0;
   for (PortId out = 0; out < port_info_.size(); ++out) {
-    if (link_to_[out] != kInvalidPort) {
-      link_from_[link_to_[out]] = out;
+    const PortId in = link_to_[out];
+    if (in != kInvalidPort) {
+      GENOC_REQUIRE(link_from_[in] == kInvalidPort,
+                    "IN port " + port_label(in) +
+                        " is the target of two links");
+      link_from_[in] = out;
+      ++links;
     }
   }
+  std::size_t fabric_ins = 0;
   for (PortId pid = 0; pid < port_info_.size(); ++pid) {
     const std::size_t name = name_of(pid);
     const bool terminal = (terminal_mask_ >> name) & 1;
@@ -151,9 +162,26 @@ void Topology::finish_topology() {
       }
     } else if (terminal) {
       source_ids_.push_back(pid);
+    } else {
+      ++fabric_ins;
     }
   }
-  GENOC_REQUIRE(!dest_ids_.empty(), "topology has no terminal OUT ports");
+  // Each link drives a distinct non-terminal IN port (set_link, and the
+  // check above), so all of them are driven iff there are as many links.
+  GENOC_REQUIRE(links == fabric_ins,
+                std::to_string(fabric_ins - links) +
+                    " non-terminal IN ports have no link source");
+  // Every node injects and ejects; source_ids_ ascends in node order.
+  auto source = source_ids_.begin();
+  for (std::size_t node = 0; node < node_count_; ++node) {
+    while (source != source_ids_.end() && node_of(*source) < node) {
+      ++source;
+    }
+    GENOC_REQUIRE(source != source_ids_.end() && node_of(*source) == node,
+                  "node " + node_label(node) + " has no terminal IN port");
+    GENOC_REQUIRE((exist_out_[node] & terminal_mask_) != 0,
+                  "node " + node_label(node) + " has no terminal OUT port");
+  }
 }
 
 }  // namespace genoc

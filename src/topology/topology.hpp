@@ -163,12 +163,21 @@ class Topology {
   /// stride is a compile-time constant (Mesh2D).
   const PortId* slot_table() const { return slot_ids_.data(); }
 
-  /// Declares that out-port \p out drives in-port \p in.
+  /// Declares that out-port \p out drives in-port \p in. Both must be
+  /// non-terminal: terminal ports face the IP core, not another port.
   void set_link(PortId out, PortId in);
 
   /// Seals the description: derives destination/source ids, the per-node
-  /// exist masks, and validates the link relation (every non-terminal OUT
-  /// port must drive an IN port).
+  /// exist masks and link_source(), and validates the port graph. Every
+  /// non-terminal OUT port drives an IN port; every non-terminal IN port
+  /// is driven by exactly one OUT port (no IN port is the target of two
+  /// links, so link_source() inverts link_target()); every node has a
+  /// terminal IN and a terminal OUT port. Hence every port is live, on
+  /// some injection-to-ejection path of the paper's port graph:
+  ///   1. a node's terminal IN reaches all OUT ports of its node;
+  ///   2. so each OUT port is reached, and through it each linked IN port;
+  ///   3. backwards, every IN port reaches its node's terminal OUT, and
+  ///      every non-terminal OUT port reaches its link target.
   void finish_topology();
 
   /// Describes \p base minus the ports \p removed (sorted, distinct base
@@ -176,7 +185,8 @@ class Topology {
   /// their base enumeration order under dense ids, and the slot table and
   /// the links are the base's, renumbered. No port is re-enumerated, so
   /// this is the cheap way to remove ports from a built topology. A
-  /// surviving OUT port whose link target was removed fails the seal.
+  /// surviving OUT port whose link target was removed fails the seal, and
+  /// so does a surviving IN port whose link source was removed.
   void derive_topology(const Topology& base,
                        const std::vector<PortId>& removed);
 

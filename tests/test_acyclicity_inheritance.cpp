@@ -282,7 +282,7 @@ TEST(AcyclicityInheritance, CampaignInheritsIdenticallyAtAnyThreadCount) {
         << threads;
     EXPECT_EQ(report.cache.dep_graph, (ArtifactCounter{1, report.verified}))
         << threads;
-    rendered.push_back(cli::campaign_report_json(report, false));
+    rendered.push_back(cli::campaign_report_json(report, std::nullopt));
   }
   EXPECT_EQ(rendered[0], rendered[1]);
   EXPECT_EQ(rendered[0], rendered[2]);

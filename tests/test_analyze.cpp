@@ -19,7 +19,6 @@
 #include "routing/yx.hpp"
 #include "topology/mesh.hpp"
 #include "topology/port.hpp"
-#include "topology/topology.hpp"
 #include "verify/diagnostics.hpp"
 
 namespace genoc {
@@ -223,46 +222,14 @@ class LyingEscapeHops final : public GridMutant {
   XYRouting inner_;
 };
 
-/// A routing that is never consulted (for topology-only rule tests).
-class NullRouting final : public RoutingFunction {
- public:
-  using RoutingFunction::RoutingFunction;
-  std::string name() const override { return "null"; }
-  bool is_deterministic() const override { return true; }
-  bool id_native() const override { return true; }
-  void append_next_hop_ids(PortId, std::size_t,
-                           std::vector<PortId>&) const override {}
-};
-
-/// A hand-built port graph with one unreachable ejection port and one
-/// sink-less branch: node 0 injects, node 1 has an in-port but no way out,
-/// node 2 has an ejection port nothing drives.
-class BrokenTopology final : public Topology {
- public:
-  BrokenTopology() {
-    begin_topology(3, {"E", "W", "L"}, /*terminal_mask=*/0b100);
-    const PortId e_out0 = add_port(0, 0, Direction::kOut);
-    add_port(0, 2, Direction::kIn);                         // L-IN(0): source
-    add_port(0, 2, Direction::kOut);                        // L-OUT(0): dest
-    const PortId w_in1 = add_port(1, 1, Direction::kIn);    // the dead end
-    add_port(2, 2, Direction::kOut);                        // orphan dest
-    set_link(e_out0, w_in1);
-    finish_topology();
-  }
-  std::string family() const override { return "broken"; }
-  std::string node_label(std::size_t node) const override {
-    return std::to_string(node);
-  }
-};
-
 // ---------------------------------------------------------------------------
 // Registry and selection contract.
 // ---------------------------------------------------------------------------
 
-TEST(RuleRegistry, RegistersTheEightRulesInOrder) {
+TEST(RuleRegistry, RegistersTheSevenRulesInOrder) {
   const std::vector<std::string> expected = {
-      "spec_sanity", "dead_ports", "turns",         "uniformity",
-      "totality",    "escape",     "fault_sanity",  "connectivity"};
+      "spec_sanity", "turns",        "uniformity",  "totality",
+      "escape",      "fault_sanity", "connectivity"};
   EXPECT_EQ(RuleRegistry::global().names(), expected);
   EXPECT_EQ(Analyzer::default_rule_names(), expected);
   for (const AnalysisRule* rule : RuleRegistry::global().rules()) {
@@ -273,8 +240,8 @@ TEST(RuleRegistry, RegistersTheEightRulesInOrder) {
 }
 
 TEST(RuleRegistry, CheapSubsetSkipsTheClosureHeavySweeps) {
-  const std::vector<std::string> expected = {"spec_sanity", "dead_ports",
-                                             "turns", "uniformity"};
+  const std::vector<std::string> expected = {"spec_sanity", "turns",
+                                             "uniformity"};
   EXPECT_EQ(Analyzer::cheap_rule_names(), expected);
   EXPECT_EQ(Analyzer::cheap().rule_names(), expected);
 }
@@ -316,10 +283,9 @@ TEST(AnalyzerPositive, MeshXyIsCleanUnderEveryRule) {
   const AnalyzeReport report =
       Analyzer::standard().run(spec_or_die("topology=mesh size=8x8 routing=xy"));
   EXPECT_TRUE(report.clean()) << analyze_report_json(report);
-  ASSERT_EQ(report.rules.size(), 8u);
+  ASSERT_EQ(report.rules.size(), 7u);
   EXPECT_GT(report.checks, 0u);
   EXPECT_TRUE(has_code(report, "sanity-ok"));
-  EXPECT_TRUE(has_code(report, "ports-live"));
   EXPECT_TRUE(has_code(report, "turns-conform"));
   EXPECT_TRUE(has_code(report, "uniformity-by-construction"));
   EXPECT_TRUE(has_code(report, "totality-holds"));
@@ -341,7 +307,7 @@ TEST(AnalyzerPositive, CheapSubsetIsCleanOnAdaptiveTurnModel) {
   const AnalyzeReport report = Analyzer::cheap().run(
       spec_or_die("topology=mesh size=6x6 routing=west_first"));
   EXPECT_TRUE(report.clean()) << analyze_report_json(report);
-  ASSERT_EQ(report.rules.size(), 4u);
+  ASSERT_EQ(report.rules.size(), 3u);
   EXPECT_TRUE(stats_of(report, "turns").ran);
   EXPECT_TRUE(has_code(report, "turns-conform"));
 }
@@ -398,21 +364,6 @@ TEST(AnalyzerMutant, EscapeOnNegativeFixtureTripsSpecSanity) {
   EXPECT_EQ(report.findings(), 1u) << analyze_report_json(report);
   EXPECT_TRUE(has_code(report, "sanity-escape-expects-deadlock"));
   EXPECT_TRUE(has_code(report, "sanity-negative-fixture"));
-}
-
-TEST(AnalyzerMutant, BrokenPortGraphTripsDeadPorts) {
-  const BrokenTopology topo;
-  const NullRouting routing(topo);
-  InstanceSpec spec = spec_or_die("topology=mesh size=4x4 routing=xy");
-  std::string error;
-  const std::optional<Analyzer> analyzer =
-      Analyzer::from_rule_names({"dead_ports"}, &error);
-  ASSERT_TRUE(analyzer.has_value()) << error;
-  const AnalyzeReport report = analyzer->run(spec, topo, routing, nullptr);
-  EXPECT_FALSE(report.clean());
-  EXPECT_TRUE(has_code(report, "port-unreachable"));  // the orphan ejection
-  EXPECT_TRUE(has_code(report, "port-dead-end"));     // the sink-less branch
-  EXPECT_TRUE(has_code(report, "dead-ports-found"));
 }
 
 TEST(AnalyzerMutant, ProhibitedTurnTripsTurnConformance) {

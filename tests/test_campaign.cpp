@@ -263,7 +263,7 @@ TEST(Campaign, ReportIsByteIdenticalAtAnyThreadCount) {
     const CampaignReport report = run_campaign(base, options);
     // include_timing=false drops threads/wall_ms — the determinism contract
     // covers everything else, byte for byte.
-    rendered.push_back(cli::campaign_report_json(report, false));
+    rendered.push_back(cli::campaign_report_json(report, std::nullopt));
   }
   EXPECT_EQ(rendered[0], rendered[1]);
   EXPECT_EQ(rendered[0], rendered[2]);

@@ -3,9 +3,10 @@
 // the unfaulted tables alone: the surviving ports in base order, the slot
 // table and links renumbered, destinations/sources, existence masks and
 // the removed base ids, on every small grid (w, h <= 6, every wrap
-// combination) under every single fault and seeded 3-link draws. They
-// also pin the connectivity rule's fault-endpoint shortcut against a full
-// BFS, and FaultModel::variant's O(1) unranking of fault pairs.
+// combination) under every single fault and seeded 3-link draws, with
+// every port live by the liveness oracle. They also pin the connectivity
+// rule's fault-endpoint shortcut against a full BFS, and
+// FaultModel::variant's O(1) unranking of fault pairs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,6 +19,7 @@
 #include "analyze/analyzer.hpp"
 #include "campaign/fault_model.hpp"
 #include "instance/spec.hpp"
+#include "liveness_oracle.hpp"
 #include "topology/mesh.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
@@ -158,6 +160,7 @@ void expect_derived(const Mesh2D& base, const std::vector<LinkFault>& faults,
     sources.push_back(renumber(source));
   }
   EXPECT_EQ(derived.source_ids(), sources);
+  EXPECT_TRUE(port_liveness(derived).all_live());
 }
 
 TEST(FaultDerivation, EverySingleFaultAndSeededTriplesOnEverySmallGrid) {
@@ -253,8 +256,9 @@ TEST(FaultDerivation, DeriveTopologyKeepsTheSealsChecks) {
   const PortId out = base.slot_id(4, static_cast<std::size_t>(PortName::kEast),
                                   Direction::kOut);
   const PortId in = base.link_target(out);
-  // Removing a link's target but not its OUT port strands that port.
+  // Removing one end of a link but not the other strands the other.
   EXPECT_THROW(Carved(base, {in}), ContractViolation);
+  EXPECT_THROW(Carved(base, {out}), ContractViolation);
   // Unsorted, repeated and out-of-range removal lists are rejected.
   EXPECT_THROW(Carved(base, {in, out}), ContractViolation);
   EXPECT_THROW(Carved(base, {out, out}), ContractViolation);

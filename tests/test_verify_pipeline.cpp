@@ -18,6 +18,7 @@
 #include <string>
 #include <vector>
 
+#include "analyze/analyzer.hpp"
 #include "deadlock/constraints.hpp"
 #include "deadlock/escape.hpp"
 #include "graph/cycle.hpp"
@@ -340,6 +341,40 @@ TEST(VerifyPipeline, BatchSweepPrimesEachDistinctClosureExactlyOnce) {
   EXPECT_EQ(stats.primed.misses, escape_keys.size());
   EXPECT_EQ(stats.primed.hits, 0u);
   EXPECT_EQ(stats.escape.misses, escape_keys.size());
+}
+
+TEST(VerifyPipeline, SweepCacheTotalsAreTheSameAtEveryThreadCount) {
+  // `verify --all`: the analyzer pre-screen acquires every context from the
+  // store, then the sweep verifies on the same pool. The split of the
+  // counters between instances sharing a context (mesh8-xy, mesh8-xy-sf)
+  // depends on which acquires it first; the store's totals must not.
+  const std::vector<InstanceSpec> specs =
+      InstanceRegistry::global().sweep_presets();
+  std::optional<ArtifactCacheStats> one_thread;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4},
+                                    std::size_t{8}, std::size_t{16}}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    BatchRunner runner(threads);
+    ArtifactStore store;
+    InstanceVerifyOptions options;
+    options.artifacts = &store;
+    for (const InstanceSpec& spec : specs) {
+      Analyzer::cheap().run(spec, *store.acquire(spec), {}, &runner);
+    }
+    verify_instance_reports(specs, VerifyPipeline::standard(), &runner,
+                            options);
+    const ArtifactCacheStats stats = store.stats();
+    if (!one_thread) {
+      one_thread = stats;
+      continue;
+    }
+    EXPECT_EQ(stats.contexts, one_thread->contexts);
+    EXPECT_EQ(stats.primed, one_thread->primed);
+    EXPECT_EQ(stats.dep_graph, one_thread->dep_graph);
+    EXPECT_EQ(stats.acyclicity, one_thread->acyclicity);
+    EXPECT_EQ(stats.escape, one_thread->escape);
+    EXPECT_EQ(stats.constraints, one_thread->constraints);
+  }
 }
 
 TEST(VerifyPipeline, DuplicateSpecsInOneBatchShareEveryArtifact) {

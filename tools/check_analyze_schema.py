@@ -21,9 +21,8 @@ SEVERITIES = {"info", "warning", "error"}
 
 # The registered rule names, in registry order. A report may select a
 # subset via --rules, but may never contain an unknown name.
-KNOWN_RULES = ("spec_sanity", "dead_ports", "turns", "uniformity",
-               "fault_sanity", "connectivity",
-               "totality", "escape")
+KNOWN_RULES = ("spec_sanity", "turns", "uniformity", "totality", "escape",
+               "fault_sanity", "connectivity")
 
 TOP_LEVEL = {
     "command": str,

@@ -49,6 +49,15 @@ TOP_LEVEL = {
     "variants": list,
 }
 
+# The timing fields a report rendered with timings carries (all or none).
+# total_wall_ms covers the whole command, wall_ms the sweep inside it.
+TIMING = {
+    "threads": int,
+    "wall_ms": (int, float),
+    "total_wall_ms": (int, float),
+    "metrics": dict,
+}
+
 VARIANT_ROW = {
     "faults": str,
     "screened": bool,
@@ -127,6 +136,12 @@ def main() -> int:
                           f"validator speaks {SCHEMA_VERSION}")
     if doc["command"] != "campaign":
         fail("top level", f"command '{doc['command']}', wanted 'campaign'")
+    if any(key in doc for key in TIMING):
+        check_fields(doc, TIMING, "top level timing")
+        if doc["total_wall_ms"] < doc["wall_ms"]:
+            fail("top level", f"total_wall_ms ({doc['total_wall_ms']}) is "
+                              f"less than the sweep's wall_ms "
+                              f"({doc['wall_ms']})")
     if len(doc["variants"]) != doc["variants_total"]:
         fail("top level", "variants_total does not match the array length")
 
