@@ -1,7 +1,9 @@
 #include "analyze/analyzer.hpp"
 
+#include <optional>
 #include <utility>
 
+#include "deadlock/depgraph.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/require.hpp"
@@ -101,6 +103,18 @@ AnalyzeReport Analyzer::run(const InstanceSpec& spec, const Topology& topology,
                             const RoutingFunction* escape,
                             const AnalyzeOptions& options,
                             ThreadPool* pool) const {
+  std::optional<PortDepGraph> graph;
+  const auto build = [&]() -> const PortDepGraph& {
+    return graph ? *graph : graph.emplace(build_dep_graph_fast(routing, pool));
+  };
+  return run(spec, topology, routing, escape, options, pool, build);
+}
+
+AnalyzeReport Analyzer::run(
+    const InstanceSpec& spec, const Topology& topology,
+    const RoutingFunction& routing, const RoutingFunction* escape,
+    const AnalyzeOptions& options, ThreadPool* pool,
+    std::function<const PortDepGraph&()> dep_graph) const {
   obs::TraceSpan run_span("analyze");
   Stopwatch timer;
 
@@ -113,7 +127,8 @@ AnalyzeReport Analyzer::run(const InstanceSpec& spec, const Topology& topology,
   report.ports = topology.port_count();
   report.rules.reserve(rules_.size());
 
-  AnalyzeContext ctx{spec, topology, routing, escape, options, report, pool};
+  AnalyzeContext ctx{spec, topology, routing, escape, options,
+                     report, pool, std::move(dep_graph)};
   for (const AnalysisRule* rule : rules_) {
     obs::TraceSpan rule_span(rule->name());
     Stopwatch rule_timer;
@@ -149,14 +164,10 @@ AnalyzeReport Analyzer::run(const InstanceSpec& spec,
                             const AnalyzeOptions& options,
                             ThreadPool* pool) const {
   return run(spec, artifacts.topology(), artifacts.routing(),
-             artifacts.escape_routing(), options, pool);
-}
-
-AnalyzeReport Analyzer::run(const InstanceSpec& spec,
-                            const AnalyzeOptions& options,
-                            ThreadPool* pool) const {
-  AnalysisArtifacts artifacts(spec);
-  return run(spec, artifacts, options, pool);
+             artifacts.escape_routing(), options, pool,
+             [&]() -> const PortDepGraph& {
+               return artifacts.dep_graph(false, pool);
+             });
 }
 
 }  // namespace genoc

@@ -31,13 +31,12 @@ class Analyzer {
   /// The default analyzer over the global registry.
   static const Analyzer& standard();
 
-  /// The cheap pre-screen subset `verify --all` attaches per instance:
-  /// spec_sanity, turns and uniformity — the rules whose cost is O(1) or
-  /// destination-sampled, leaving the closure-heavier totality/escape
-  /// sweeps to an explicit `genoc analyze`. `genoc verify` runs it on the
-  /// verify's own pool, over which `turns` and `uniformity` shard their
-  /// sampled destinations; `genoc analyze` and the campaign screen pass no
-  /// pool and stay sequential.
+  /// The cheap pre-screen subset `verify` attaches per instance:
+  /// spec_sanity, turns and uniformity, leaving the closure-heavier
+  /// totality/escape sweeps to an explicit `genoc analyze`. `turns` reads
+  /// the context's dependency graph, which the verify pipeline then takes
+  /// from the cache. `genoc verify` runs it on the verify's own pool;
+  /// `genoc analyze` passes none.
   static const Analyzer& cheap();
   static const std::vector<std::string>& cheap_rule_names();
 
@@ -54,32 +53,33 @@ class Analyzer {
 
   /// Runs every rule over the given model constituents. \p escape may be
   /// nullptr. This is the injection point for seeded-mutant tests: any
-  /// RoutingFunction/Topology pair analyzes, registered or not. Every
-  /// overload takes an optional \p pool for the destination-sampled rules
-  /// (AnalyzeContext::pool); the report is the same without one.
+  /// RoutingFunction/Topology pair analyzes, registered or not; a rule
+  /// that reads the dependency graph gets build_dep_graph_fast(routing,
+  /// pool), built once. Every overload takes an optional \p pool for the
+  /// destination-sampled rules and the graph build (AnalyzeContext::pool);
+  /// the report is the same without one.
   AnalyzeReport run(const InstanceSpec& spec, const Topology& topology,
                     const RoutingFunction& routing,
                     const RoutingFunction* escape,
                     const AnalyzeOptions& options = {},
                     ThreadPool* pool = nullptr) const;
 
-  /// Runs over an existing artifact context (the `verify --all`
-  /// integration: the batch's ArtifactStore already owns the
-  /// topology/routing/escape for this spec prefix — analyze the same
-  /// objects instead of rebuilding them).
+  /// Runs over an existing artifact context (the `verify` integration: the
+  /// batch's ArtifactStore already owns the topology/routing/escape for
+  /// this spec prefix — analyze the same objects instead of rebuilding
+  /// them). The dependency graph is artifacts.dep_graph(false, pool).
   AnalyzeReport run(const InstanceSpec& spec, AnalysisArtifacts& artifacts,
-                    const AnalyzeOptions& options = {},
-                    ThreadPool* pool = nullptr) const;
-
-  /// Convenience: builds the constituents from the spec's analysis prefix
-  /// and analyzes them. Requires a valid spec (throws ContractViolation
-  /// otherwise, like the AnalysisArtifacts constructor it uses).
-  AnalyzeReport run(const InstanceSpec& spec,
                     const AnalyzeOptions& options = {},
                     ThreadPool* pool = nullptr) const;
 
  private:
   explicit Analyzer(std::vector<const AnalysisRule*> rules);
+
+  AnalyzeReport run(const InstanceSpec& spec, const Topology& topology,
+                    const RoutingFunction& routing,
+                    const RoutingFunction* escape,
+                    const AnalyzeOptions& options, ThreadPool* pool,
+                    std::function<const PortDepGraph&()> dep_graph) const;
 
   std::vector<const AnalysisRule*> rules_;
 };

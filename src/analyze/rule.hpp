@@ -18,6 +18,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,20 +31,20 @@
 namespace genoc {
 
 class ThreadPool;
+struct PortDepGraph;
 
 /// Work bounds of one analyzer run. Rules that sweep a (port x destination)
 /// or (node x destination) product sample destinations with a deterministic
 /// stride so the analyzer stays interactive on every registry preset
 /// (mesh256-xy included) — a lint pass, not a proof. The budgets fix WHICH
 /// destinations are sampled; the thread pool an Analyzer::run is given
-/// (AnalyzeContext::pool) only decides who scans them. The `turns` and
-/// `uniformity` rules shard their sampled destinations over it and merge
-/// in destination order, so pair counts and findings are the same with or
-/// without a pool, at any thread count.
+/// (AnalyzeContext::pool) only decides who scans them: `uniformity` shards
+/// its sampled destinations over it and merges in destination order, so
+/// its report is the same at any thread count. `turns` samples nothing.
 struct AnalyzeOptions {
   /// Budget in elementary (port, destination) probes for the sweeping
-  /// rules (totality, turn conformance), covering every port of every
-  /// sampled destination. ~8M samples 13 of mesh256-xy's 65,536
+  /// rules (totality, escape coverage, connectivity), covering every port
+  /// of every sampled destination. ~8M samples 13 of mesh256-xy's 65,536
   /// destinations.
   std::uint64_t state_budget = 1ull << 23;
   /// Budget in (node, destination, port-name) probes for the
@@ -103,6 +104,10 @@ struct AnalyzeContext {
   /// Pool the destination-sampled rules shard over, or nullptr to scan
   /// sequentially. Never changes what a rule reports.
   ThreadPool* pool = nullptr;
+  /// The routing's dependency graph, built on the first call (`turns`
+  /// reads its turn edges): an artifact context's cached graph, which the
+  /// verify pipeline then reads, or one built for this run.
+  std::function<const PortDepGraph&()> dep_graph;
 };
 
 /// One analyzer rule. Implementations are stateless singletons owned by

@@ -5,10 +5,10 @@
 ///        connectivity under faults.
 ///
 /// Every rule is a static lint over the model constituents: read-only,
-/// deterministic, budget-bounded (destination sampling with a fixed
-/// stride), and emitting the same typed Diagnostic records as the verify
-/// pipeline — with stable codes, so tests and tooling match on the code,
-/// never on message text.
+/// deterministic, budget-bounded (a fixed destination stride, or for
+/// `turns` the dependency graph's edges), and emitting the same typed
+/// Diagnostic records as the verify pipeline — with stable codes, so tests
+/// and tooling match on the code, never on message text.
 #include <algorithm>
 #include <bit>
 #include <cstdint>
@@ -22,6 +22,7 @@
 #include "routing/turns.hpp"
 #include "topology/mesh.hpp"
 #include "topology/port.hpp"
+#include "util/require.hpp"
 #include "util/thread_pool.hpp"
 
 namespace genoc {
@@ -59,33 +60,11 @@ struct DestinationTally {
   std::uint64_t checks = 0;
   std::uint64_t violations = 0;
   std::vector<Finding> findings;
-
-  /// Counts one violation; true iff its record falls within \p cap and
-  /// must be kept.
-  bool violate(std::uint64_t cap) { return ++violations <= cap; }
 };
 
-/// Per-shard scratch of the destination-sampled rules, reused across the
-/// shard's destinations.
-///
-/// A shard writes the head of its hop buffers once per scanned in-port.
-/// Buffers of kHopBufferBytes are past the allocator's small-chunk caches,
-/// so each comes from its own thread's arena and no two shards' buffer
-/// heads share a cache line. `turns` is the only grid rule using them. On
-/// torus64-xy-escape at 4 threads (Release, 4-vCPU Xeon, 118 alternating
-/// `verify --json` pairs in four sets), dropping the reserve raised the
-/// median `turns` CPU in all four sets (by 1-2.5 of 55-64 ms) and its
-/// median wall in three (by 0.7-1.6 of 16-27 ms); per pair it was a coin
-/// flip, so the gain is small but not shown to be zero.
+/// Per-shard hop buffers of the destination-sampled rules, reused across
+/// the shard's destinations.
 struct ShardScratch {
-  static constexpr std::size_t kHopBufferBytes = 2048;
-
-  ShardScratch() {
-    hop_ids.reserve(kHopBufferBytes / sizeof(PortId));
-    hop_ports.reserve(kHopBufferBytes / sizeof(Port));
-  }
-
-  ClosureRowScratch reach;
   std::vector<PortId> hop_ids;
   std::vector<Port> hop_ports;
 };
@@ -258,24 +237,19 @@ class SpecSanityRule final : public AnalysisRule {
   }
 };
 
-/// Rule 2: turn-model conformance. Enumerates the turns the routing
-/// actually emits on closure-reachable states (travel direction = opposite
-/// of the in-port name) and lints them against the discipline's static
-/// prohibited-turn set from routing/turns.hpp. Destination-sampled and
-/// sharded by sampled destination (sweep_sampled), each shard building the
-/// closure rows it reads in its own scratch.
+/// Rule 2: turn-model conformance. A turn is a dependency-graph edge from
+/// a fabric IN port to a fabric OUT port of its node, and the graph holds
+/// exactly the turns the routing emits on reachable states. Each is looked
+/// up in the discipline's prohibited-turn table (routing/turns.hpp; travel
+/// = opposite of the in-port name), so the lint is exact. Findings come
+/// out in port order, each with the lowest destination taking the turn.
 class TurnConformanceRule final : public AnalysisRule {
-  /// One prohibited turn, rendered at the merge.
-  struct TurnFinding {
-    Port in;
-    Port out;
-  };
-
  public:
   const char* name() const override { return "turns"; }
   const char* description() const override {
     return "check that a turn-model/dimension-order routing never emits a "
-           "prohibited turn on any reachable state (static turn-set lint)";
+           "prohibited turn on any reachable state (every turn edge of the "
+           "dependency graph)";
   }
 
   StageStats run(AnalyzeContext& ctx) const override {
@@ -291,54 +265,65 @@ class TurnConformanceRule final : public AnalysisRule {
     }
     stats.ran = true;
     const Topology& topo = ctx.topology;
-    const RoutingFunction& routing = ctx.routing;
     const std::string& discipline = ctx.spec.routing;
-    const std::uint64_t cap = ctx.options.max_findings_per_code;
-    const std::size_t words = routing.closure_row_words();
-
-    const auto scan = [&](std::size_t d, ShardScratch& scratch,
-                          DestinationTally<TurnFinding>& tally) {
-      const std::uint64_t* row = routing.closure_row(d, scratch.reach);
-      const PortId dest_id = topo.destination_id(d);
-      std::vector<PortId>& hops = scratch.hop_ids;
-      for (std::size_t w = 0; w < words; ++w) {
-        std::uint64_t bits = row[w];
-        while (bits != 0) {
-          const PortId pid =
-              static_cast<PortId>(w * 64 + std::countr_zero(bits));
-          bits &= bits - 1;
-          if (pid == dest_id || topo.dir_of(pid) != Direction::kIn) {
-            continue;
-          }
-          const Port in = mesh->port(pid);
-          if (in.name == PortName::kLocal) {
-            continue;  // injection is not a turn
-          }
-          const PortName travel = opposite(in.name);
-          hops.clear();
-          routing.next_hop_ids_into(pid, d, hops, scratch.hop_ports);
-          ++tally.checks;
-          for (const PortId hop : hops) {
-            if (topo.dir_of(hop) != Direction::kOut ||
-                topo.node_of(hop) != topo.node_of(pid)) {
-              continue;
-            }
-            const Port out = mesh->port(hop);
-            if (out.name == PortName::kLocal ||
-                !turn_prohibited(discipline, in.x, travel, out.name)) {
-              continue;
-            }
-            if (tally.violate(cap)) {
-              tally.findings.push_back({in, out});
-            }
-          }
+    // [column parity][travel][out] over the cardinal names E, W, N, S,
+    // which are grid name indices 0-3 (Local, the terminal, is 4).
+    constexpr std::size_t kCardinal = 4;
+    bool prohibited[2][kCardinal][kCardinal];
+    for (std::size_t parity = 0; parity < 2; ++parity) {
+      for (std::size_t travel = 0; travel < kCardinal; ++travel) {
+        for (std::size_t out = 0; out < kCardinal; ++out) {
+          prohibited[parity][travel][out] = turn_prohibited(
+              discipline, static_cast<std::int32_t>(parity),
+              static_cast<PortName>(travel), static_cast<PortName>(out));
         }
       }
-    };
-    const auto emit = [&](std::size_t d, const TurnFinding& finding) {
+    }
+
+    const Digraph& graph = ctx.dep_graph().graph;
+    std::vector<std::pair<PortId, PortId>> kept;
+    std::uint64_t violations = 0;
+    for (PortId in = 0; in < topo.port_count(); ++in) {
+      if (topo.dir_of(in) != Direction::kIn || topo.name_of(in) >= kCardinal) {
+        continue;
+      }
+      const Port port = mesh->port(in);
+      const bool* row =
+          prohibited[port.x & 1][static_cast<std::size_t>(opposite(port.name))];
+      for (const PortId out : graph.out(in)) {
+        if (topo.node_of(out) != topo.node_of(in) ||
+            topo.dir_of(out) != Direction::kOut ||
+            topo.name_of(out) >= kCardinal) {
+          continue;
+        }
+        ++stats.checks;
+        if (row[topo.name_of(out)] &&
+            ++violations <= ctx.options.max_findings_per_code) {
+          kept.emplace_back(in, out);
+        }
+      }
+    }
+
+    std::vector<PortId> hops;
+    std::vector<Port> scratch;
+    for (const auto& [in_id, out_id] : kept) {
+      // The lowest destination toward which the in-port is reachable and
+      // routes to the out-port; the edge is in the graph, so one exists.
+      std::size_t d = 0;
+      for (; d < topo.destination_count(); ++d) {
+        hops.clear();
+        if (ctx.routing.closure_reachable_id(in_id, d)) {
+          ctx.routing.next_hop_ids_into(in_id, d, hops, scratch);
+        }
+        if (std::find(hops.begin(), hops.end(), out_id) != hops.end()) {
+          break;
+        }
+      }
+      GENOC_ASSERT(d < topo.destination_count(),
+                   "turn edge taken toward no destination");
+      const Port in = mesh->port(in_id);
+      const Port out = mesh->port(out_id);
       const Port dest = mesh->port(topo.destination_id(d));
-      const Port& in = finding.in;
-      const Port& out = finding.out;
       const PortName travel = opposite(in.name);
       ctx.report.diagnostics.push_back(make_diagnostic(
           name(), Severity::kError,
@@ -351,19 +336,14 @@ class TurnConformanceRule final : public AnalysisRule {
            {"destination", to_string(dest)},
            {"travel", std::string(1, port_name_letter(travel))},
            {"column", std::to_string(in.x)}}));
-    };
-    std::uint64_t violations = 0;
-    sweep_sampled<TurnFinding>(
-        ctx.pool, topo.destination_count(),
-        stride_for(topo.destination_count(), topo.port_count(),
-                   ctx.options.state_budget),
-        cap, scan, emit, stats, violations);
+    }
     stats.passed = violations == 0;
     if (stats.passed) {
       ctx.report.diagnostics.push_back(make_diagnostic(
           name(), Severity::kInfo, "turns-conform",
-          "no prohibited turn over " + std::to_string(stats.checks) +
-              " reachable states (" + discipline + " discipline)",
+          "no prohibited turn among the " + std::to_string(stats.checks) +
+              " turn edges of the dependency graph (" + discipline +
+              " discipline)",
           {{"states", std::to_string(stats.checks)},
            {"discipline", discipline}}));
     } else {
@@ -511,7 +491,7 @@ class UniformityRule final : public AnalysisRule {
           if (fold.exact && fold.mask == claim) {
             continue;
           }
-          if (tally.violate(cap)) {
+          if (++tally.violations <= cap) {
             tally.findings.push_back(
                 {in, static_cast<std::size_t>(std::popcount(claim)),
                  fold.hops});

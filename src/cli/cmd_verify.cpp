@@ -67,7 +67,6 @@ constexpr const char* kUsage =
     "  --threads N    BatchRunner threads (default 0 = hardware concurrency)\n"
     "  --sequential   disable the parallel BatchRunner\n"
     "  --constraints  additionally discharge (C-1)/(C-2) per instance\n"
-    "  --generic      build graphs with the quadratic oracle builder\n"
     "  --stages A,B   run only the named check stages, in order (see\n"
     "                 `genoc list --checks`); naming 'constraints' implies\n"
     "                 --constraints; without a deciding stage the verdict\n"
@@ -465,8 +464,7 @@ int report_instances(const std::vector<VerifyReport>& reports,
 
 int run_instance_mode(const std::string& instance, bool all, bool heavy,
                       bool sequential, std::size_t threads, bool constraints,
-                      bool generic, bool stages_given,
-                      const std::string& stages,
+                      bool stages_given, const std::string& stages,
                       const std::string& baseline_path,
                       TraceFlag& trace, bool no_analyze,
                       bool as_json) {
@@ -524,7 +522,6 @@ int run_instance_mode(const std::string& instance, bool all, bool heavy,
 
   InstanceVerifyOptions options;
   options.check_constraints = run_constraints;
-  options.generic_builder = generic;
   // The batch-wide artifact store: every distinct topology x routing x
   // escape prefix in the sweep is analyzed exactly once; the CLI report
   // surfaces the cache counters so the reuse is visible.
@@ -539,8 +536,9 @@ int run_instance_mode(const std::string& instance, bool all, bool heavy,
   // The analyzer pre-screen: the cheap static rules run FIRST, per
   // instance, so a structurally broken model variant surfaces typed
   // diagnostics before any verify effort is spent on it. Warms the same
-  // store the pipeline reads, so no artifact is built twice, and shards
-  // the sampled rules over the same pool the verify uses.
+  // store the pipeline reads, so no artifact is built twice (`turns`
+  // builds the dependency graph the pipeline then takes from the cache),
+  // and shards over the same pool the verify uses.
   std::vector<AnalyzeReport> analyses;
   RunWall wall;
   if (!no_analyze) {
@@ -671,7 +669,6 @@ int cmd_verify(const Args& args) {
   const bool sequential = args.has("sequential");
   const bool constraints = args.has("constraints");
   const bool heavy = args.has("heavy");
-  const bool generic = args.has("generic");
   const std::string stages = args.get("stages", "");
   const std::string baseline_path = args.get("baseline", "");
   const bool no_analyze = args.has("no-analyze");
@@ -685,9 +682,9 @@ int cmd_verify(const Args& args) {
   const bool instance_mode = all || !instance.empty();
   const char* classic_flags[] = {"width",   "height",    "buffers",
                                  "workloads", "messages", "seed"};
-  const char* instance_flags[] = {"threads",  "sequential", "constraints",
-                                  "heavy",    "generic",    "stages",
-                                  "baseline", "trace",      "no-analyze"};
+  const char* instance_flags[] = {"threads", "sequential", "constraints",
+                                  "heavy",   "stages",     "baseline",
+                                  "trace",   "no-analyze"};
   if (instance_mode) {
     for (const char* flag : classic_flags) {
       if (args.has(flag)) {
@@ -708,7 +705,7 @@ int cmd_verify(const Args& args) {
   }
   if (instance_mode) {
     return run_instance_mode(instance, all, heavy, sequential, threads,
-                             constraints, generic, args.has("stages"), stages,
+                             constraints, args.has("stages"), stages,
                              baseline_path, trace, no_analyze, as_json);
   }
   return run_hermes_mode(width, height, buffers, options, as_json);

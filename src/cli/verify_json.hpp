@@ -38,7 +38,9 @@ std::string stage_stats_json(const genoc::StageStats& stats);
 /// split between rows is not when instances share one context (mesh8-xy
 /// and mesh8-xy-sf): a row records what its context's counters did while
 /// it ran, so which row takes the misses, and whether a row also counts
-/// its twin's concurrent hits, depends on scheduling.
+/// its twin's concurrent hits, depends on scheduling. The pre-screen runs
+/// before any row, so the graph miss of its `turns` rule shows in the
+/// top-level totals only.
 std::string cache_stats_json(const genoc::ArtifactCacheStats& stats);
 
 /// The `metrics` section of the schema-v2 report: counters and gauges as

@@ -60,8 +60,8 @@ struct PortDepGraph {
 /// Enumerates the full (port, destination) product — O(|ports| · |dests| ·
 /// route-walk) — and therefore serves as the ORACLE the fast builder is
 /// tested against; use build_dep_graph_fast() everywhere speed matters.
-/// Its only production caller is `genoc verify --generic`
-/// (AnalysisArtifacts::dep_graph).
+/// No CLI path builds it: AnalysisArtifacts::dep_graph calls it only when
+/// InstanceVerifyOptions::generic_builder is set, which the tests do.
 PortDepGraph build_dep_graph(const RoutingFunction& routing);
 
 /// The per-destination construction (RouteSweeper): one sweep per

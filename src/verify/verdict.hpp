@@ -29,8 +29,9 @@ struct InstanceVerifyOptions {
   /// Additionally discharge (C-1)/(C-2) (quadratic-ish; off for sweeps).
   bool check_constraints = false;
   /// Build the graph with the quadratic generic oracle instead of the fast
-  /// builder, analytic or per-destination (cross-check escape hatch; they
-  /// are bit-identical, so verdicts never differ).
+  /// builder, analytic or per-destination. The tests set it to cross-check
+  /// the fast builders (bit-identical, so verdicts never differ); no CLI
+  /// flag does.
   bool generic_builder = false;
   /// Batch-wide artifact sharing: when set, the analysis artifacts (dep
   /// graph, primed closure, acyclicity verdict, escape analysis) are

@@ -19,6 +19,8 @@
 #include "routing/yx.hpp"
 #include "topology/mesh.hpp"
 #include "topology/port.hpp"
+#include "util/thread_pool.hpp"
+#include "verify/artifacts.hpp"
 #include "verify/diagnostics.hpp"
 
 namespace genoc {
@@ -31,6 +33,13 @@ InstanceSpec spec_or_die(const std::string& text) {
   const std::optional<InstanceSpec> spec = parse_instance_spec(text, &error);
   EXPECT_TRUE(spec.has_value()) << text << ": " << error;
   return spec.value_or(InstanceSpec{});
+}
+
+/// Analyzes the constituents built from \p text's analysis prefix.
+AnalyzeReport analyze_spec(const Analyzer& analyzer, const std::string& text) {
+  const InstanceSpec spec = spec_or_die(text);
+  AnalysisArtifacts artifacts(spec);
+  return analyzer.run(spec, artifacts);
 }
 
 bool has_code(const AnalyzeReport& report, const std::string& code) {
@@ -222,6 +231,31 @@ class LyingEscapeHops final : public GridMutant {
   XYRouting inner_;
 };
 
+/// Turn mutant: XY, except that toward the one destination \p dest the
+/// column x0 < dest.x, south of the destination's row, first climbs North
+/// to that row and only then turns East. Every turn on the detour is legal
+/// under XY except the one at (x0, dest.y): travelling North, out East.
+/// Node-uniform by construction, so only `turns` can see it.
+class LateEastTurn final : public NodeUniformRouting {
+ public:
+  LateEastTurn(const Mesh2D& mesh, std::int32_t x0, Port dest)
+      : NodeUniformRouting(mesh), inner_(mesh), x0_(x0), dest_(dest) {}
+  std::string name() const override { return "late-east-turn"; }
+  bool is_deterministic() const override { return true; }
+  std::uint8_t node_out_mask(std::int32_t x, std::int32_t y,
+                             const Port& dest) const override {
+    if (x == x0_ && y > dest.y && dest.x == dest_.x && dest.y == dest_.y) {
+      return port_name_bit(PortName::kNorth);
+    }
+    return inner_.node_out_mask(x, y, dest);
+  }
+
+ private:
+  XYRouting inner_;
+  std::int32_t x0_;
+  Port dest_;
+};
+
 // ---------------------------------------------------------------------------
 // Registry and selection contract.
 // ---------------------------------------------------------------------------
@@ -281,7 +315,7 @@ TEST(AnalyzerSelection, SelectionPreservesTheGivenOrder) {
 
 TEST(AnalyzerPositive, MeshXyIsCleanUnderEveryRule) {
   const AnalyzeReport report =
-      Analyzer::standard().run(spec_or_die("topology=mesh size=8x8 routing=xy"));
+      analyze_spec(Analyzer::standard(), "topology=mesh size=8x8 routing=xy");
   EXPECT_TRUE(report.clean()) << analyze_report_json(report);
   ASSERT_EQ(report.rules.size(), 7u);
   EXPECT_GT(report.checks, 0u);
@@ -295,8 +329,9 @@ TEST(AnalyzerPositive, MeshXyIsCleanUnderEveryRule) {
 }
 
 TEST(AnalyzerPositive, TorusEscapeLaneIsCoveredAndAcyclic) {
-  const AnalyzeReport report = Analyzer::standard().run(
-      spec_or_die("topology=torus size=4x4 routing=torus_xy escape=xy"));
+  const AnalyzeReport report =
+      analyze_spec(Analyzer::standard(),
+                   "topology=torus size=4x4 routing=torus_xy escape=xy");
   EXPECT_TRUE(report.clean()) << analyze_report_json(report);
   EXPECT_TRUE(stats_of(report, "escape").ran);
   EXPECT_TRUE(stats_of(report, "escape").passed);
@@ -304,8 +339,8 @@ TEST(AnalyzerPositive, TorusEscapeLaneIsCoveredAndAcyclic) {
 }
 
 TEST(AnalyzerPositive, CheapSubsetIsCleanOnAdaptiveTurnModel) {
-  const AnalyzeReport report = Analyzer::cheap().run(
-      spec_or_die("topology=mesh size=6x6 routing=west_first"));
+  const AnalyzeReport report = analyze_spec(
+      Analyzer::cheap(), "topology=mesh size=6x6 routing=west_first");
   EXPECT_TRUE(report.clean()) << analyze_report_json(report);
   ASSERT_EQ(report.rules.size(), 3u);
   EXPECT_TRUE(stats_of(report, "turns").ran);
@@ -381,6 +416,46 @@ TEST(AnalyzerMutant, ProhibitedTurnTripsTurnConformance) {
   EXPECT_TRUE(has_code(report, "turns-violated"));
   EXPECT_TRUE(findings_only_from(report, "turns"))
       << analyze_report_json(report);
+}
+
+TEST(AnalyzerMutant, ProhibitedTurnOffTheSamplingStrideTripsTurns) {
+  // On a 64x64 mesh a destination-sampled sweep on the default budget
+  // visits every 20th destination: ceil(4,096 destinations x 40,448 ports
+  // / 2^23). The mutant's one prohibited turn is taken only toward
+  // (41,20), destination 1,321, which that stride skips; reading every turn
+  // edge of the dependency graph finds it.
+  const InstanceSpec spec = spec_or_die("topology=mesh size=64x64 routing=xy");
+  const Mesh2D mesh(64, 64);
+  const Port dest{41, 20, PortName::kLocal, Direction::kOut};
+  const std::size_t dest_index = mesh.dest_index_of(mesh.id(dest));
+  const std::uint64_t budget = AnalyzeOptions{}.state_budget;
+  const std::uint64_t sampled_stride =
+      (mesh.destination_count() * mesh.port_count() + budget - 1) / budget;
+  ASSERT_EQ(sampled_stride, 20u);
+  ASSERT_NE(dest_index % sampled_stride, 0u);
+
+  const LateEastTurn routing(mesh, 10, dest);
+  ThreadPool pool(4);
+  for (ThreadPool* used : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    const AnalyzeReport report =
+        Analyzer::cheap().run(spec, mesh, routing, nullptr, {}, used);
+    EXPECT_EQ(report.findings(), 2u) << analyze_report_json(report);
+    EXPECT_TRUE(findings_only_from(report, "turns"))
+        << analyze_report_json(report);
+    ASSERT_TRUE(has_code(report, "turn-prohibited"));
+    const Diagnostic& turn = *std::find_if(
+        report.diagnostics.begin(), report.diagnostics.end(),
+        [](const Diagnostic& d) { return d.code == "turn-prohibited"; });
+    const std::vector<std::pair<std::string, std::string>> witness = {
+        {"in_port", to_string(Port{10, 20, PortName::kSouth, Direction::kIn})},
+        {"out_port",
+         to_string(Port{10, 20, PortName::kEast, Direction::kOut})},
+        {"destination", to_string(dest)},
+        {"travel", "N"},
+        {"column", "10"}};
+    EXPECT_EQ(turn.witness, witness);
+    EXPECT_TRUE(has_code(report, "turns-violated"));
+  }
 }
 
 TEST(AnalyzerMutant, LyingNodeMaskTripsUniformity) {
@@ -528,7 +603,7 @@ TEST(AnalyzeReportTest, CapAndBudgetOptionsBoundTheFindings) {
 
 TEST(AnalyzeReportTest, JsonRowCarriesRulesAndDiagnostics) {
   const AnalyzeReport report =
-      Analyzer::cheap().run(spec_or_die("topology=mesh size=4x4 routing=xy"));
+      analyze_spec(Analyzer::cheap(), "topology=mesh size=4x4 routing=xy");
   const std::string json = analyze_report_json(report);
   EXPECT_NE(json.find("\"instance\":"), std::string::npos);
   EXPECT_NE(json.find("\"rules\":"), std::string::npos);

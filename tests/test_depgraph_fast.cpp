@@ -24,6 +24,7 @@
 #include "routing/torus_xy.hpp"
 #include "routing/xy.hpp"
 #include "routing/yx.hpp"
+#include "verify/artifacts.hpp"
 #include "verify/pipeline.hpp"
 
 namespace genoc {
@@ -291,24 +292,36 @@ TEST(DepGraphFast, ParallelBuildBitIdenticalAcrossThreadCounts) {
 }
 
 TEST(DepGraphFast, VerdictIdenticalWithGenericBuilder) {
-  // The oracle escape hatch (`genoc verify --generic`) must change
-  // nothing observable but cpu_ms.
+  // The generic oracle builds every graph and changes nothing observable
+  // but cpu_ms. The fast side verifies through an ArtifactStore, as the
+  // CLI does, so fault variants inherit their base's verdict or build
+  // their graph by delta; the generic side has a store of its own, so it
+  // never reads a graph the fast builders made. The wrapped ad-hoc specs
+  // have odd and sub-4 wrapped extents, which no preset has.
   for (const char* name :
-       {"hermes", "mesh8-adaptive", "hermes-torus", "mesh16-oddeven"}) {
+       {"hermes", "mesh8-adaptive", "hermes-torus", "mesh16-oddeven",
+        "topology=ring size=5x3 routing=torus_xy escape=xy",
+        "topology=torus size=3x7 routing=torus_xy escape=xy",
+        "topology=torus size=2x5 routing=torus_xy escape=xy",
+        "topology=mesh size=8x8 routing=xy failed=9:E,20:S",
+        "topology=mesh size=6x5 routing=west_first failed=7:E,12:N",
+        "topology=torus size=8x8 routing=torus_xy escape=xy "
+        "failed=0:E,27:N"}) {
     SCOPED_TRACE(name);
     std::string error;
     const auto spec = InstanceRegistry::global().resolve(name, &error);
     ASSERT_TRUE(spec.has_value()) << error;
-    // One instance per builder: a shared one would hand the generic run
-    // the fast run's cached graph.
-    InstanceVerifyOptions generic_options;
+    ArtifactStore fast_store;
+    ArtifactStore generic_store;
+    InstanceVerifyOptions fast_options;
+    fast_options.artifacts = &fast_store;
+    InstanceVerifyOptions generic_options = fast_options;
+    generic_options.artifacts = &generic_store;
     generic_options.generic_builder = true;
-    const VerifyReport fast_report =
-        VerifyPipeline::standard().run(NetworkInstance(*spec),
-                                       InstanceVerifyOptions{});
-    const VerifyReport generic_report = VerifyPipeline::standard().run(
-        NetworkInstance(*spec), generic_options);
-    EXPECT_EQ(fast_report.cache.dep_graph.misses, 1u);
+    const VerifyReport fast_report = verify_instance_reports(
+        {*spec}, VerifyPipeline::standard(), nullptr, fast_options)[0];
+    const VerifyReport generic_report = verify_instance_reports(
+        {*spec}, VerifyPipeline::standard(), nullptr, generic_options)[0];
     EXPECT_EQ(generic_report.cache.dep_graph.misses, 1u);
     const InstanceVerdict& fast = fast_report.verdict;
     const InstanceVerdict& generic = generic_report.verdict;
@@ -318,6 +331,20 @@ TEST(DepGraphFast, VerdictIdenticalWithGenericBuilder) {
     EXPECT_EQ(fast.method, generic.method);
     EXPECT_EQ(fast.note, generic.note);
     EXPECT_EQ(fast.checks, generic.checks);
+    EXPECT_EQ(fast_report.diagnostics, generic_report.diagnostics);
+    ASSERT_EQ(fast_report.stages.size(), generic_report.stages.size());
+    for (std::size_t i = 0; i < fast_report.stages.size(); ++i) {
+      StageStats fast_stage = fast_report.stages[i];
+      StageStats generic_stage = generic_report.stages[i];
+      fast_stage.wall_ms = generic_stage.wall_ms = 0.0;
+      fast_stage.cpu_ms = generic_stage.cpu_ms = 0.0;
+      EXPECT_EQ(fast_stage, generic_stage);
+    }
+    const Digraph& fast_graph =
+        fast_store.acquire(*spec)->dep_graph(false, nullptr).graph;
+    const Digraph& generic_graph =
+        generic_store.acquire(*spec)->dep_graph(true, nullptr).graph;
+    EXPECT_EQ(fast_graph.edges(), generic_graph.edges());
   }
 }
 

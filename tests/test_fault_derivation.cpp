@@ -278,7 +278,8 @@ AnalyzeReport connectivity_report(const std::string& text) {
   const std::optional<Analyzer> analyzer =
       Analyzer::from_rule_names({"connectivity"}, &error);
   GENOC_REQUIRE(analyzer.has_value(), error);
-  return analyzer->run(*spec);
+  AnalysisArtifacts artifacts(*spec);
+  return analyzer->run(*spec, artifacts);
 }
 
 /// What the full BFS reports, recomputed here: the nodes the surviving

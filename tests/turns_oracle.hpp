@@ -1,11 +1,13 @@
 /// \file turns_oracle.hpp
-/// \brief The sequential turn-conformance sweep, kept as the test oracle of
-///        the destination-sharded `turns` rule.
+/// \brief The closure-row turn-conformance sweep, kept as the test oracle
+///        of the `turns` rule, which reads the dependency graph instead.
 ///
-/// turns_oracle() walks the sampled destinations in order on one thread,
-/// with one closure scratch, and emits findings as it meets them under the
-/// per-code cap, as the rule did before its shard-and-merge. Public APIs
-/// only; built only into the test binaries.
+/// turns_oracle() walks every destination in order on one thread, with
+/// one closure scratch, and asks next_hop_ids_into() for the hops of each
+/// reachable fabric in-port. It collects the distinct (in, out) turns, each
+/// with the lowest destination index whose route takes it, and emits the
+/// prohibited ones in port order under the per-code cap. Public APIs only,
+/// no dependency-graph builder; built only into the test binaries.
 #pragma once
 
 #include <string>
@@ -16,7 +18,8 @@ namespace genoc {
 
 /// The `turns` rule's result for the grid \p routing linted against the
 /// prohibited-turn set of \p discipline (a routing name with a static turn
-/// discipline). Field for field what the rule must report.
+/// discipline): checks = distinct turns, violations = distinct prohibited
+/// turns. Field for field what the rule must report.
 RuleOracleResult turns_oracle(const RoutingFunction& routing,
                               const std::string& discipline,
                               const AnalyzeOptions& options);
