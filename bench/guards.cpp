@@ -6,8 +6,8 @@
 ///        fault-variant graphs, derived fault-variant contexts vs one grid
 ///        build, sequential vs sharded vs analytic escape
 ///        analysis, the mesh256 context build, the headline mesh128/mesh256
-///        verifies, the mesh128 analyzer pre-screen, the registry sweep and
-///        the compressed-closure prime.
+///        verifies, the mesh128 analyzer pre-screen and the registry
+///        sweep.
 ///
 /// Every case times wall clock (UseRealTime) and reports the process's
 /// peak RSS as the `max_rss_kb` counter. Parallel cases run on a pool of
@@ -28,7 +28,6 @@
 #include "instance/batch_runner.hpp"
 #include "instance/registry.hpp"
 #include "routing/cmesh_dor.hpp"
-#include "routing/odd_even.hpp"
 #include "routing/torus_xy.hpp"
 #include "routing/xy.hpp"
 #include "util/stopwatch.hpp"
@@ -360,19 +359,6 @@ void prescreen_mesh128_xy(benchmark::State& state) {
   report_rss(state);
 }
 
-// A fresh Odd-Even routing (port mode, compressed closure tier) fully
-// primed over the pool each iteration: the eager cost laziness avoids.
-void closure_prime_64x64(benchmark::State& state) {
-  const Mesh2D mesh(64, 64);
-  BatchRunner& runner = pool();
-  for (auto _ : state) {
-    OddEvenRouting routing(mesh);
-    routing.prime(runner);
-    benchmark::DoNotOptimize(routing.closure_rows_built());
-  }
-  report_rss(state);
-}
-
 #define GUARD_BENCH(name, unit) \
   BENCHMARK(name)->UseRealTime()->Unit(benchmark::unit)
 
@@ -397,7 +383,6 @@ GUARD_BENCH(verify_mesh256_xy, kMillisecond);
 GUARD_BENCH(registry_verify_all, kMillisecond);
 GUARD_BENCH(registry_verify_all_cached, kMicrosecond);
 GUARD_BENCH(prescreen_mesh128_xy, kMillisecond);
-GUARD_BENCH(closure_prime_64x64, kMillisecond);
 
 }  // namespace
 

@@ -107,13 +107,13 @@ AnalyzeReport Analyzer::run(const InstanceSpec& spec, const Topology& topology,
   const auto build = [&]() -> const PortDepGraph& {
     return graph ? *graph : graph.emplace(build_dep_graph_fast(routing, pool));
   };
-  return run(spec, topology, routing, escape, options, pool, build);
+  return run(spec, topology, routing, escape, options, build);
 }
 
 AnalyzeReport Analyzer::run(
     const InstanceSpec& spec, const Topology& topology,
     const RoutingFunction& routing, const RoutingFunction* escape,
-    const AnalyzeOptions& options, ThreadPool* pool,
+    const AnalyzeOptions& options,
     std::function<const PortDepGraph&()> dep_graph) const {
   obs::TraceSpan run_span("analyze");
   Stopwatch timer;
@@ -127,8 +127,8 @@ AnalyzeReport Analyzer::run(
   report.ports = topology.port_count();
   report.rules.reserve(rules_.size());
 
-  AnalyzeContext ctx{spec, topology, routing, escape, options,
-                     report, pool, std::move(dep_graph)};
+  AnalyzeContext ctx{spec, topology, routing, escape, options, report,
+                     std::move(dep_graph)};
   for (const AnalysisRule* rule : rules_) {
     obs::TraceSpan rule_span(rule->name());
     Stopwatch rule_timer;
@@ -164,7 +164,7 @@ AnalyzeReport Analyzer::run(const InstanceSpec& spec,
                             const AnalyzeOptions& options,
                             ThreadPool* pool) const {
   return run(spec, artifacts.topology(), artifacts.routing(),
-             artifacts.escape_routing(), options, pool,
+             artifacts.escape_routing(), options,
              [&]() -> const PortDepGraph& {
                return artifacts.dep_graph(false, pool);
              });

@@ -22,6 +22,7 @@
 namespace genoc {
 
 class AnalysisArtifacts;
+class ThreadPool;
 
 class Analyzer {
  public:
@@ -35,8 +36,8 @@ class Analyzer {
   /// spec_sanity, turns and uniformity, leaving the closure-heavier
   /// totality/escape sweeps to an explicit `genoc analyze`. `turns` reads
   /// the context's dependency graph, which the verify pipeline then takes
-  /// from the cache. `genoc verify` runs it on the verify's own pool;
-  /// `genoc analyze` passes none.
+  /// from the cache. `genoc verify` runs it on the verify's own pool,
+  /// `genoc analyze` on a hardware-concurrency pool.
   static const Analyzer& cheap();
   static const std::vector<std::string>& cheap_rule_names();
 
@@ -55,9 +56,9 @@ class Analyzer {
   /// nullptr. This is the injection point for seeded-mutant tests: any
   /// RoutingFunction/Topology pair analyzes, registered or not; a rule
   /// that reads the dependency graph gets build_dep_graph_fast(routing,
-  /// pool), built once. Every overload takes an optional \p pool for the
-  /// destination-sampled rules and the graph build (AnalyzeContext::pool);
-  /// the report is the same without one.
+  /// pool), built once. Every overload takes an optional \p pool, which
+  /// shards only that graph build (AnalyzeContext::dep_graph); the report
+  /// is the same without one.
   AnalyzeReport run(const InstanceSpec& spec, const Topology& topology,
                     const RoutingFunction& routing,
                     const RoutingFunction* escape,
@@ -78,7 +79,7 @@ class Analyzer {
   AnalyzeReport run(const InstanceSpec& spec, const Topology& topology,
                     const RoutingFunction& routing,
                     const RoutingFunction* escape,
-                    const AnalyzeOptions& options, ThreadPool* pool,
+                    const AnalyzeOptions& options,
                     std::function<const PortDepGraph&()> dep_graph) const;
 
   std::vector<const AnalysisRule*> rules_;

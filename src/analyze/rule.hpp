@@ -30,17 +30,14 @@
 
 namespace genoc {
 
-class ThreadPool;
 struct PortDepGraph;
 
 /// Work bounds of one analyzer run. Rules that sweep a (port x destination)
 /// or (node x destination) product sample destinations with a deterministic
 /// stride so the analyzer stays interactive on every registry preset
-/// (mesh256-xy included) — a lint pass, not a proof. The budgets fix WHICH
-/// destinations are sampled; the thread pool an Analyzer::run is given
-/// (AnalyzeContext::pool) only decides who scans them: `uniformity` shards
-/// its sampled destinations over it and merges in destination order, so
-/// its report is the same at any thread count. `turns` samples nothing.
+/// (mesh256-xy included) — a lint pass, not a proof. Every sampled rule
+/// scans its destinations in one sequential loop, so its report is the same
+/// at any thread count. `turns` samples nothing.
 struct AnalyzeOptions {
   /// Budget in elementary (port, destination) probes for the sweeping
   /// rules (totality, escape coverage, connectivity), covering every port
@@ -101,12 +98,10 @@ struct AnalyzeContext {
   /// The report under construction: rules append to report.diagnostics.
   /// (report.rules is managed by the Analyzer.)
   AnalyzeReport& report;
-  /// Pool the destination-sampled rules shard over, or nullptr to scan
-  /// sequentially. Never changes what a rule reports.
-  ThreadPool* pool = nullptr;
   /// The routing's dependency graph, built on the first call (`turns`
   /// reads its turn edges): an artifact context's cached graph, which the
-  /// verify pipeline then reads, or one built for this run.
+  /// verify pipeline then reads, or one built for this run. The pool given
+  /// to Analyzer::run shards this build and nothing else.
   std::function<const PortDepGraph&()> dep_graph;
 };
 

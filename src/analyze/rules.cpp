@@ -23,7 +23,6 @@
 #include "topology/mesh.hpp"
 #include "topology/port.hpp"
 #include "util/require.hpp"
-#include "util/thread_pool.hpp"
 
 namespace genoc {
 
@@ -50,65 +49,6 @@ std::size_t stride_for(std::size_t count, std::uint64_t cost_per,
     return 1;
   }
   return static_cast<std::size_t>((total + budget - 1) / budget);
-}
-
-/// One sampled destination's share of a destination-sampled rule: its
-/// probes, its violations, and the first max_findings_per_code of those as
-/// plain records (rendered into Diagnostics only when merged).
-template <class Finding>
-struct DestinationTally {
-  std::uint64_t checks = 0;
-  std::uint64_t violations = 0;
-  std::vector<Finding> findings;
-};
-
-/// Per-shard hop buffers of the destination-sampled rules, reused across
-/// the shard's destinations.
-struct ShardScratch {
-  std::vector<PortId> hop_ids;
-  std::vector<Port> hop_ports;
-};
-
-/// The shard-and-merge of the destination-sampled rules. Every stride-th
-/// destination is scanned by scan(dest_index, scratch, tally) into its own
-/// tally, with the sampled destinations sharded over \p pool when there is
-/// one to share (one ShardScratch per shard). The tallies then merge in
-/// destination order: checks add into \p stats.checks, violations into
-/// \p violations, and each kept finding goes to emit(dest_index, finding)
-/// while the running violation count is within \p cap. Findings thus come
-/// out in (destination, scan) order under one cap, exactly as a sequential
-/// scan emits them, at any thread count; two merges into the same
-/// \p violations share the cap.
-template <class Finding, class Scan, class Emit>
-void sweep_sampled(ThreadPool* pool, std::size_t dests, std::size_t stride,
-                   std::uint64_t cap, const Scan& scan, const Emit& emit,
-                   StageStats& stats, std::uint64_t& violations) {
-  const std::size_t sampled = (dests + stride - 1) / stride;
-  std::vector<DestinationTally<Finding>> tallies(sampled);
-  const auto scan_range = [&](std::size_t begin, std::size_t end) {
-    ShardScratch scratch;
-    for (std::size_t i = begin; i < end; ++i) {
-      scan(i * stride, scratch, tallies[i]);
-    }
-  };
-  // A one-thread pool has no one to share with: one shard, one scratch.
-  if (pool == nullptr || pool->thread_count() == 1) {
-    scan_range(0, sampled);
-  } else {
-    pool->parallel_for(sampled, pool->recommended_grain(sampled), scan_range);
-  }
-  for (std::size_t i = 0; i < sampled; ++i) {
-    const DestinationTally<Finding>& tally = tallies[i];
-    stats.checks += tally.checks;
-    std::uint64_t index = violations;
-    for (const Finding& finding : tally.findings) {
-      if (++index > cap) {
-        break;
-      }
-      emit(i * stride, finding);
-    }
-    violations += tally.violations;
-  }
 }
 
 /// Wrap-aware hop distance between two nodes of a grid (the metric a
@@ -146,15 +86,22 @@ struct HopFold {
 };
 
 /// R(in, dest) through the id adapter next_hop_ids_into, which drops a
-/// grid hop to a port that does not exist; id-native functions emit
-/// existing ports only. So every hop counts (an id past the port table is
-/// foreign, not a lookup); only own-node OUT hops are name bits.
-HopFold fold_id_hops(const RoutingFunction& routing, const Topology& topo,
-                     PortId in, std::size_t node, std::size_t dest_index,
-                     std::vector<PortId>& hops, std::vector<Port>& scratch) {
+/// grid hop to a port that does not exist; id-native functions (\p
+/// id_native, hoisted out of the per-port loop: it saves a virtual call
+/// per probe) are asked directly and emit existing ports only. So every
+/// hop counts (an id past the port table is foreign, not a lookup); only
+/// own-node OUT hops are name bits.
+HopFold fold_id_hops(const RoutingFunction& routing, bool id_native,
+                     const Topology& topo, PortId in, std::size_t node,
+                     std::size_t dest_index, std::vector<PortId>& hops,
+                     std::vector<Port>& scratch) {
   HopFold fold;
   hops.clear();
-  routing.next_hop_ids_into(in, dest_index, hops, scratch);
+  if (id_native) {
+    routing.append_next_hop_ids(in, dest_index, hops);
+  } else {
+    routing.next_hop_ids_into(in, dest_index, hops, scratch);
+  }
   for (const PortId hop : hops) {
     if (hop < topo.port_count() && topo.node_of(hop) == node &&
         topo.dir_of(hop) == Direction::kOut) {
@@ -377,8 +324,8 @@ class TurnConformanceRule final : public AnalysisRule {
 /// repeated name or on an existing hop off the node's out-ports. So
 /// `exact && mask == claim` holds iff the sorted hop ids equal the sorted
 /// claimed out-port ids, which is what the test oracle
-/// (tests/uniformity_oracle.hpp) compares. Sampled destinations shard over
-/// the pool (sweep_sampled); the finding cap spans both audits.
+/// (tests/uniformity_oracle.hpp) compares. One sequential loop scans the
+/// sampled destinations; the finding cap spans both audits.
 class UniformityRule final : public AnalysisRule {
  public:
   const char* name() const override { return "uniformity"; }
@@ -454,16 +401,8 @@ class UniformityRule final : public AnalysisRule {
   }
 
  private:
-  /// One in-port whose hop set contradicts its node's mask, rendered at
-  /// the merge.
-  struct UniformityFinding {
-    PortId in;
-    std::size_t mask_hops;
-    std::size_t in_port_hops;
-  };
-
-  /// Audits one function's claim, adding to \p violations (the per-code
-  /// finding cap spans both functions).
+  /// Audits one function's claim on every stride-th destination, adding to
+  /// \p violations (the per-code finding cap spans both functions).
   void audit(AnalyzeContext& ctx, const RoutingFunction& routing,
              const char* function, StageStats& stats,
              std::uint64_t& violations) const {
@@ -472,9 +411,14 @@ class UniformityRule final : public AnalysisRule {
     const std::size_t nodes = topo.node_count();
     const std::size_t names = topo.name_count();
     const std::uint64_t cap = ctx.options.max_findings_per_code;
-
-    const auto scan = [&](std::size_t d, ShardScratch& scratch,
-                          DestinationTally<UniformityFinding>& tally) {
+    const std::size_t stride =
+        stride_for(dests, static_cast<std::uint64_t>(nodes) * names,
+                   ctx.options.uniformity_budget);
+    std::vector<PortId> hop_ids;
+    std::vector<Port> hop_ports;
+    std::uint64_t checks = 0;
+    const bool id_native = routing.id_native();
+    for (std::size_t d = 0; d < dests; d += stride) {
       for (std::size_t node = 0; node < nodes; ++node) {
         const std::uint64_t claim =
             routing.out_mask_id(node, d) & topo.out_exists_mask(node);
@@ -485,39 +429,31 @@ class UniformityRule final : public AnalysisRule {
           if (in == kInvalidPort) {
             continue;
           }
-          const HopFold fold = fold_id_hops(routing, topo, in, node, d,
-                                            scratch.hop_ids, scratch.hop_ports);
-          ++tally.checks;
-          if (fold.exact && fold.mask == claim) {
+          const HopFold fold =
+              fold_id_hops(routing, id_native, topo, in, node, d, hop_ids,
+                           hop_ports);
+          ++checks;
+          if ((fold.exact && fold.mask == claim) || ++violations > cap) {
             continue;
           }
-          if (++tally.violations <= cap) {
-            tally.findings.push_back(
-                {in, static_cast<std::size_t>(std::popcount(claim)),
-                 fold.hops});
-          }
+          const std::string in_label = topo.port_label(in);
+          const std::string dest_label =
+              topo.port_label(topo.destination_id(d));
+          ctx.report.diagnostics.push_back(make_diagnostic(
+              name(), Severity::kError, "uniformity-violated",
+              std::string(function) + " hop set from " + in_label +
+                  " toward " + dest_label +
+                  " differs from the node's claimed out-mask",
+              {{"function", function},
+               {"in_port", in_label},
+               {"destination", dest_label},
+               {"node", topo.node_label(node)},
+               {"mask_hops", std::to_string(std::popcount(claim))},
+               {"in_port_hops", std::to_string(fold.hops)}}));
         }
       }
-    };
-    const auto emit = [&](std::size_t d, const UniformityFinding& finding) {
-      const std::string in_label = topo.port_label(finding.in);
-      const std::string dest_label = topo.port_label(topo.destination_id(d));
-      ctx.report.diagnostics.push_back(make_diagnostic(
-          name(), Severity::kError, "uniformity-violated",
-          std::string(function) + " hop set from " + in_label + " toward " +
-              dest_label + " differs from the node's claimed out-mask",
-          {{"function", function},
-           {"in_port", in_label},
-           {"destination", dest_label},
-           {"node", topo.node_label(topo.node_of(finding.in))},
-           {"mask_hops", std::to_string(finding.mask_hops)},
-           {"in_port_hops", std::to_string(finding.in_port_hops)}}));
-    };
-    sweep_sampled<UniformityFinding>(
-        ctx.pool, dests,
-        stride_for(dests, static_cast<std::uint64_t>(nodes) * names,
-                   ctx.options.uniformity_budget),
-        cap, scan, emit, stats, violations);
+    }
+    stats.checks += checks;
   }
 };
 

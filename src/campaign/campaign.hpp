@@ -76,8 +76,9 @@ struct VariantOutcome {
 /// The campaign report `genoc campaign` renders and serializes.
 struct CampaignReport {
   /// Version of the `genoc campaign --json` schema
-  /// (tools/check_campaign_schema.py speaks exactly this version).
-  static constexpr std::int64_t kSchemaVersion = 1;
+  /// (tools/check_campaign_schema.py speaks exactly this version). v2: the
+  /// `cache` object loses its `primed` counter.
+  static constexpr std::int64_t kSchemaVersion = 2;
 
   std::string instance;  ///< base display name (preset name or spec string)
   std::string spec;      ///< canonical base spec string

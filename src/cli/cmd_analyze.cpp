@@ -23,6 +23,7 @@
 #include "instance/registry.hpp"
 #include "obs/metrics.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 #include "verify/artifacts.hpp"
 
 namespace genoc::cli {
@@ -140,8 +141,9 @@ int cmd_analyze(const Args& args) {
   const InstanceRegistry& registry = InstanceRegistry::global();
   std::vector<InstanceSpec> specs;
   if (all) {
-    // The full registry, heavy presets included: analyzer rules are
-    // destination-sampled, so even mesh256-xy stays interactive.
+    // The full registry, heavy presets included: the sweeping rules are
+    // destination-sampled and `turns` reads the dependency graph, built on
+    // the pool below, so even mesh256-xy stays interactive.
     specs = registry.presets();
   } else {
     std::string error;
@@ -167,13 +169,15 @@ int cmd_analyze(const Args& args) {
     analyzer = &*custom;
   }
 
-  // The same batch-wide artifact store verify uses: presets differing only
-  // in workload/switching share one topology x routing x escape context.
-  ArtifactStore store;
+  // One context per spec, dropped after its report, so peak memory is the
+  // largest instance's rather than the sum over the registry. The pool
+  // shards the dependency-graph build `turns` reads.
+  ThreadPool pool;
   std::vector<AnalyzeReport> reports;
   reports.reserve(specs.size());
   for (const InstanceSpec& spec : specs) {
-    reports.push_back(analyzer->run(spec, *store.acquire(spec)));
+    AnalysisArtifacts artifacts(spec);
+    reports.push_back(analyzer->run(spec, artifacts, {}, &pool));
   }
   return report_analyses(reports, *analyzer, all, as_json);
 }

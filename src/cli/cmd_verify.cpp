@@ -18,7 +18,7 @@
 /// carry the pipeline's typed output: per-stage stats, Diagnostics,
 /// artifact-cache counters and the process MetricsRegistry snapshot.
 /// `--baseline prev.json` appends a trend section comparing verdicts and
-/// wall_ms against a previous run's artifact (v1 or v2) and fails (exit 1)
+/// wall_ms against a previous run's artifact (v1 to v3) and fails (exit 1)
 /// on any verdict regression. `--trace F` records a Chrome trace-event
 /// span trace of the whole sweep — one merged file even under --all.
 #include <fstream>
@@ -173,16 +173,17 @@ std::optional<std::map<std::string, BaselineRow>> load_baseline(
              (parse_error.empty() ? "" : ": " + parse_error);
     return std::nullopt;
   }
-  // v1 artifacts stay comparable: the verdict fields are identical and the
-  // old cpu_ms column WAS wall-clock time, so it maps onto wall_ms below.
+  // Every schema so far stays comparable: the verdict fields are identical
+  // (v3 only dropped a cache counter), and the v1 cpu_ms column WAS
+  // wall-clock time, so it maps onto wall_ms below.
   const std::optional<double> schema = doc->get_number("schema_version");
   const std::int64_t schema_version =
       schema ? static_cast<std::int64_t>(*schema) : -1;
-  if (schema_version != 1 && schema_version != VerifyReport::kSchemaVersion) {
+  if (schema_version < 1 || schema_version > VerifyReport::kSchemaVersion) {
     *error = "baseline '" + path + "' has schema_version " +
              (schema ? std::to_string(schema_version)
                      : std::string("<missing>")) +
-             "; this build speaks 1 and " +
+             "; this build speaks 1 to " +
              std::to_string(VerifyReport::kSchemaVersion);
     return std::nullopt;
   }
@@ -238,7 +239,7 @@ std::optional<std::map<std::string, BaselineRow>> load_baseline(
     entry.expected_deadlock_free =
         row.get_bool("expected_deadlock_free").value_or(true);
     entry.constraints_ok = row.get_bool("constraints_ok").value_or(true);
-    // v2 rows carry wall_ms; in v1 rows the cpu_ms field held wall time.
+    // v2 and v3 rows carry wall_ms; in v1 rows cpu_ms held wall time.
     entry.wall_ms = row.get_number("wall_ms")
                         .value_or(row.get_number("cpu_ms").value_or(0.0));
     rows[*name] = entry;
@@ -417,8 +418,7 @@ int report_instances(const std::vector<VerifyReport>& reports,
   // context); raw hit counts also include intra-pipeline re-reads.
   std::cout << "  artifact cache: " << cache.contexts.misses
             << " distinct contexts for " << reports.size() << " instances — "
-            << cache.dep_graph.misses << " graph builds, "
-            << cache.primed.misses << " closures primed\n";
+            << cache.dep_graph.misses << " graph builds\n";
   if (!analyses.empty()) {
     std::size_t dirty = 0;
     std::uint64_t findings = 0;

@@ -70,7 +70,6 @@ std::string stage_stats_json(const genoc::StageStats& stats) {
 std::string cache_stats_json(const genoc::ArtifactCacheStats& stats) {
   JsonObject obj;
   obj.add_raw("contexts", counter_json(stats.contexts))
-      .add_raw("primed", counter_json(stats.primed))
       .add_raw("dep_graph", counter_json(stats.dep_graph))
       .add_raw("acyclicity", counter_json(stats.acyclicity))
       .add_raw("escape", counter_json(stats.escape))

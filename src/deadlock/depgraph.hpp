@@ -89,7 +89,7 @@ PortDepGraph build_dep_graph(const RoutingFunction& routing);
 /// shards and emits once in port order, so the graph is BIT-IDENTICAL with
 /// and without a pool. Each shard owns its RouteSweeper, so the routing
 /// function is only entered through its stateless const interface
-/// (node_out_mask / append_next_hops) — no prime() warm-up needed.
+/// (node_out_mask / append_next_hops) and its closure is never read.
 PortDepGraph build_dep_graph_fast(const RoutingFunction& routing,
                                   ThreadPool* pool = nullptr);
 

@@ -18,8 +18,8 @@
 /// batch threads an ArtifactStore (verify/artifacts.hpp) keyed by the
 /// canonical topology x routing x escape spec prefix, so two instances that
 /// differ only in workload or switching (mesh8-xy vs mesh8-xy-sf) build the
-/// dependency graph, prime the reachability closure and decide acyclicity
-/// exactly once between them.
+/// dependency graph and decide acyclicity exactly once between them (and
+/// read one reachability closure, whose rows are built on first touch).
 ///
 /// The pool mechanics live in util/ThreadPool (so lower layers like the
 /// dep-graph and escape builders can run on the same pool without

@@ -444,6 +444,8 @@ std::string validate_spec(const InstanceSpec& spec) {
     if (spec.failed_links.size() > 4096) {
       return "at most 4096 failed links per instance";
     }
+    std::vector<LinkFault> links;  // canonical
+    links.reserve(spec.failed_links.size());
     for (const std::string& token : spec.failed_links) {
       std::string fault_error;
       const std::optional<LinkFault> fault =
@@ -457,6 +459,17 @@ std::string validate_spec(const InstanceSpec& spec) {
                std::to_string(spec.width) + "x" + std::to_string(spec.height) +
                " " + spec.topology + " (node out of range or boundary port)";
       }
+      links.push_back(canonical_link_fault(*fault, spec.width, spec.height,
+                                           spec.wrap_x(), spec.wrap_y()));
+    }
+    // A repeated link would get an artifact key of its own, yet verify the
+    // deduplicated fault set; like a repeated key, it is an error.
+    std::sort(links.begin(), links.end());
+    const auto repeated = std::adjacent_find(links.begin(), links.end());
+    if (repeated != links.end()) {
+      return "failed link '" + link_fault_token(*repeated) +
+             "' is named more than once (both endpoints of a channel name "
+             "the same physical link)";
     }
   }
   if (!spec.escape.empty() && !spec.is_grid()) {

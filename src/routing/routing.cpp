@@ -4,10 +4,8 @@
 #include <bit>
 
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
 #include "routing/sweep.hpp"
 #include "util/require.hpp"
-#include "util/thread_pool.hpp"
 
 namespace genoc {
 
@@ -208,33 +206,8 @@ bool RoutingFunction::closure_reachable(const Port& s, const Port& d) const {
   return closure_reachable_id(grid_->id(s), dest_index);
 }
 
-ClosureMode RoutingFunction::resolved_mode() const {
-  if (forced_mode_ != ClosureMode::kAuto) {
-    return forced_mode_;
-  }
-  return (node_uniform() && topo_->name_count() <= 64)
-             ? ClosureMode::kNodeMask
-             : ClosureMode::kCompressed;
-}
-
-ClosureMode RoutingFunction::closure_mode() const { return resolved_mode(); }
-
-void RoutingFunction::force_closure_mode(ClosureMode mode) {
-  GENOC_REQUIRE(mode != ClosureMode::kNodeMask ||
-                    (node_uniform() && topo_->name_count() <= 64),
-                "kNodeMask requires a node-uniform routing function");
-  GENOC_REQUIRE(rows_built_.load(std::memory_order_relaxed) == 0,
-                "force_closure_mode must run before any closure query");
-  forced_mode_ = mode;
-}
-
 std::uint64_t RoutingFunction::closure_bytes() const {
   return bytes_.load(std::memory_order_relaxed);
-}
-
-std::uint64_t RoutingFunction::closure_dense_bytes() const {
-  return static_cast<std::uint64_t>(topo_->destination_count()) *
-         closure_row_words() * sizeof(std::uint64_t);
 }
 
 void RoutingFunction::note_row_built(std::uint64_t bytes_delta) const {
@@ -280,22 +253,34 @@ void RoutingFunction::ensure_rows_allocated() const {
   });
 }
 
+RouteSweeper& RoutingFunction::scratch_sweeper(
+    ClosureRowScratch& scratch) const {
+  if (scratch.sweeper_owner_ != this) {
+    scratch.sweeper_ = std::make_unique<RouteSweeper>(*this);
+    scratch.sweeper_owner_ = this;
+    scratch.cached_dest_ = static_cast<std::size_t>(-1);
+  }
+  return *scratch.sweeper_;
+}
+
 const RoutingFunction::CompressedRow* RoutingFunction::compressed_row(
-    std::size_t dest_index, RouteSweeper* sweeper) const {
+    std::size_t dest_index, ClosureRowScratch* scratch) const {
   ensure_rows_allocated();
   std::atomic<CompressedRow*>& slot = rows_[dest_index];
   CompressedRow* row = slot.load(std::memory_order_acquire);
   if (row != nullptr) {
     return row;
   }
-  const std::size_t words = closure_row_words();
   std::unique_ptr<RouteSweeper> local;
-  if (sweeper == nullptr) {
+  RouteSweeper* sweeper = nullptr;
+  if (scratch != nullptr) {
+    sweeper = &scratch_sweeper(*scratch);
+  } else {
     local = std::make_unique<RouteSweeper>(*this);
     sweeper = local.get();
   }
   auto fresh = std::make_unique<CompressedRow>();
-  fresh->words.assign(words, 0);
+  fresh->words.assign(closure_row_words(), 0);
   sweeper->sweep(dest_index, nullptr, fresh->words.data());
   const std::uint64_t bytes = fresh->bytes();
   CompressedRow* expected = nullptr;
@@ -310,7 +295,7 @@ const RoutingFunction::CompressedRow* RoutingFunction::compressed_row(
 
 bool RoutingFunction::closure_reachable_id(PortId s,
                                            std::size_t dest_index) const {
-  if (resolved_mode() == ClosureMode::kNodeMask) {
+  if (node_tier()) {
     return node_mask_reachable(s, dest_index);
   }
   return row_bit(compressed_row(dest_index, nullptr)->words.data(), s);
@@ -318,64 +303,22 @@ bool RoutingFunction::closure_reachable_id(PortId s,
 
 const std::uint64_t* RoutingFunction::closure_row(
     std::size_t dest_index, ClosureRowScratch& scratch) const {
+  if (!node_tier()) {
+    return compressed_row(dest_index, &scratch)->words.data();
+  }
+  RouteSweeper& sweeper = scratch_sweeper(scratch);
   const std::size_t words = closure_row_words();
-  if (resolved_mode() == ClosureMode::kNodeMask) {
-    if (scratch.sweeper_owner_ != this) {
-      scratch.sweeper_ = std::make_unique<RouteSweeper>(*this);
-      scratch.sweeper_owner_ = this;
-      scratch.cached_dest_ = static_cast<std::size_t>(-1);
-    }
-    if (scratch.cached_dest_ == dest_index && scratch.words_.size() == words) {
-      return scratch.words_.data();
-    }
-    scratch.words_.assign(words, 0);
-    scratch.sweeper_->sweep(dest_index, nullptr, scratch.words_.data());
-    scratch.cached_dest_ = dest_index;
-    rows_built_.fetch_add(1, std::memory_order_relaxed);
-    static obs::Counter& rows =
-        obs::MetricsRegistry::global().counter("closure.rows_built");
-    rows.increment();
+  if (scratch.cached_dest_ == dest_index && scratch.words_.size() == words) {
     return scratch.words_.data();
   }
-  return compressed_row(dest_index, nullptr)->words.data();
-}
-
-void RoutingFunction::prime_closure(ThreadPool* pool) const {
-  obs::TraceSpan span("artifact:closure");
-  obs::MetricsRegistry::global()
-      .gauge("closure.dense_bytes")
-      .record_max(static_cast<std::int64_t>(closure_dense_bytes()));
-  // The node-granular tier stores nothing: membership derives from
-  // out_mask_id on the fly and rows materialize in caller scratches.
-  if (resolved_mode() != ClosureMode::kCompressed) {
-    return;
-  }
-  ensure_rows_allocated();
-  const std::size_t dest_count = topo_->destination_count();
-  const auto build_range = [this](std::size_t begin, std::size_t end) {
-    RouteSweeper sweeper(*this);
-    for (std::size_t dest = begin; dest < end; ++dest) {
-      compressed_row(dest, &sweeper);
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(dest_count, pool->recommended_grain(dest_count),
-                       build_range);
-  } else {
-    build_range(0, dest_count);
-  }
-}
-
-void RoutingFunction::prime() const {
-  if (needs_prime()) {
-    prime_closure(nullptr);
-  }
-}
-
-void RoutingFunction::prime(ThreadPool& pool) const {
-  if (needs_prime()) {
-    prime_closure(&pool);
-  }
+  scratch.words_.assign(words, 0);
+  sweeper.sweep(dest_index, nullptr, scratch.words_.data());
+  scratch.cached_dest_ = dest_index;
+  rows_built_.fetch_add(1, std::memory_order_relaxed);
+  static obs::Counter& rows =
+      obs::MetricsRegistry::global().counter("closure.rows_built");
+  rows.increment();
+  return scratch.words_.data();
 }
 
 }  // namespace genoc

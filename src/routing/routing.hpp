@@ -17,10 +17,9 @@
 /// closure. Instances may override it with a closed form; tests verify the
 /// two agree.
 ///
-/// The closure itself is TIERED (see ClosureMode below): node-granular and
+/// The closure itself is TIERED (see closure_row below): node-granular and
 /// storage-free for node-uniform functions, lazily built bitset rows for
-/// port-mode functions. Priming is destination-sharded over the
-/// pool in batch mode; both tiers stay bit-identical to the dense layout.
+/// port-mode functions; both tiers stay bit-identical to the dense layout.
 #pragma once
 
 #include <atomic>
@@ -39,54 +38,18 @@ namespace genoc {
 
 class RouteSweeper;
 class RoutingFunction;
-class ThreadPool;
 
 /// Bit of \p name in a node_out_mask() (see below).
 constexpr std::uint8_t port_name_bit(PortName name) {
   return static_cast<std::uint8_t>(1u << static_cast<unsigned>(name));
 }
 
-/// Representation of the reachability closure (the relation s R d).
-///
-/// The closure used to be one dense `dests x ports` bitset built eagerly on
-/// prime() — the single biggest memory and warm-up cost of every verify
-/// (multi-GB at 256x256). It is now TIERED, chosen per routing family:
-///
-///  - kNodeMask (node-uniform functions): nothing is stored at all. Under
-///    uniform injection every node holds a message for every destination,
-///    so membership is a closed form over out_mask_id(): a terminal IN
-///    port is always visited; an OUT port is visited iff its name bit is
-///    in its node's mask; a cardinal IN port is visited iff the out-port
-///    driving it (Topology::link_source) is selected at ITS node. Row
-///    queries materialize per-destination rows on demand through a
-///    caller-owned ClosureRowScratch — built by the shard that consumes
-///    them (the same destination sharding the dep-graph/escape sweeps
-///    use), so rows are constructed with thread locality and freed with
-///    the scratch.
-///  - kCompressed (port-mode functions, e.g. Odd-Even, whose turns depend
-///    on the in-port name): per-destination bitset rows built lazily on
-///    first touch (thread-safe, compare-and-swap publication). A sorted
-///    port-id list would not be smaller: every row visits each terminal IN
-///    port, and terminals are over 1/32 of the ports in every family, so
-///    4 bytes per visited port exceed 8 per 64-port word.
-///
-/// Both tiers are bit-identical to the dense closure (one RouteSweeper
-/// port-mode sweep per destination row); test_closure_compressed builds
-/// that oracle itself and pins the identity per preset at 1/4/8 threads.
-/// The `closure.bytes` / `closure.dense_bytes` gauges and the
-/// `closure.rows_built` counter make the memory win observable.
-enum class ClosureMode : std::uint8_t {
-  kAuto,        ///< resolve per family: kNodeMask if node-uniform, else
-                ///< kCompressed
-  kNodeMask,    ///< node-granular closed form, zero storage
-  kCompressed,  ///< lazy per-destination bitset rows
-};
-
 /// Per-caller scratch backing RoutingFunction::closure_row(): the
-/// materialized row words plus, for node-granular closures, the sweeper
-/// that fills them. Keep one per shard/thread and reuse it across
-/// destinations — repeated queries for the same destination return the
-/// cached row without re-sweeping.
+/// materialized row words (node-granular closures) plus the sweeper that
+/// fills them, or that builds a stored row on its first touch. Keep one
+/// per shard/thread and reuse it across destinations — repeated queries
+/// for the same destination return the cached row without re-sweeping,
+/// and a shard that builds many stored rows allocates one sweeper.
 class ClosureRowScratch {
  public:
   ClosureRowScratch();
@@ -266,12 +229,30 @@ class RoutingFunction {
 
   /// The semantic visited-port row of one destination: closure_row_words()
   /// 64-bit words, bit = PortId — bit-identical to a row of the dense
-  /// closure. Hot consumers (the escape sweep, batch constraint
-  /// checks) read one row per destination instead of issuing per-port
-  /// reachable_id() queries. The returned pointer is either into \p
-  /// scratch (node-granular tier: swept on demand; compressed list rows:
-  /// expanded on demand) or into the shared read-only store (compressed
-  /// bitset rows); it stays valid until the next closure_row()
+  /// closure. Hot consumers (the escape sweep, the analyzer's sweeping
+  /// rules) read one row per destination instead of issuing per-port
+  /// reachable_id() queries. The closure is tiered by routing family:
+  ///
+  ///  - node-uniform functions (port-name tables of <= 64 names): nothing
+  ///    is stored at all. Under uniform injection every node holds a
+  ///    message for every destination, so membership is a closed form over
+  ///    out_mask_id(): a terminal IN port is always visited; an OUT port is
+  ///    visited iff its name bit is in its node's mask; a cardinal IN port
+  ///    is visited iff the out-port driving it (Topology::link_source) is
+  ///    selected at ITS node. Rows are swept into \p scratch on demand, by
+  ///    the shard that consumes them, and freed with it.
+  ///  - port-mode functions (e.g. Odd-Even, whose turns depend on the
+  ///    in-port name): per-destination bitset rows, built on first touch
+  ///    with \p scratch's sweeper and published by compare-and-swap into a
+  ///    shared read-only store. A sorted port-id list would not be smaller:
+  ///    every row visits each terminal IN port, and terminals are over 1/32
+  ///    of the ports in every family, so 4 bytes per visited port exceed 8
+  ///    per 64-port word.
+  ///
+  /// Both tiers equal one port-mode RouteSweeper sweep per destination;
+  /// test_closure_compressed builds that dense oracle itself and pins the
+  /// identity per preset, and under concurrent first touch at 1/4/8
+  /// threads. The returned pointer stays valid until the next closure_row()
   /// call on the same scratch. Thread-safe: concurrent callers with
   /// distinct scratches may touch any destination in any order.
   const std::uint64_t* closure_row(std::size_t dest_index,
@@ -282,45 +263,16 @@ class RoutingFunction {
     return (topo_->port_count() + 63) / 64;
   }
 
-  /// The resolved closure representation (kAuto never escapes).
-  ClosureMode closure_mode() const;
-
-  /// Test hook: pins the closure representation (e.g. kCompressed to
-  /// exercise row compression on a node-uniform function). Must be called
-  /// before any closure query; kNodeMask requires a node-uniform function.
-  void force_closure_mode(ClosureMode mode);
-
   /// Bytes of closure storage currently allocated by this function (0 for
-  /// the node-granular tier — membership is a closed form).
+  /// the node-granular tier — membership is a closed form). The
+  /// `closure.bytes` gauge reports its high-water mark.
   std::uint64_t closure_bytes() const;
 
-  /// What a dense dests x ports bitset would allocate: dests x row words x
-  /// 8.
-  /// The `closure.bytes` / `closure.dense_bytes` gauge pair reports the
-  /// reduction (>= 4x on meshes is the acceptance bar).
-  std::uint64_t closure_dense_bytes() const;
-
-  /// Closure rows materialized so far (lazy builds + scratch sweeps).
+  /// Closure rows materialized so far (lazy builds + scratch sweeps), also
+  /// counted by the `closure.rows_built` counter.
   std::uint64_t closure_rows_built() const {
     return rows_built_.load(std::memory_order_relaxed);
   }
-
-  /// Pre-builds every lazily constructed internal cache so that subsequent
-  /// reachable() calls are strictly read-only. With the tiered closure
-  /// this is cheap: the node-granular tier builds nothing (queries derive
-  /// from out_mask_id on the fly), the compressed tier pre-builds its rows
-  /// eagerly. Kept virtual for mutation-test subclasses.
-  virtual void prime() const;
-
-  /// Pool-sharded prime for batch mode: compressed-tier rows are built in
-  /// parallel, destination-sharded exactly like the dep-graph/escape
-  /// sweeps. No-op for closed-form functions (needs_prime() == false) and
-  /// near-free for the node-granular tier.
-  void prime(ThreadPool& pool) const;
-
-  /// False for functions whose reachable() is a closed form that never
-  /// touches the closure (XY/YX): their warm-up stays free.
-  virtual bool needs_prime() const { return true; }
 
  protected:
   /// Shared guard: d must be an existing Local OUT port and s must exist.
@@ -336,20 +288,23 @@ class RoutingFunction {
     }
   };
 
-  ClosureMode resolved_mode() const;
+  /// True for the node-granular, storage-free closure tier.
+  bool node_tier() const {
+    return node_uniform() && topo_->name_count() <= 64;
+  }
   bool node_mask_reachable(PortId s, std::size_t dest_index) const;
-  /// The row for \p dest_index, built and published on first touch
-  /// (lock-free compare-and-swap; the losing builder frees its copy).
+  /// \p scratch's sweeper, (re)bound to this function.
+  RouteSweeper& scratch_sweeper(ClosureRowScratch& scratch) const;
+  /// The row for \p dest_index, built on first touch with \p scratch's
+  /// sweeper (a sweeper of its own without one) and published by
+  /// lock-free compare-and-swap; the losing builder frees its copy.
   const CompressedRow* compressed_row(std::size_t dest_index,
-                                      RouteSweeper* sweeper) const;
+                                      ClosureRowScratch* scratch) const;
   void ensure_rows_allocated() const;
-  void prime_closure(ThreadPool* pool) const;
   void note_row_built(std::uint64_t bytes_delta) const;
 
   const Topology* topo_;
   const Mesh2D* grid_;  ///< topo_ as a grid, or nullptr
-
-  ClosureMode forced_mode_ = ClosureMode::kAuto;
 
   // Compressed tier: one atomic slot per destination, null until built.
   mutable std::once_flag rows_once_;

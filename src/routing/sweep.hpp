@@ -25,8 +25,8 @@
 /// per-port out-name bits, which repeat across destinations and merge across
 /// shards by OR; emit_dep_graph_from_out_bits() (deadlock/depgraph.hpp)
 /// turns them into the graph. One engine therefore backs
-/// build_dep_graph_fast() (with or without a pool) and
-/// RoutingFunction::prime().
+/// build_dep_graph_fast() (with or without a pool) and the closure rows
+/// (RoutingFunction::closure_row(), built lazily per destination).
 #pragma once
 
 #include <cstdint>

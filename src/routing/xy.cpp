@@ -23,7 +23,7 @@ bool XYRouting::reachable(const Port& s, const Port& d) const {
   // The closed form assumes every route of the full grid exists; with
   // failed links routes dead-end at the fault, so ports past it are
   // claimed that no route visits. Fall back to the semantic closure
-  // (storage-free node-granular tier — still no prime needed).
+  // (the storage-free node-granular tier).
   if (mesh().has_faults()) {
     return closure_reachable(s, d);
   }

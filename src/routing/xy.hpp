@@ -44,10 +44,6 @@ class XYRouting final : public NodeUniformRouting {
   /// Cross-validated against closure_reachable() in the test suite.
   bool reachable(const Port& s, const Port& d) const override;
 
-  /// reachable() is closed-form and node-granular queries are storage-free:
-  /// nothing to pre-build for parallel use.
-  bool needs_prime() const override { return false; }
-
   /// The paper's Sec. V.6 next_outs table, i.e. the exact over-all-dests
   /// union of out-names per in-name — enables the O(ports) analytic
   /// dependency-graph build. Pure full meshes only: on wrapped grids the

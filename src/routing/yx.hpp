@@ -24,10 +24,6 @@ class YXRouting final : public NodeUniformRouting {
   /// ports are unconstrained in x-history, horizontal in-ports pin y).
   bool reachable(const Port& s, const Port& d) const override;
 
-  /// reachable() is closed-form and node-granular queries are storage-free:
-  /// nothing to pre-build for parallel use.
-  bool needs_prime() const override { return false; }
-
   /// Mirror of XY's next_outs table (vertical phase first): the exact
   /// over-all-dests union of out-names per in-name. Pure meshes only, for
   /// the same wrap-port reason as XYRouting.

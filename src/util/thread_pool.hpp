@@ -1,7 +1,7 @@
 /// \file thread_pool.hpp
 /// \brief ThreadPool: the shared worker pool behind every parallel stage
-///        (dependency-graph sharding, escape sweeps, closure priming,
-///        instance sweeps and campaign variants).
+///        (dependency-graph sharding, escape sweeps, instance sweeps and
+///        campaign variants).
 ///
 /// Extracted from instance/BatchRunner so that lower layers (routing/,
 /// deadlock/) can accept a pool without depending on the instance
@@ -52,7 +52,7 @@ class ThreadPool {
   /// The grain every destination-sharded stage uses: ~\p chunks_per_thread
   /// chunks per thread (load balance against uneven per-item cost) but
   /// never below 1. Centralized so the dep-graph build, the escape sweep
-  /// and the closure prime shard consistently.
+  /// and the campaign's variant fan-out shard consistently.
   std::size_t recommended_grain(std::size_t count,
                                 std::size_t chunks_per_thread = 8) const {
     const std::size_t chunks = thread_count() * chunks_per_thread;

@@ -7,7 +7,6 @@
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "util/require.hpp"
-#include "util/thread_pool.hpp"
 
 namespace genoc {
 
@@ -87,30 +86,6 @@ const std::vector<PortId>& AnalysisArtifacts::removed_base_ports() const {
   return static_cast<const Mesh2D&>(*topo_).removed_base_ports();
 }
 
-void AnalysisArtifacts::ensure_primed_locked(ThreadPool* pool) {
-  static KindCounters counters = kind_counters("primed");
-  if (primed_) {
-    ++stats_.primed.hits;
-    counters.hits.increment();
-    return;
-  }
-  obs::TraceSpan span("artifact:prime");
-  if (pool != nullptr) {
-    routing_->prime(*pool);
-    if (escape_ != nullptr) {
-      escape_->prime(*pool);
-    }
-  } else {
-    routing_->prime();
-    if (escape_ != nullptr) {
-      escape_->prime();
-    }
-  }
-  primed_ = true;
-  ++stats_.primed.misses;
-  counters.misses.increment();
-}
-
 const PortDepGraph& AnalysisArtifacts::dep_graph_locked(bool generic_builder,
                                                         ThreadPool* pool) {
   static KindCounters counters = kind_counters("dep_graph");
@@ -126,9 +101,6 @@ const PortDepGraph& AnalysisArtifacts::dep_graph_locked(bool generic_builder,
   counters.misses.increment();
   obs::TraceSpan span("artifact:dep_graph");
   if (generic_builder) {
-    // The oracle walks reachable() per (port, dest); prime first so the
-    // closure build is not racing a shared batch sibling.
-    ensure_primed_locked(pool);
     dep_ = build_dep_graph(*routing_);
   } else if (base_ != nullptr) {
     // Fault-variant delta: filter the base graph instead of re-sweeping.
@@ -276,13 +248,9 @@ const EscapeAnalysis& AnalysisArtifacts::escape_analysis(ThreadPool* pool) {
     counters.hits.increment();
     return *escape_analysis_;
   }
-  // analyze_escape's sweep reads closure rows per destination; priming here
-  // keeps any eager closure build inside this cache's compute-once
-  // accounting (node-granular tiers build nothing — the escape shards
-  // materialize their own rows with thread locality). Its analytic path
-  // (dimension-order adaptive routing and lane on any grid, fault variants
-  // included) reads no closure row at all.
-  ensure_primed_locked(pool);
+  // analyze_escape's sweep reads closure rows per destination, each shard
+  // through its own scratch; its analytic path (dimension-order adaptive
+  // routing and lane on any grid, fault variants included) reads none.
   ++stats_.escape.misses;
   counters.misses.increment();
   obs::TraceSpan span("artifact:escape_analysis");
@@ -300,7 +268,6 @@ const ConstraintsArtifact& AnalysisArtifacts::constraints(bool generic_builder,
     return *constraints_;
   }
   const PortDepGraph& dep = dep_graph_locked(generic_builder, pool);
-  ensure_primed_locked(pool);  // (C-1)/(C-2) enumerate reachable() heavily
   ++stats_.constraints.misses;
   counters.misses.increment();
   obs::TraceSpan span("artifact:constraints");

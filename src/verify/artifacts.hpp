@@ -4,14 +4,16 @@
 ///        that shares one cache across every instance with the same
 ///        topology x routing x escape prefix.
 ///
-/// Every stage consumes artifacts (the dependency graph, the primed
-/// reachability closure, the acyclicity verdict, the escape analysis,
-/// the (C-1)/(C-2) reports) and none of them may be rebuilt once they
-/// exist: a stage that needs an artifact another stage already produced —
-/// or a SECOND instance in a batch sweep sharing the same prefix — gets the
-/// cached object and a `hits` tick instead of a recompute. The counters
-/// make the reuse observable, so tests assert "verify --all primes each
-/// distinct closure exactly once" instead of trusting it.
+/// Every stage consumes artifacts (the dependency graph, the acyclicity
+/// verdict, the escape analysis, the (C-1)/(C-2) reports) and none of them
+/// may be rebuilt once they exist: a stage that needs an artifact another
+/// stage already produced — or a SECOND instance in a batch sweep sharing
+/// the same prefix — gets the cached object and a `hits` tick instead of a
+/// recompute. The counters make the reuse observable, so tests assert
+/// "verify --all builds each distinct graph exactly once" instead of
+/// trusting it. The routing's reachability closure is not an artifact: its
+/// stored rows are built on first touch and published lock-free
+/// (RoutingFunction::closure_row), so it needs no compute-once step.
 ///
 /// Thread-safety: accessors take one internal lock for the whole compute,
 /// so two batch tasks acquiring the same shared artifacts serialize on the
@@ -60,7 +62,6 @@ struct ArtifactCounter {
 /// ArtifactStore — see ArtifactStore::stats()).
 struct ArtifactCacheStats {
   ArtifactCounter contexts;     ///< store-level: acquire() builds vs reuses
-  ArtifactCounter primed;       ///< reachability-closure prime() passes
   ArtifactCounter dep_graph;    ///< dependency-graph builds
   ArtifactCounter acyclicity;   ///< acyclicity / cycle-witness decisions
   ArtifactCounter escape;       ///< escape-lane analyses
@@ -68,7 +69,6 @@ struct ArtifactCacheStats {
 
   ArtifactCacheStats& operator+=(const ArtifactCacheStats& other) {
     contexts += other.contexts;
-    primed += other.primed;
     dep_graph += other.dep_graph;
     acyclicity += other.acyclicity;
     escape += other.escape;
@@ -178,7 +178,7 @@ class AnalysisArtifacts {
   /// The Duato escape-lane analysis. Requires escape_routing() != nullptr.
   const EscapeAnalysis& escape_analysis(ThreadPool* pool);
 
-  /// The (C-1)/(C-2) reports; computes dep_graph and the closure on demand.
+  /// The (C-1)/(C-2) reports; computes dep_graph on demand.
   const ConstraintsArtifact& constraints(bool generic_builder,
                                          ThreadPool* pool);
 
@@ -201,12 +201,6 @@ class AnalysisArtifacts {
   /// Variant side (base_ set): the base-graph ids of the ports this
   /// variant's faults removed, as its derived grid records them.
   const std::vector<PortId>& removed_base_ports() const;
-  /// Primes the routing's (and escape lane's) lazily built reachability
-  /// closure exactly once, so subsequent reachable() queries are read-only
-  /// and shareable across threads. With a pool, compressed-tier rows are
-  /// built destination-sharded in parallel; closed-form and node-granular
-  /// routings stay no-op-cheap either way.
-  void ensure_primed_locked(ThreadPool* pool);
 
   // Declared topology first: the routings (and the cached graph) point
   // into it, so it is destroyed last.
@@ -226,7 +220,6 @@ class AnalysisArtifacts {
   std::vector<std::uint32_t> in_degree_;
 
   mutable std::mutex mutex_;
-  bool primed_ = false;
   std::optional<PortDepGraph> dep_;
   std::optional<AcyclicityArtifact> acyclicity_;
   std::optional<EscapeAnalysis> escape_analysis_;
@@ -237,7 +230,7 @@ class AnalysisArtifacts {
 /// The batch-wide sharing map: one AnalysisArtifacts per distinct
 /// AnalysisArtifacts::key() in the sweep. verify_instances() threads a
 /// store through every instance so `genoc verify --all` builds each
-/// distinct closure/graph exactly once.
+/// distinct context and graph exactly once.
 class ArtifactStore {
  public:
   ArtifactStore() = default;

@@ -25,7 +25,6 @@ ArtifactCacheStats stats_delta(const ArtifactCacheStats& later,
                                const ArtifactCacheStats& earlier) {
   ArtifactCacheStats delta;
   delta.contexts = counter_delta(later.contexts, earlier.contexts);
-  delta.primed = counter_delta(later.primed, earlier.primed);
   delta.dep_graph = counter_delta(later.dep_graph, earlier.dep_graph);
   delta.acyclicity = counter_delta(later.acyclicity, earlier.acyclicity);
   delta.escape = counter_delta(later.escape, earlier.escape);

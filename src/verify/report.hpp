@@ -26,7 +26,11 @@ struct VerifyReport {
   /// report gains a `metrics` section and the baseline trend compares on
   /// wall_ms. Readers (--baseline) still accept v1 artifacts, mapping
   /// their cpu_ms to wall_ms.
-  static constexpr std::int64_t kSchemaVersion = 2;
+  ///
+  /// v3: the `cache` object loses its `primed` counter (the closure has no
+  /// eager build to count). --baseline reads only verdicts and walls, so
+  /// it accepts v1 to v3.
+  static constexpr std::int64_t kSchemaVersion = 3;
 
   /// The legacy matrix row; method/note are rendered from the diagnostics'
   /// stage decisions, bit-identical to the pre-pipeline verifier.

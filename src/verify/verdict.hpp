@@ -34,7 +34,7 @@ struct InstanceVerifyOptions {
   /// flag does.
   bool generic_builder = false;
   /// Batch-wide artifact sharing: when set, the analysis artifacts (dep
-  /// graph, primed closure, acyclicity verdict, escape analysis) are
+  /// graph, acyclicity verdict, escape analysis, constraints) are
   /// acquired from this store, keyed by the spec's topology x routing x
   /// escape prefix, so a second instance sharing the prefix reuses them
   /// instead of recomputing. nullptr analyzes the instance's own context

@@ -1,12 +1,13 @@
-// The sharded analyzer rules against their sequential oracles.
-// `uniformity` folds hops into name masks over sharded sampled
+// The mask-folding and graph-reading analyzer rules against their
+// oracles. `uniformity` folds hops into name masks over the sampled
 // destinations, and `turns` reads the turn edges of a dependency graph
-// whose build shards over the pool; both must report exactly what the
-// oracles in uniformity_oracle.hpp / turns_oracle.hpp report — probe
-// count, violation count and the ordered, capped diagnostics — without a
-// pool and on pools of 1, 4 and 8 threads. Covers the registry presets,
-// seeded grid and id-native mutants at the edges of the mask kernel's
-// equality argument, and the cap order when violations span many shards.
+// whose build shards over the pool the Analyzer is given; both must report
+// exactly what the oracles in uniformity_oracle.hpp / turns_oracle.hpp
+// report — probe count, violation count and the ordered, capped
+// diagnostics — without a pool and on pools of 1, 4 and 8 threads. Covers
+// the registry presets, seeded grid and id-native mutants at the edges of
+// the mask kernel's equality argument, and the cap order when violations
+// are spread over the whole destination range.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -371,8 +372,8 @@ TEST(AnalyzeShards, IdNativeMutantMatchesTheOracle) {
 }
 
 // ---------------------------------------------------------------------------
-// Cap order across shards: violations sparse enough that the first eight
-// come from three sampled destinations in different shards.
+// Cap order: violations sparse enough that the first eight come from three
+// destinations far apart (in different shards of a pooled graph build).
 // ---------------------------------------------------------------------------
 
 /// Destinations whose index is 5 mod 23: 11 of a 16x16 mesh's 256, spread

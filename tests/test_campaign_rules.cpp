@@ -139,7 +139,9 @@ TEST(FaultSanityRule, InvalidTokensAreErrors) {
 TEST(FaultSanityRule, DuplicateFaultsAreErrors) {
   // "0:E" and "1:W" are the two directed endpoints of the SAME physical
   // link — a duplicate after canonicalization, even though the raw tokens
-  // differ.
+  // differ. validate_spec rejects such a spec, so parsed specs never carry
+  // one; the rule still catches it in a hand-built spec analyzed through
+  // the borrowing overload.
   const Mesh2D mesh(4, 4);
   const XYRouting routing(mesh);
   InstanceSpec spec = spec_or_die("topology=mesh size=4x4 routing=xy");

@@ -237,9 +237,9 @@ TEST(DepGraphFast, NodeMaskMatchesAppendNextHopsOnEveryInPort) {
 }
 
 TEST(DepGraphFast, NodeAndPortModeClosureRowsAgree) {
-  // The bitset closure (RoutingFunction::prime) is built by whichever
-  // sweep mode the routing selects; the two must mark the same visited
-  // set per destination.
+  // The closure rows (RoutingFunction::closure_row) are swept by whichever
+  // mode the routing selects; the two must mark the same visited set per
+  // destination.
   for (const InstanceSpec& spec : InstanceRegistry::global().presets()) {
     if (spec.width > 16 || spec.height > 16) {
       continue;

@@ -139,6 +139,31 @@ TEST(InstanceSpec, RejectsRepeatedKeys) {
   EXPECT_EQ(parse_ok("size=8x8 width=6 height=3").width, 6);
 }
 
+TEST(InstanceSpec, RejectsRepeatedFailedLinks) {
+  // One physical link named twice, by the same token or by both endpoints
+  // of its channel, is rejected rather than verified as a fault set of its
+  // own; hand-built specs get the same answer from validate_spec.
+  for (const char* faults : {"0:E,0:E", "0:E,1:W", "1:W,0:E,5:S"}) {
+    SCOPED_TRACE(faults);
+    const std::string error = parse_err(
+        std::string("topology=mesh size=4x4 routing=xy failed=") + faults);
+    EXPECT_NE(error.find("'0:E' is named more than once"), std::string::npos)
+        << error;
+  }
+  // On a torus the wrap channel's endpoints are 3:E and 0:W.
+  EXPECT_NE(parse_err("topology=torus size=4x4 routing=torus_xy "
+                      "failed=3:E,0:W")
+                .find("more than once"),
+            std::string::npos);
+  InstanceSpec spec = parse_ok("topology=mesh size=4x4 routing=xy");
+  spec.failed_links = {"0:E", "1:W"};
+  EXPECT_NE(validate_spec(spec).find("more than once"), std::string::npos);
+  // Distinct links stay valid.
+  EXPECT_EQ(parse_ok("topology=mesh size=4x4 routing=xy failed=0:E,1:E")
+                .failed_links.size(),
+            2u);
+}
+
 TEST(InstanceSpec, ValidatesCrossFieldConsistency) {
   // torus_xy needs wrap links to route over.
   EXPECT_NE(parse_err("topology=mesh routing=torus_xy").find("torus_xy"),

@@ -4,9 +4,9 @@
 //     of the pre-pipeline NetworkInstance::verify (the "legacy oracle" below)
 //     on every registry preset, sequentially and on 4/8-thread pools, with
 //     and without a shared artifact store.
-//  2. ARTIFACT-CACHE ACCOUNTING — `verify --all` style sweeps prime each
-//     distinct topology x routing x escape closure exactly once; duplicate
-//     prefixes are cache hits, counted and asserted.
+//  2. ARTIFACT-CACHE ACCOUNTING — `verify --all` style sweeps build each
+//     distinct topology x routing x escape context and graph exactly once;
+//     duplicate prefixes are cache hits, counted and asserted.
 //  3. The stage registry: names, unknown-stage rejection, subset pipelines
 //     (skip reasons, the "undecided" verdict) and typed Diagnostics.
 #include <gtest/gtest.h>
@@ -138,7 +138,6 @@ void expect_reports_equal(const VerifyReport& got, const VerifyReport& want,
   }
   EXPECT_EQ(got.diagnostics, want.diagnostics) << context;
   EXPECT_EQ(got.cache.contexts, want.cache.contexts) << context;
-  EXPECT_EQ(got.cache.primed, want.cache.primed) << context;
   EXPECT_EQ(got.cache.dep_graph, want.cache.dep_graph) << context;
   EXPECT_EQ(got.cache.acyclicity, want.cache.acyclicity) << context;
   EXPECT_EQ(got.cache.escape, want.cache.escape) << context;
@@ -304,7 +303,8 @@ TEST(VerifyPipeline, SpecRunMatchesInstanceRunOnPresetsAndFaultVariants) {
 
 TEST(VerifyPipeline, BatchSweepPrimesEachDistinctClosureExactlyOnce) {
   // The acceptance bar: a `verify --all` shaped sweep over a shared store
-  // builds each distinct topology x routing x escape context exactly once.
+  // builds each distinct topology x routing x escape context exactly once
+  // (the name predates the lazy closure, which has no build step to count).
   const std::vector<InstanceSpec> presets = equality_presets();
   std::set<std::string> keys;
   for (const InstanceSpec& spec : presets) {
@@ -330,16 +330,13 @@ TEST(VerifyPipeline, BatchSweepPrimesEachDistinctClosureExactlyOnce) {
   // One dependency-graph build per distinct context — never per instance.
   EXPECT_EQ(stats.dep_graph.misses, keys.size());
   EXPECT_EQ(stats.acyclicity.misses, keys.size());
-  // One primed closure per distinct context that needed one (= reached the
-  // escape analysis), and zero redundant re-primes anywhere in the sweep.
+  // One escape analysis per distinct context that reached it.
   std::set<std::string> escape_keys;
   for (std::size_t i = 0; i < presets.size(); ++i) {
     if (reports[i].verdict.method.rfind("escape(", 0) == 0) {
       escape_keys.insert(AnalysisArtifacts::key(presets[i]));
     }
   }
-  EXPECT_EQ(stats.primed.misses, escape_keys.size());
-  EXPECT_EQ(stats.primed.hits, 0u);
   EXPECT_EQ(stats.escape.misses, escape_keys.size());
 }
 
@@ -369,7 +366,6 @@ TEST(VerifyPipeline, SweepCacheTotalsAreTheSameAtEveryThreadCount) {
       continue;
     }
     EXPECT_EQ(stats.contexts, one_thread->contexts);
-    EXPECT_EQ(stats.primed, one_thread->primed);
     EXPECT_EQ(stats.dep_graph, one_thread->dep_graph);
     EXPECT_EQ(stats.acyclicity, one_thread->acyclicity);
     EXPECT_EQ(stats.escape, one_thread->escape);
@@ -403,7 +399,6 @@ TEST(VerifyPipeline, DuplicateSpecsInOneBatchShareEveryArtifact) {
   EXPECT_EQ(stats.dep_graph.misses, 2u);
   EXPECT_EQ(stats.escape.misses, 1u);   // the torus context, once
   EXPECT_EQ(stats.escape.hits, 2u);     // reused by both torus duplicates
-  EXPECT_EQ(stats.primed.misses, 1u);
   // And the shared-artifact verdicts still equal the solo ones.
   for (std::size_t i = 0; i < specs.size(); ++i) {
     expect_verdicts_equal(reports[i].verdict,

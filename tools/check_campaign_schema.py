@@ -18,7 +18,11 @@ import json
 import pathlib
 import sys
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
+
+# The artifact-cache ledger's counters, exactly (v1 also had "primed").
+CACHE_KINDS = ("contexts", "dep_graph", "acyclicity", "escape",
+               "constraints")
 
 # Stable diagnostic codes the screening rule subset (spec_sanity,
 # fault_sanity, connectivity) can reject a variant on. A report may
@@ -180,8 +184,13 @@ def main() -> int:
                           "per-variant code lists")
 
     cache = doc["cache"]
-    if "dep_graph" not in cache or not isinstance(cache["dep_graph"], dict):
-        fail("cache", "missing dep_graph hit/miss ledger")
+    if sorted(cache) != sorted(CACHE_KINDS):
+        fail("cache", f"counters {sorted(cache)}, wanted "
+                      f"{sorted(CACHE_KINDS)}")
+    for kind in CACHE_KINDS:
+        counter = cache[kind]
+        if not isinstance(counter, dict) or set(counter) != {"hits", "misses"}:
+            fail(f"cache.{kind}", "wanted a hits/misses ledger")
 
     if args.require_free and doc["any_deadlock"]:
         bad = [row["faults"] for row in doc["variants"]

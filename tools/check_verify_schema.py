@@ -15,7 +15,7 @@ import json
 import pathlib
 import sys
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 SEVERITIES = {"info", "warning", "error"}
 
@@ -93,7 +93,9 @@ ANALYSIS_ROW = {
     "diagnostics": list,
 }
 
-CACHE_KINDS = ("contexts", "primed", "dep_graph", "acyclicity", "escape",
+# Exactly these counters: an unknown kind (v2's "primed", say) fails, so a
+# counter cannot come back without a schema bump.
+CACHE_KINDS = ("contexts", "dep_graph", "acyclicity", "escape",
                "constraints")
 
 BASELINE = {
@@ -143,6 +145,9 @@ def check_fields(obj: dict, spec: dict, context: str) -> None:
 
 
 def check_cache(cache: dict, context: str) -> None:
+    unknown = sorted(set(cache) - set(CACHE_KINDS))
+    if unknown:
+        fail(context, f"cache has unknown counters {unknown}")
     for kind in CACHE_KINDS:
         if kind not in cache:
             fail(context, f"cache is missing the '{kind}' counter")
