@@ -19,11 +19,13 @@
 ///      context; its dependency graph and closure are built once, and every
 ///      variant keeps only a LOCAL artifact cache wired to that base (the
 ///      store's hit counters make the sharing assertable).
-///   3. DERIVED GRIDS, STREAMED SPECS: a variant's grid is the base grid's
-///      tables minus the failed links' ports (Mesh2D's deriving
-///      constructor), not a fresh port enumeration, and each variant spec
-///      is built inside its shard (FaultModel::variant), so a double-fault
-///      plan never holds its O(links^2) specs at once.
+///   3. CLOSED-FORM GRIDS, STREAMED SPECS: a variant's grid comes from
+///      Mesh2D's one fill, node by node from each node's boundary mask
+///      minus its failed links, with no per-port round trips; the base ids
+///      of the removed ports cost four slot lookups per fault
+///      (removed_base_ports). Each variant spec is built inside its shard
+///      (FaultModel::variant), so a double-fault plan never holds its
+///      O(links^2) specs at once.
 ///   4. INHERITED VERDICTS, DELTA GRAPHS: for link faults on node-uniform
 ///      routings the variant dependency graph is the base graph's induced
 ///      subgraph on the surviving ports. Under an acyclic base every

@@ -26,10 +26,9 @@ constexpr const char* kUsage =
     "  verify      discharge the proof obligations — on the classic HERMES\n"
     "              mesh, on one --instance (name or key=value spec), or on\n"
     "              every registered instance (--all matrix report)\n"
-    "  analyze     static model analyzer: rule-based lints (routing\n"
-    "              totality, node-uniformity audit, turn conformance, dead\n"
-    "              ports, escape coverage, spec sanity) over --instance or\n"
-    "              --all, with stable diagnostic codes\n"
+    "  analyze     static model analyzer: rule-based lints over --instance\n"
+    "              or --all, with stable diagnostic codes (the rules:\n"
+    "              `genoc list --rules`)\n"
     "  campaign    fault-injection campaign: enumerate link-failure\n"
     "              variants of a base instance (--faults single|double|\n"
     "              random:k,seed), screen each through the cheap analyzer\n"

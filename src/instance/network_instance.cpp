@@ -1,5 +1,7 @@
 #include "instance/network_instance.hpp"
 
+#include <utility>
+
 #include "routing/cmesh_dor.hpp"
 #include "routing/dragonfly_min.hpp"
 #include "routing/fully_adaptive.hpp"
@@ -32,8 +34,7 @@ const T& family_cast(const Topology& topology, const std::string& name) {
 
 }  // namespace
 
-std::unique_ptr<Topology> make_topology(const InstanceSpec& spec,
-                                        const Mesh2D* base) {
+std::unique_ptr<Topology> make_topology(const InstanceSpec& spec) {
   if (spec.topology == "cmesh") {
     return std::make_unique<CMeshTopology>(spec.width, spec.height,
                                            spec.concentration);
@@ -53,19 +54,8 @@ std::unique_ptr<Topology> make_topology(const InstanceSpec& spec,
     GENOC_REQUIRE(fault.has_value(), error);
     faults.push_back(*fault);
   }
-  if (faults.empty()) {
-    return std::make_unique<Mesh2D>(spec.width, spec.height, spec.wrap_x(),
-                                    spec.wrap_y());
-  }
-  if (base == nullptr) {
-    return std::make_unique<Mesh2D>(spec.width, spec.height, spec.wrap_x(),
-                                    spec.wrap_y(), faults);
-  }
-  GENOC_REQUIRE(base->width() == spec.width && base->height() == spec.height &&
-                    base->wraps_x() == spec.wrap_x() &&
-                    base->wraps_y() == spec.wrap_y(),
-                "base grid does not match the faulted spec's grid");
-  return std::make_unique<Mesh2D>(*base, faults);
+  return std::make_unique<Mesh2D>(spec.width, spec.height, spec.wrap_x(),
+                                  spec.wrap_y(), std::move(faults));
 }
 
 std::unique_ptr<RoutingFunction> make_routing(const std::string& name,

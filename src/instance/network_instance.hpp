@@ -28,13 +28,10 @@
 namespace genoc {
 
 /// Topology factory over the registered families of known_topologies():
-/// grids map to Mesh2D with the spec's wrap flags, cmesh/dragonfly to their
-/// own classes. A grid spec with failed= links is derived from its
-/// unfaulted grid: \p base when given (it must be that unfaulted grid, as
-/// a fault campaign holds it), else one built here. Throws
-/// ContractViolation on invalid specs.
-std::unique_ptr<Topology> make_topology(const InstanceSpec& spec,
-                                        const Mesh2D* base = nullptr);
+/// grids map to Mesh2D with the spec's wrap flags and failed= links,
+/// cmesh/dragonfly to their own classes. Throws ContractViolation on
+/// invalid specs.
+std::unique_ptr<Topology> make_topology(const InstanceSpec& spec);
 
 /// Routing-function factory over the canonical names of known_routings().
 /// Each function REQUIRE-downcasts \p topology to the family it routes

@@ -1,8 +1,10 @@
 #include "topology/mesh.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cctype>
 #include <charconv>
+#include <utility>
 
 #include "util/require.hpp"
 
@@ -10,25 +12,40 @@ namespace genoc {
 
 namespace {
 
-/// A cardinal port exists iff the neighbour it would connect to is inside
-/// the mesh — or the dimension wraps (torus links keep boundary ports
-/// alive); Local ports always exist (Fig. 1b: edge switches of HERMES
-/// simply lack the off-mesh links).
-bool port_physically_exists(const Port& p, std::int32_t width,
-                            std::int32_t height, bool wrap_x, bool wrap_y) {
-  switch (p.name) {
-    case PortName::kEast:
-      return wrap_x || p.x + 1 < width;
-    case PortName::kWest:
-      return wrap_x || p.x > 0;
-    case PortName::kNorth:
-      return wrap_y || p.y > 0;  // North decreases y
-    case PortName::kSouth:
-      return wrap_y || p.y + 1 < height;
-    case PortName::kLocal:
-      return true;
+constexpr std::uint32_t name_bit(PortName name) {
+  return std::uint32_t{1} << static_cast<std::uint32_t>(name);
+}
+
+/// The cardinal names of node (x, y) that have a neighbour: inside the
+/// mesh, or across a wrapped dimension (torus links keep boundary ports
+/// alive). Fig. 1b: edge switches of HERMES simply lack the off-mesh links.
+std::uint32_t boundary_names(std::int32_t x, std::int32_t y,
+                             std::int32_t width, std::int32_t height,
+                             bool wrap_x, bool wrap_y) {
+  // North decreases y.
+  return (wrap_x || x + 1 < width ? name_bit(PortName::kEast) : 0u) |
+         (wrap_x || x > 0 ? name_bit(PortName::kWest) : 0u) |
+         (wrap_y || y > 0 ? name_bit(PortName::kNorth) : 0u) |
+         (wrap_y || y + 1 < height ? name_bit(PortName::kSouth) : 0u);
+}
+
+/// Both directed endpoints (node, name) of every fault's link, sorted and
+/// distinct. Requires every fault to name an existing non-terminal link.
+std::vector<LinkFault> cut_endpoints(const std::vector<LinkFault>& faults,
+                                     std::int32_t width, std::int32_t height,
+                                     bool wrap_x, bool wrap_y) {
+  std::vector<LinkFault> cut;
+  cut.reserve(faults.size() * 2);
+  for (const LinkFault& fault : faults) {
+    GENOC_REQUIRE(link_fault_exists(fault, width, height, wrap_x, wrap_y),
+                  "failed link does not exist in this mesh: " +
+                      link_fault_token(fault));
+    cut.push_back(fault);
+    cut.push_back(link_fault_peer(fault, width, height, wrap_x, wrap_y));
   }
-  return false;
+  std::sort(cut.begin(), cut.end());
+  cut.erase(std::unique(cut.begin(), cut.end()), cut.end());
+  return cut;
 }
 
 }  // namespace
@@ -80,9 +97,9 @@ bool link_fault_exists(const LinkFault& fault, std::int32_t width,
       fault.name == PortName::kLocal) {
     return false;
   }
-  const Port out{fault.node % width, fault.node / width, fault.name,
-                 Direction::kOut};
-  return port_physically_exists(out, width, height, wrap_x, wrap_y);
+  const std::uint32_t names = boundary_names(
+      fault.node % width, fault.node / width, width, height, wrap_x, wrap_y);
+  return (names & name_bit(fault.name)) != 0;
 }
 
 LinkFault link_fault_peer(const LinkFault& fault, std::int32_t width,
@@ -114,83 +131,97 @@ LinkFault canonical_link_fault(const LinkFault& fault, std::int32_t width,
 }
 
 Mesh2D::Mesh2D(std::int32_t width, std::int32_t height, bool wrap_x,
-               bool wrap_y)
-    : width_(width), height_(height), wrap_x_(wrap_x), wrap_y_(wrap_y) {
+               bool wrap_y, std::vector<LinkFault> failed_links)
+    : width_(width),
+      height_(height),
+      wrap_x_(wrap_x),
+      wrap_y_(wrap_y),
+      failed_links_(std::move(failed_links)) {
   GENOC_REQUIRE(width >= 1 && height >= 1, "mesh dimensions must be positive");
   GENOC_REQUIRE(static_cast<std::int64_t>(width) * height >= 2,
                 "a mesh needs at least two nodes");
   GENOC_REQUIRE(!wrap_x || width >= 2, "wrapping x needs at least 2 columns");
   GENOC_REQUIRE(!wrap_y || height >= 2, "wrapping y needs at least 2 rows");
-  const auto nodes =
-      static_cast<std::size_t>(width_) * static_cast<std::size_t>(height_);
+  // The names the fill leaves out of each node.
+  const std::vector<LinkFault> cut =
+      cut_endpoints(failed_links_, width_, height_, wrap_x_, wrap_y_);
+
+  const auto w = static_cast<std::size_t>(width_);
+  const auto h = static_cast<std::size_t>(height_);
+  const std::size_t nodes = w * h;
+  // Two Local ports per node, four per bidirectional link, two fewer per
+  // cut endpoint.
+  const std::size_t links =
+      (wrap_x_ ? w : w - 1) * h + (wrap_y_ ? h : h - 1) * w;
+  const std::size_t ports = 2 * nodes + 4 * links - 2 * cut.size();
   begin_topology(nodes, {"E", "W", "N", "S", "L"},
-                 std::uint64_t{1} << static_cast<std::size_t>(PortName::kLocal));
+                 name_bit(PortName::kLocal), ports);
   GENOC_ASSERT(slots_per_node() == kPortSlotsPerNode,
                "Mesh2D::slot() assumes the five-name slot stride");
   coords_.reserve(nodes);
+  auto next_cut = cut.begin();
   for (std::int32_t y = 0; y < height_; ++y) {
     for (std::int32_t x = 0; x < width_; ++x) {
+      const std::size_t node = coords_.size();
       coords_.push_back(NodeCoord{x, y});
-    }
-  }
-
-  // Enumerate ports node-major so ids are stable and human-predictable.
-  for (std::size_t node = 0; node < nodes; ++node) {
-    const NodeCoord at = coords_[node];
-    for (PortName name : {PortName::kEast, PortName::kWest, PortName::kNorth,
-                          PortName::kSouth, PortName::kLocal}) {
-      for (Direction direction : {Direction::kIn, Direction::kOut}) {
-        const Port p{at.x, at.y, name, direction};
-        if (port_physically_exists(p, width_, height_, wrap_x_, wrap_y_)) {
-          add_port(node, static_cast<std::size_t>(name), direction);
-        }
+      std::uint32_t names =
+          boundary_names(x, y, width_, height_, wrap_x_, wrap_y_) |
+          name_bit(PortName::kLocal);
+      for (; next_cut != cut.end() &&
+             static_cast<std::size_t>(next_cut->node) == node;
+           ++next_cut) {
+        names &= ~name_bit(next_cut->name);
+      }
+      for (; names != 0; names &= names - 1) {
+        const auto name = static_cast<std::size_t>(std::countr_zero(names));
+        add_port(node, name, Direction::kIn);
+        add_port(node, name, Direction::kOut);
       }
     }
   }
-  for (PortId pid = 0; pid < port_count(); ++pid) {
-    const Port p = port(pid);
-    if (p.dir == Direction::kOut && p.name != PortName::kLocal) {
-      set_link(pid, id(next_in(p)));
+  GENOC_ASSERT(port_count() == ports,
+               "the grid fill disagrees with its port census");
+
+  // Link every cardinal OUT port to its neighbour's opposite IN slot. The
+  // arithmetic wraps at every border; only a wrapped one has the OUT port.
+  const PortId* slots = slot_table();
+  for (std::size_t y = 0; y < h; ++y) {
+    const std::size_t north = (y == 0 ? h - 1 : y - 1) * w;
+    const std::size_t south = (y + 1 == h ? 0 : y + 1) * w;
+    for (std::size_t x = 0; x < w; ++x) {
+      const std::size_t neighbour[4] = {y * w + (x + 1 == w ? 0 : x + 1),
+                                        y * w + (x == 0 ? w - 1 : x - 1),
+                                        north + x, south + x};
+      const PortId* own = slots + (y * w + x) * kPortSlotsPerNode;
+      for (const PortName name : {PortName::kEast, PortName::kWest,
+                                  PortName::kNorth, PortName::kSouth}) {
+        const PortId out = own[port_slot(name, Direction::kOut)];
+        if (out != kInvalidPort) {
+          set_link(out, slots[neighbour[static_cast<std::size_t>(name)] *
+                                  kPortSlotsPerNode +
+                              port_slot(opposite(name), Direction::kIn)]);
+        }
+      }
     }
   }
   finish_topology();
 }
 
-Mesh2D::Mesh2D(std::int32_t width, std::int32_t height, bool wrap_x,
-               bool wrap_y, const std::vector<LinkFault>& failed_links)
-    : Mesh2D(Mesh2D(width, height, wrap_x, wrap_y), failed_links) {}
-
-Mesh2D::Mesh2D(const Mesh2D& base, const std::vector<LinkFault>& failed_links)
-    : width_(base.width_),
-      height_(base.height_),
-      wrap_x_(base.wrap_x_),
-      wrap_y_(base.wrap_y_),
-      failed_links_(failed_links),
-      coords_(base.coords_) {
+std::vector<PortId> removed_base_ports(const Mesh2D& base,
+                                       const std::vector<LinkFault>& faults) {
   GENOC_REQUIRE(!base.has_faults(),
-                "faulted grids derive from an unfaulted base grid");
-  // A failed link removes its four channel ports (both directed channels'
-  // OUT + IN), so removal is closed under the link pairing: a surviving
-  // cardinal OUT port always keeps its surviving target.
-  removed_base_ports_.reserve(failed_links_.size() * 4);
-  for (const LinkFault& fault : failed_links_) {
-    GENOC_REQUIRE(link_fault_exists(fault, width_, height_, wrap_x_, wrap_y_),
-                  "failed link does not exist in this mesh: " +
-                      link_fault_token(fault));
-    const LinkFault peer =
-        link_fault_peer(fault, width_, height_, wrap_x_, wrap_y_);
-    for (const LinkFault& end : {fault, peer}) {
-      const NodeCoord at = coords_[static_cast<std::size_t>(end.node)];
-      for (const Direction dir : {Direction::kIn, Direction::kOut}) {
-        removed_base_ports_.push_back(base.id(Port{at.x, at.y, end.name, dir}));
-      }
-    }
+                "removed ports are named in an unfaulted grid's ids");
+  // Ids ascend node-major, name-major, dir-minor, so the sorted, distinct
+  // endpoints yield sorted, distinct ids.
+  std::vector<PortId> removed;
+  for (const LinkFault& end : cut_endpoints(faults, base.width(), base.height(),
+                                            base.wraps_x(), base.wraps_y())) {
+    const auto node = static_cast<std::size_t>(end.node);
+    const auto name = static_cast<std::size_t>(end.name);
+    removed.push_back(base.slot_id(node, name, Direction::kIn));
+    removed.push_back(base.slot_id(node, name, Direction::kOut));
   }
-  std::sort(removed_base_ports_.begin(), removed_base_ports_.end());
-  removed_base_ports_.erase(
-      std::unique(removed_base_ports_.begin(), removed_base_ports_.end()),
-      removed_base_ports_.end());
-  derive_topology(base, removed_base_ports_);
+  return removed;
 }
 
 std::string Mesh2D::family() const {

@@ -97,27 +97,22 @@ LinkFault canonical_link_fault(const LinkFault& fault, std::int32_t width,
 /// routing/torus_xy.hpp and tests/test_torus.cpp.
 class Mesh2D : public Topology {
  public:
-  /// Builds a mesh with \p width columns and \p height rows. Requires
-  /// width >= 1, height >= 1 and at least 2 nodes in total (a 1x1 "mesh" has
-  /// no interconnect to specify). Wrapping a dimension requires at least 2
-  /// nodes along it. This is the one constructor that enumerates ports.
+  /// Builds a mesh with \p width columns and \p height rows, minus the
+  /// \p failed_links. Requires width >= 1, height >= 1 and at least 2 nodes
+  /// in total (a 1x1 "mesh" has no interconnect to specify). Wrapping a
+  /// dimension requires at least 2 nodes along it. Every fault must name an
+  /// existing non-terminal link; duplicate faults are idempotent.
+  ///
+  /// The tables are filled node by node in closed form: a node's cardinal
+  /// names are its boundary/wrap mask minus the names its failed links
+  /// remove, and each cardinal OUT port links to the neighbour's
+  /// opposite-name IN slot, found by coordinate arithmetic. A failed link's
+  /// four ports are thus missing exactly like the off-mesh boundary ports,
+  /// ids stay dense in node-major order, and every downstream consumer
+  /// (masks, sweeps, closures) sees the faults through the ordinary
+  /// existence filter.
   Mesh2D(std::int32_t width, std::int32_t height, bool wrap_x = false,
-         bool wrap_y = false);
-
-  /// Builds the unfaulted grid of the given shape, then derives the
-  /// \p failed_links variant from it (the constructor below).
-  Mesh2D(std::int32_t width, std::int32_t height, bool wrap_x, bool wrap_y,
-         const std::vector<LinkFault>& failed_links);
-
-  /// Derives the grid \p base minus \p failed_links without enumerating a
-  /// port: every fault's four channel ports leave the base's tables
-  /// (Topology::derive_topology), exactly like the off-mesh boundary ports
-  /// never entered them. Surviving ids stay dense and in base order, and
-  /// every downstream consumer (masks, sweeps, closures) sees the faults
-  /// through the ordinary existence filter. Requires an unfaulted \p base
-  /// and every fault to name an existing non-terminal link of it;
-  /// duplicate faults are idempotent.
-  Mesh2D(const Mesh2D& base, const std::vector<LinkFault>& failed_links);
+         bool wrap_y = false, std::vector<LinkFault> failed_links = {});
 
   /// "torus" when y wraps, "ring" when only x wraps, else "mesh".
   std::string family() const override;
@@ -142,13 +137,6 @@ class Mesh2D : public Topology {
   /// The failed links this mesh was built with, as given (not
   /// canonicalized, duplicates preserved).
   const std::vector<LinkFault>& failed_links() const { return failed_links_; }
-
-  /// The ids of the ports the failed links removed, in the unfaulted
-  /// grid's numbering: sorted, distinct, four per distinct failed link.
-  /// Empty on an unfaulted grid.
-  const std::vector<PortId>& removed_base_ports() const {
-    return removed_base_ports_;
-  }
 
   /// Topology-aware counterpart of the free next_in(): follows the link an
   /// OUT port drives, wrapping around torus dimensions. Requires
@@ -215,8 +203,17 @@ class Mesh2D : public Topology {
   bool wrap_x_;
   bool wrap_y_;
   std::vector<LinkFault> failed_links_;
-  std::vector<PortId> removed_base_ports_;
   std::vector<NodeCoord> coords_;  // node -> (x, y), row-major
 };
+
+/// The ids, in the unfaulted grid \p base's numbering, of the ports that
+/// \p faults remove: sorted, distinct, four per distinct failed link (both
+/// directed channels' OUT + IN), from four slot lookups per fault. A grid
+/// built with \p faults numbers its ports as \p base does with these ids
+/// skipped, which is what the fault-variant delta builder and the inherited
+/// edge count rest on. Requires an unfaulted \p base and every fault to
+/// name an existing non-terminal link of its shape.
+std::vector<PortId> removed_base_ports(const Mesh2D& base,
+                                       const std::vector<LinkFault>& faults);
 
 }  // namespace genoc

@@ -24,6 +24,9 @@
 #include <string>
 #include <vector>
 
+#include "topology/port.hpp"
+#include "util/require.hpp"
+
 namespace genoc {
 
 /// Dense index of an existing port within a Topology.
@@ -34,10 +37,6 @@ inline constexpr PortId kInvalidPort = 0xFFFFFFFFu;
 
 /// Sentinel for "not a destination" in dest_index_of().
 inline constexpr std::size_t kNotADestination = static_cast<std::size_t>(-1);
-
-// Direction lives in port.hpp together with the grid Port tuple; forward
-// users of this header still need it for dir_of().
-enum class Direction : std::uint8_t;
 
 /// Parameter schema of one registered topology family, for
 /// `genoc list --topologies` and spec parse errors.
@@ -55,8 +54,7 @@ const std::vector<TopologyFamilyInfo>& topology_families();
 bool is_grid_family(const std::string& family);
 
 /// An immutable port graph. Subclass constructors describe themselves
-/// through begin_topology()/add_port()/set_link()/finish_topology(), or
-/// as a built topology minus some ports through derive_topology(); all
+/// through begin_topology()/add_port()/set_link()/finish_topology(); all
 /// queries afterwards are flat table lookups, shared by every RouteSweeper
 /// over the topology instead of being rebuilt per sweeper.
 ///
@@ -139,7 +137,10 @@ class Topology {
   }
 
   /// dest_index of a terminal OUT port, or kNotADestination.
-  std::size_t dest_index_of(PortId pid) const { return dest_index_[pid]; }
+  std::size_t dest_index_of(PortId pid) const {
+    const PortId index = dest_index_[pid];
+    return index == kInvalidPort ? kNotADestination : index;
+  }
 
   /// The legal travel sources: all terminal IN ports, ascending by id.
   const std::vector<PortId>& source_ids() const { return source_ids_; }
@@ -150,13 +151,32 @@ class Topology {
   Topology& operator=(const Topology&) = default;
 
   /// Starts the description: \p nodes nodes, the port-name table and the
-  /// bitmask (over name indices) of the terminal names.
+  /// bitmask (over name indices) of the terminal names. \p ports, when
+  /// known, reserves the per-port tables for that many add_port() calls.
   void begin_topology(std::size_t nodes, std::vector<std::string> names,
-                      std::uint64_t terminal_mask);
+                      std::uint64_t terminal_mask, std::size_t ports = 0);
 
   /// Adds the port (node, name, dir) and returns its dense id. Ports must
-  /// arrive node-major, name-major, dir-minor.
-  PortId add_port(std::size_t node, std::size_t name, Direction dir);
+  /// arrive node-major, name-major, dir-minor. Inline: a grid build calls
+  /// it once per port.
+  PortId add_port(std::size_t node, std::size_t name, Direction dir) {
+    GENOC_REQUIRE(node < node_count_ && name < names_.size(),
+                  "add_port outside the declared topology");
+    const std::size_t slot =
+        node * slots_per_node() + name * 2 + static_cast<std::size_t>(dir);
+    // Slots ascend node-major, name-major, dir-minor, the enumeration
+    // contract destination ordering (and thus dest_index stability) rests
+    // on; ascending, no port is added twice.
+    GENOC_REQUIRE(port_info_.empty() || slot_of(port_info_.back()) < slot,
+                  "ports must be added node-major, name-major, dir-minor");
+    const auto pid = static_cast<PortId>(port_info_.size());
+    slot_ids_[slot] = pid;
+    port_info_.push_back(PortInfo{static_cast<std::uint32_t>(node),
+                                  static_cast<std::uint8_t>(name),
+                                  static_cast<std::uint8_t>(dir)});
+    link_to_.push_back(kInvalidPort);
+    return pid;
+  }
 
   /// The whole slot table, node-major: slot_id(node, name, dir) is entry
   /// node * slots_per_node() + name * 2 + dir. For subclasses whose slot
@@ -165,7 +185,18 @@ class Topology {
 
   /// Declares that out-port \p out drives in-port \p in. Both must be
   /// non-terminal: terminal ports face the IP core, not another port.
-  void set_link(PortId out, PortId in);
+  /// Inline, like add_port().
+  void set_link(PortId out, PortId in) {
+    GENOC_REQUIRE(out < port_info_.size() && in < port_info_.size(),
+                  "link endpoints must be existing ports");
+    GENOC_REQUIRE(
+        dir_of(out) == Direction::kOut && dir_of(in) == Direction::kIn,
+        "links run from an OUT port to an IN port");
+    GENOC_REQUIRE(((terminal_mask_ >> name_of(out)) & 1) == 0 &&
+                      ((terminal_mask_ >> name_of(in)) & 1) == 0,
+                  "links join non-terminal ports; terminal ones face the core");
+    link_to_[out] = in;
+  }
 
   /// Seals the description: derives destination/source ids, the per-node
   /// exist masks and link_source(), and validates the port graph. Every
@@ -180,22 +211,16 @@ class Topology {
   ///      every non-terminal OUT port reaches its link target.
   void finish_topology();
 
-  /// Describes \p base minus the ports \p removed (sorted, distinct base
-  /// ids) and seals it with finish_topology(): the surviving ports keep
-  /// their base enumeration order under dense ids, and the slot table and
-  /// the links are the base's, renumbered. No port is re-enumerated, so
-  /// this is the cheap way to remove ports from a built topology. A
-  /// surviving OUT port whose link target was removed fails the seal, and
-  /// so does a surviving IN port whose link source was removed.
-  void derive_topology(const Topology& base,
-                       const std::vector<PortId>& removed);
-
  private:
   struct PortInfo {
     std::uint32_t node = 0;
     std::uint8_t name = 0;
     std::uint8_t dir = 0;
   };
+
+  std::size_t slot_of(const PortInfo& info) const {
+    return info.node * slots_per_node() + info.name * 2u + info.dir;
+  }
 
   std::size_t node_count_ = 0;
   std::vector<std::string> names_;
@@ -206,7 +231,7 @@ class Topology {
   std::vector<PortId> link_from_;         // in id -> out id, or kInvalidPort
   std::vector<std::uint64_t> exist_out_;  // node -> existing OUT name bits
   std::vector<PortId> dest_ids_;          // terminal OUT ids, ascending
-  std::vector<std::size_t> dest_index_;   // id -> dest index, or sentinel
+  std::vector<PortId> dest_index_;        // id -> dest index, or kInvalidPort
   std::vector<PortId> source_ids_;        // terminal IN ids, ascending
 };
 

@@ -38,23 +38,27 @@ AnalysisArtifacts::AnalysisArtifacts(const InstanceSpec& spec,
                                      std::shared_ptr<AnalysisArtifacts> base) {
   const std::string invalid = validate_spec(spec);
   GENOC_REQUIRE(invalid.empty(), "invalid instance spec: " + invalid);
-  // Failed links validate only on grids, so a variant and its base are
-  // both meshes; the variant grid is derived from the base's tables.
-  const Mesh2D* base_mesh = nullptr;
-  if (base != nullptr && !spec.failed_links.empty()) {
-    base_mesh = dynamic_cast<const Mesh2D*>(&base->topology());
-    GENOC_REQUIRE(base_mesh != nullptr,
-                  "delta base context does not match the variant's grid");
-  }
-  topo_ = make_topology(spec, base_mesh);
+  topo_ = make_topology(spec);
   routing_ = make_routing(spec.routing, *topo_);
   if (!spec.escape.empty()) {
     escape_ = make_routing(spec.escape, *topo_);
   }
-  if (base == nullptr || spec.failed_links.empty() ||
-      !routing_->node_uniform()) {
+  if (base == nullptr || spec.failed_links.empty()) {
     return;  // nothing to delta from — full builds as usual
   }
+  // Failed links validate only on grids, so a variant is a mesh, and its
+  // base must be the same grid unfaulted.
+  const auto& mesh = static_cast<const Mesh2D&>(*topo_);
+  const auto* base_mesh = dynamic_cast<const Mesh2D*>(&base->topology());
+  GENOC_REQUIRE(base_mesh != nullptr && base_mesh->width() == mesh.width() &&
+                    base_mesh->height() == mesh.height() &&
+                    base_mesh->wraps_x() == mesh.wraps_x() &&
+                    base_mesh->wraps_y() == mesh.wraps_y(),
+                "delta base context does not match the variant's grid");
+  if (!routing_->node_uniform()) {
+    return;  // the graph is not the base's induced subgraph
+  }
+  removed_base_ports_ = removed_base_ports(*base_mesh, mesh.failed_links());
   base_ = std::move(base);
 }
 
@@ -82,10 +86,6 @@ std::string AnalysisArtifacts::key(const InstanceSpec& spec) {
   return prefix;
 }
 
-const std::vector<PortId>& AnalysisArtifacts::removed_base_ports() const {
-  return static_cast<const Mesh2D&>(*topo_).removed_base_ports();
-}
-
 const PortDepGraph& AnalysisArtifacts::dep_graph_locked(bool generic_builder,
                                                         ThreadPool* pool) {
   static KindCounters counters = kind_counters("dep_graph");
@@ -110,8 +110,7 @@ const PortDepGraph& AnalysisArtifacts::dep_graph_locked(bool generic_builder,
     static obs::Counter& delta_builds =
         obs::MetricsRegistry::global().counter("artifacts.dep_graph.delta_builds");
     const PortDepGraph& base_graph = base_->dep_graph(false, pool);
-    dep_ = build_dep_graph_delta(base_graph, *routing_,
-                                 removed_base_ports());
+    dep_ = build_dep_graph_delta(base_graph, *routing_, removed_base_ports_);
     delta_builds.increment();
   } else {
     dep_ = build_dep_graph_fast(*routing_, pool);
@@ -132,7 +131,7 @@ std::size_t AnalysisArtifacts::edge_count(bool generic_builder,
     if (!inherits_locked(generic_builder, pool)) {
       return dep_graph_locked(generic_builder, pool).graph.edge_count();
     }
-    edge_count_ = base_->surviving_edge_count(removed_base_ports());
+    edge_count_ = base_->surviving_edge_count(removed_base_ports_);
   }
   return *edge_count_;
 }

@@ -105,12 +105,12 @@ class AnalysisArtifacts {
   explicit AnalysisArtifacts(const InstanceSpec& spec);
 
   /// Constructor for a FAULT VARIANT sharing its unfaulted base context.
-  /// When \p spec has failed links, its grid is derived from the base's
-  /// (Mesh2D's deriving constructor: the base tables compacted, no port
-  /// enumerated), and the grid names the base ids of the removed ports.
-  /// With a node-uniform routing on top, the variant's dependency graph is
-  /// the base graph's induced subgraph on the surviving ports. Two things
-  /// follow, the campaign hot path:
+  /// When \p spec has failed links, its grid is built as any grid is, and
+  /// the base's ids of the ports its faults removed are looked up once in
+  /// the base grid (removed_base_ports(), O(faults)). With a node-uniform
+  /// routing on top, the variant's dependency graph is the base graph's
+  /// induced subgraph on the surviving ports. Two things follow, the
+  /// campaign hot path:
   ///   - when the base is acyclic, so is the variant: acyclicity() and
   ///     edge_count() are answered from the base (see acyclicity()), and no
   ///     variant graph is built unless dep_graph() itself is asked for;
@@ -119,8 +119,8 @@ class AnalysisArtifacts {
   /// \p base must be the context of this spec with failed_links cleared
   /// (same grid, same routing/escape; a base of another grid throws);
   /// passing nullptr, or an unfaulted spec, degrades to the plain
-  /// constructor, and a routing that is not node-uniform keeps the derived
-  /// grid but builds its own graph.
+  /// constructor, and a routing that is not node-uniform builds its own
+  /// graph.
   AnalysisArtifacts(const InstanceSpec& spec,
                     std::shared_ptr<AnalysisArtifacts> base);
 
@@ -198,9 +198,6 @@ class AnalysisArtifacts {
   /// Base side: this graph's edge count once \p removed (sorted base ids)
   /// and every edge touching them are deleted. Needs certified_acyclic().
   std::size_t surviving_edge_count(const std::vector<PortId>& removed);
-  /// Variant side (base_ set): the base-graph ids of the ports this
-  /// variant's faults removed, as its derived grid records them.
-  const std::vector<PortId>& removed_base_ports() const;
 
   // Declared topology first: the routings (and the cached graph) point
   // into it, so it is destroyed last.
@@ -211,6 +208,7 @@ class AnalysisArtifacts {
   // Fault-variant delta state: the unfaulted base context (keeps the base
   // graph alive and shares its compute across every variant of a campaign).
   std::shared_ptr<AnalysisArtifacts> base_;
+  std::vector<PortId> removed_base_ports_;  ///< variant: sorted base ids
   std::optional<bool> inherits_;          ///< variant: asked the base yet?
   std::optional<std::size_t> edge_count_;  ///< variant: inherited count
 

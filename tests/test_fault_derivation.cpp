@@ -1,11 +1,11 @@
-// Faulted grids are derived, not enumerated: Mesh2D(base, faults) compacts
-// the unfaulted grid's tables. These tests are its oracle, computed from
-// the unfaulted tables alone: the surviving ports in base order, the slot
-// table and links renumbered, destinations/sources, existence masks and
-// the removed base ids, on every small grid (w, h <= 6, every wrap
-// combination) under every single fault and seeded 3-link draws, with
-// every port live by the liveness oracle. They also pin the connectivity
-// rule's fault-endpoint shortcut against a full BFS, and
+// Every grid, faulted or not, comes from Mesh2D's one closed-form fill.
+// These tests compare its tables field by field with the enumerating
+// oracle's (grid_oracle.hpp) on every small grid (w, h <= 6, every wrap
+// combination) unfaulted, under every single fault and under seeded
+// 3-link draws, and on the 64x64 mesh and torus; they check the removed
+// base ids against the unfaulted tables, the surviving ports against the
+// base's order, and every port live by the liveness oracle. They also pin
+// the connectivity rule's fault-endpoint shortcut against a full BFS, and
 // FaultModel::variant's O(1) unranking of fault pairs.
 #include <gtest/gtest.h>
 
@@ -18,6 +18,7 @@
 
 #include "analyze/analyzer.hpp"
 #include "campaign/fault_model.hpp"
+#include "grid_oracle.hpp"
 #include "instance/spec.hpp"
 #include "liveness_oracle.hpp"
 #include "topology/mesh.hpp"
@@ -99,68 +100,78 @@ std::vector<PortId> expected_removed(const Mesh2D& base,
   return {removed.begin(), removed.end()};
 }
 
-/// Checks \p derived against \p base with \p faults removed, every table
-/// recomputed here from the base's.
-void expect_derived(const Mesh2D& base, const std::vector<LinkFault>& faults,
-                    const Mesh2D& derived) {
-  const std::vector<PortId> removed = expected_removed(base, faults);
-  ASSERT_EQ(derived.removed_base_ports(), removed);
-  EXPECT_EQ(derived.failed_links(), faults);
-  EXPECT_EQ(derived.has_faults(), !faults.empty());
-  EXPECT_EQ(derived.family(), base.family());
-  EXPECT_EQ(derived.node_count(), base.node_count());
-  EXPECT_EQ(derived.port_names(), base.port_names());
-
-  // remap: base id -> derived id; survivors keep their base order.
-  std::vector<PortId> remap(base.port_count(), kInvalidPort);
-  std::vector<PortId> survivors;
-  for (PortId pid = 0; pid < base.port_count(); ++pid) {
-    if (!std::binary_search(removed.begin(), removed.end(), pid)) {
-      remap[pid] = static_cast<PortId>(survivors.size());
-      survivors.push_back(pid);
-    }
+/// Checks every table of \p mesh against the enumerating oracle's, field
+/// by field.
+void expect_matches_oracle(const Topology& oracle, const Mesh2D& mesh) {
+  ASSERT_EQ(mesh.node_count(), oracle.node_count());
+  ASSERT_EQ(mesh.port_count(), oracle.port_count());
+  EXPECT_EQ(mesh.port_names(), oracle.port_names());
+  EXPECT_EQ(mesh.terminal_name_mask(), oracle.terminal_name_mask());
+  for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
+    ASSERT_EQ(mesh.node_of(pid), oracle.node_of(pid)) << "port " << pid;
+    ASSERT_EQ(mesh.name_of(pid), oracle.name_of(pid)) << "port " << pid;
+    ASSERT_EQ(mesh.dir_of(pid), oracle.dir_of(pid)) << "port " << pid;
+    ASSERT_EQ(mesh.port_label(pid), oracle.port_label(pid));
+    ASSERT_EQ(mesh.link_target(pid), oracle.link_target(pid))
+        << mesh.port_label(pid);
+    ASSERT_EQ(mesh.link_source(pid), oracle.link_source(pid))
+        << mesh.port_label(pid);
+    ASSERT_EQ(mesh.dest_index_of(pid), oracle.dest_index_of(pid))
+        << mesh.port_label(pid);
   }
-  const auto renumber = [&remap](PortId pid) {
-    return pid == kInvalidPort ? kInvalidPort : remap[pid];
-  };
-  ASSERT_EQ(derived.port_count(), survivors.size());
-  for (PortId pid = 0; pid < derived.port_count(); ++pid) {
-    const PortId was = survivors[pid];
-    EXPECT_EQ(derived.node_of(pid), base.node_of(was));
-    EXPECT_EQ(derived.name_of(pid), base.name_of(was));
-    EXPECT_EQ(derived.dir_of(pid), base.dir_of(was));
-    EXPECT_EQ(derived.port_label(pid), base.port_label(was));
-    EXPECT_EQ(derived.link_target(pid), renumber(base.link_target(was)));
-    EXPECT_EQ(derived.link_source(pid), renumber(base.link_source(was)));
-  }
-  for (std::size_t node = 0; node < base.node_count(); ++node) {
-    std::uint64_t out_names = 0;
-    for (std::size_t name = 0; name < base.name_count(); ++name) {
+  for (std::size_t node = 0; node < mesh.node_count(); ++node) {
+    ASSERT_EQ(mesh.node_label(node), oracle.node_label(node));
+    ASSERT_EQ(mesh.out_exists_mask(node), oracle.out_exists_mask(node))
+        << "node " << node;
+    for (std::size_t name = 0; name < mesh.name_count(); ++name) {
       for (const Direction dir : {Direction::kIn, Direction::kOut}) {
-        const PortId slot = renumber(base.slot_id(node, name, dir));
-        EXPECT_EQ(derived.slot_id(node, name, dir), slot);
-        if (dir == Direction::kOut && slot != kInvalidPort) {
-          out_names |= std::uint64_t{1} << name;
-        }
+        ASSERT_EQ(mesh.slot_id(node, name, dir),
+                  oracle.slot_id(node, name, dir))
+            << "node " << node << " name " << name;
       }
     }
-    EXPECT_EQ(derived.out_exists_mask(node), out_names) << "node " << node;
   }
-  // Terminal ports never fail: every base destination and source survives.
-  std::vector<PortId> dests;
-  for (const PortId dest : base.destination_ids()) {
-    dests.push_back(renumber(dest));
+  EXPECT_EQ(mesh.destination_ids(), oracle.destination_ids());
+  EXPECT_EQ(mesh.source_ids(), oracle.source_ids());
+}
+
+/// Checks the grid \p mesh, built with \p faults, against the oracle and
+/// against \p base: removed_base_ports() names the base ports the faults
+/// remove, and \p mesh numbers its ports as \p base does with those
+/// skipped (what the delta builder's id translation rests on).
+void expect_faulted(const Mesh2D& base, const std::vector<LinkFault>& faults,
+                    const Mesh2D& mesh) {
+  const std::vector<PortId> removed = removed_base_ports(base, faults);
+  ASSERT_EQ(removed, expected_removed(base, faults));
+  EXPECT_EQ(mesh.failed_links(), faults);
+  EXPECT_EQ(mesh.has_faults(), !faults.empty());
+  EXPECT_EQ(mesh.family(), base.family());
+  expect_matches_oracle(OracleGrid(base.width(), base.height(), base.wraps_x(),
+                                   base.wraps_y(), faults),
+                        mesh);
+  ASSERT_EQ(mesh.port_count() + removed.size(), base.port_count());
+  PortId pid = 0;
+  for (PortId was = 0; was < base.port_count(); ++was) {
+    if (!std::binary_search(removed.begin(), removed.end(), was)) {
+      ASSERT_EQ(mesh.port_label(pid++), base.port_label(was));
+    }
   }
-  EXPECT_EQ(derived.destination_ids(), dests);
-  for (std::size_t d = 0; d < dests.size(); ++d) {
-    EXPECT_EQ(derived.dest_index_of(dests[d]), d);
+  EXPECT_TRUE(port_liveness(mesh).all_live());
+}
+
+TEST(FaultDerivation, UnfaultedGridsMatchTheEnumeratingOracle) {
+  for (const Grid& grid : small_grids()) {
+    SCOPED_TRACE(describe(grid));
+    expect_matches_oracle(
+        OracleGrid(grid.width, grid.height, grid.wrap_x, grid.wrap_y),
+        Mesh2D(grid.width, grid.height, grid.wrap_x, grid.wrap_y));
   }
-  std::vector<PortId> sources;
-  for (const PortId source : base.source_ids()) {
-    sources.push_back(renumber(source));
+  for (const bool wrap : {false, true}) {
+    SCOPED_TRACE(wrap ? "64x64 torus" : "64x64 mesh");
+    const Mesh2D mesh(64, 64, wrap, wrap);
+    expect_matches_oracle(OracleGrid(64, 64, wrap, wrap), mesh);
+    EXPECT_TRUE(removed_base_ports(mesh, {}).empty());
   }
-  EXPECT_EQ(derived.source_ids(), sources);
-  EXPECT_TRUE(port_liveness(derived).all_live());
 }
 
 TEST(FaultDerivation, EverySingleFaultAndSeededTriplesOnEverySmallGrid) {
@@ -187,9 +198,7 @@ TEST(FaultDerivation, EverySingleFaultAndSeededTriplesOnEverySmallGrid) {
         tokens += link_fault_token(fault) + " ";
       }
       SCOPED_TRACE("failed " + tokens);
-      expect_derived(base, faults, Mesh2D(base, faults));
-      // The by-shape constructor derives from its own unfaulted grid.
-      expect_derived(base, faults,
+      expect_faulted(base, faults,
                      Mesh2D(grid.width, grid.height, grid.wrap_x, grid.wrap_y,
                             faults));
       ++cases;
@@ -202,72 +211,37 @@ TEST(FaultDerivation, DuplicateFaultsAreIdempotent) {
   const Mesh2D base(5, 4, true, false);
   const LinkFault fault{4, PortName::kEast};  // the wrap link of row 0
   const LinkFault peer = link_fault_peer(fault, 5, 4, true, false);
-  const Mesh2D once(base, {fault});
-  const Mesh2D thrice(base, {fault, peer, fault});
-  EXPECT_EQ(thrice.removed_base_ports(), once.removed_base_ports());
-  EXPECT_EQ(thrice.removed_base_ports().size(), 4u);
+  const std::vector<LinkFault> repeated = {fault, peer, fault};
+  const Mesh2D once(5, 4, true, false, {fault});
+  const Mesh2D thrice(5, 4, true, false, repeated);
+  EXPECT_EQ(removed_base_ports(base, repeated),
+            removed_base_ports(base, {fault}));
+  EXPECT_EQ(removed_base_ports(base, repeated).size(), 4u);
   // The faults are kept as given, duplicates and all.
-  EXPECT_EQ(thrice.failed_links(), (std::vector<LinkFault>{fault, peer, fault}));
+  EXPECT_EQ(thrice.failed_links(), repeated);
   ASSERT_EQ(thrice.port_count(), once.port_count());
   for (PortId pid = 0; pid < once.port_count(); ++pid) {
     EXPECT_EQ(thrice.port_label(pid), once.port_label(pid));
     EXPECT_EQ(thrice.link_target(pid), once.link_target(pid));
   }
-  expect_derived(base, {fault, peer, fault}, thrice);
+  expect_faulted(base, repeated, thrice);
 }
 
 TEST(FaultDerivation, RejectsFaultsTheBaseLacksAndFaultedBases) {
   const Mesh2D base(4, 3);
   // West of column 0 is off-mesh on an unwrapped grid; node 12 is past it.
-  EXPECT_THROW(Mesh2D(base, {LinkFault{0, PortName::kWest}}),
-               ContractViolation);
-  EXPECT_THROW(Mesh2D(base, {LinkFault{12, PortName::kEast}}),
-               ContractViolation);
-  EXPECT_THROW(Mesh2D(base, {LinkFault{-1, PortName::kEast}}),
-               ContractViolation);
-  EXPECT_THROW(Mesh2D(base, {LinkFault{5, PortName::kLocal}}),
-               ContractViolation);
-  EXPECT_THROW(Mesh2D(4, 3, false, false, {LinkFault{0, PortName::kWest}}),
-               ContractViolation);
-  const Mesh2D faulted(base, {LinkFault{5, PortName::kEast}});
-  EXPECT_THROW(Mesh2D(faulted, {LinkFault{0, PortName::kEast}}),
-               ContractViolation);
-}
-
-/// A Topology carved out of a grid by derive_topology with an arbitrary
-/// removed list: the seal's checks, not the grid's fault rules.
-class Carved final : public Topology {
- public:
-  Carved(const Mesh2D& base, const std::vector<PortId>& removed)
-      : base_(base) {
-    derive_topology(base, removed);
+  for (const LinkFault& missing :
+       {LinkFault{0, PortName::kWest}, LinkFault{12, PortName::kEast},
+        LinkFault{-1, PortName::kEast}, LinkFault{5, PortName::kLocal}}) {
+    SCOPED_TRACE(link_fault_token(missing));
+    EXPECT_THROW(Mesh2D(4, 3, false, false, {missing}), ContractViolation);
+    EXPECT_THROW((void)removed_base_ports(base, {missing}),
+                 ContractViolation);
   }
-  std::string family() const override { return "carved"; }
-  std::string node_label(std::size_t node) const override {
-    return base_.node_label(node);
-  }
-
- private:
-  const Mesh2D& base_;
-};
-
-TEST(FaultDerivation, DeriveTopologyKeepsTheSealsChecks) {
-  const Mesh2D base(3, 3);
-  const PortId out = base.slot_id(4, static_cast<std::size_t>(PortName::kEast),
-                                  Direction::kOut);
-  const PortId in = base.link_target(out);
-  // Removing one end of a link but not the other strands the other.
-  EXPECT_THROW(Carved(base, {in}), ContractViolation);
-  EXPECT_THROW(Carved(base, {out}), ContractViolation);
-  // Unsorted, repeated and out-of-range removal lists are rejected.
-  EXPECT_THROW(Carved(base, {in, out}), ContractViolation);
-  EXPECT_THROW(Carved(base, {out, out}), ContractViolation);
-  EXPECT_THROW(Carved(base, {static_cast<PortId>(base.port_count())}),
+  // Removed ports are named in an unfaulted grid's ids.
+  const Mesh2D faulted(4, 3, false, false, {LinkFault{5, PortName::kEast}});
+  EXPECT_THROW((void)removed_base_ports(faulted, {LinkFault{0, PortName::kEast}}),
                ContractViolation);
-  // Removing both ends of the channel is a consistent topology.
-  const Carved carved(base, {std::min(in, out), std::max(in, out)});
-  EXPECT_EQ(carved.port_count(), base.port_count() - 2);
-  EXPECT_EQ(carved.destination_count(), base.destination_count());
 }
 
 /// The connectivity rule's report on \p text, alone.
@@ -476,21 +450,21 @@ TEST(FaultDerivation, CampaignContextsDeriveFromTheBaseGrid) {
   const auto& base_mesh = dynamic_cast<const Mesh2D&>(base->topology());
   const InstanceSpec vspec =
       base_spec->with_failed_links({"7:E", "20:S", "5:E"});
-  const AnalysisArtifacts derived(vspec, base);
+  const AnalysisArtifacts variant(vspec, base);
   const AnalysisArtifacts built(vspec);
-  const auto& mesh = dynamic_cast<const Mesh2D&>(derived.topology());
+  const auto& mesh = dynamic_cast<const Mesh2D&>(variant.topology());
   std::vector<LinkFault> faults;
   for (const std::string& token : vspec.failed_links) {
     faults.push_back(*parse_link_fault(token, nullptr));
   }
-  expect_derived(base_mesh, faults, mesh);
+  expect_faulted(base_mesh, faults, mesh);
   // A context built without the base has the very same port graph.
   ASSERT_EQ(built.topology().port_count(), mesh.port_count());
   for (PortId pid = 0; pid < mesh.port_count(); ++pid) {
     EXPECT_EQ(built.topology().port_label(pid), mesh.port_label(pid));
     EXPECT_EQ(built.topology().link_target(pid), mesh.link_target(pid));
   }
-  // A base of another shape is rejected, not silently derived from.
+  // A base of another shape is rejected, not silently used as the delta base.
   const auto other = std::make_shared<AnalysisArtifacts>(
       *parse_instance_spec("topology=torus size=5x6 routing=torus_xy escape=xy",
                            &error));

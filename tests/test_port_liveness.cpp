@@ -6,7 +6,7 @@
 // away from valid, once per defect, and the seal must reject each (a link
 // into a terminal port already fails at set_link). The oracle tests check
 // the proof's conclusion with the two-BFS oracle on every registry preset
-// and on each family at small sizes (the derived fault variants are
+// and on each family at small sizes (the faulted grids are
 // checked in test_fault_derivation).
 #include <gtest/gtest.h>
 
