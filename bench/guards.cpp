@@ -32,6 +32,7 @@
 #include "routing/xy.hpp"
 #include "util/stopwatch.hpp"
 #include "verify/artifacts.hpp"
+#include "verify/pipeline.hpp"
 
 namespace {
 
@@ -188,26 +189,33 @@ void campaign_rebuild_mesh16_single(benchmark::State& state) {
   report_rss(state);
 }
 
-// Fault-campaign per-variant set-up: the analysis context of every 31st
-// single-fault variant of the 32x32 XY mesh (64 variants), wired to the
-// campaign's base context as run_campaign wires it. CI gates its time per
-// iteration (all 64 variants) with an absolute ceiling. The next bench
-// times one unfaulted grid build, its side a run-time argument.
+// Fault-campaign per-variant work: every 31st single-fault variant of the
+// 32x32 XY mesh (64 variants) as run_campaign runs it — the analysis
+// context wired to the campaign's certified base, the three screen rules
+// and the standard pipeline. CI gates its time per iteration (all 64
+// variants) with an absolute ceiling. The next bench times one unfaulted
+// grid build, its side a run-time argument.
 void campaign_context_mesh32_single(benchmark::State& state) {
   std::string error;
   const InstanceSpec base_spec =
       *parse_instance_spec("topology=mesh size=32x32 routing=xy", &error);
   const auto base = std::make_shared<AnalysisArtifacts>(base_spec);
+  base->certified_acyclic(nullptr);
   const FaultModel model(base_spec);
   const FaultPlan single;
   std::vector<InstanceSpec> variants;
   for (std::size_t i = 0; i < model.variant_count(single); i += 31) {
     variants.push_back(model.variant(single, i));
   }
+  const Analyzer screen = *Analyzer::from_rule_names(
+      {"spec_sanity", "fault_sanity", "connectivity"}, &error);
+  const VerifyPipeline& pipeline = VerifyPipeline::standard();
   for (auto _ : state) {
     for (const InstanceSpec& vspec : variants) {
-      const AnalysisArtifacts context(vspec, base);
-      benchmark::DoNotOptimize(context.topology().port_count());
+      AnalysisArtifacts context(vspec, base);
+      benchmark::DoNotOptimize(screen.run(vspec, context).checks);
+      benchmark::DoNotOptimize(
+          pipeline.run(vspec, context, {}).verdict.deadlock_free);
     }
   }
   state.counters["variants"] =

@@ -27,6 +27,59 @@ std::string join_names(const std::vector<std::string>& names) {
 
 }  // namespace
 
+AnalyzeContext::AnalyzeContext(const InstanceSpec& spec,
+                               const AnalysisArtifacts& artifacts,
+                               const AnalyzeOptions& options,
+                               AnalyzeReport& report,
+                               std::function<const PortDepGraph&()> dep_graph)
+    : spec(spec),
+      options(options),
+      report(report),
+      dep_graph(std::move(dep_graph)),
+      artifacts_(&artifacts) {}
+
+AnalyzeContext::AnalyzeContext(const InstanceSpec& spec,
+                               const Topology& topology,
+                               const RoutingFunction& routing,
+                               const RoutingFunction* escape,
+                               const AnalyzeOptions& options,
+                               AnalyzeReport& report,
+                               std::function<const PortDepGraph&()> dep_graph)
+    : spec(spec),
+      options(options),
+      report(report),
+      dep_graph(std::move(dep_graph)),
+      topology_(&topology),
+      routing_(&routing),
+      escape_(escape) {}
+
+const Topology& AnalyzeContext::topology() const {
+  return artifacts_ != nullptr ? artifacts_->topology() : *topology_;
+}
+
+const RoutingFunction& AnalyzeContext::routing() const {
+  return artifacts_ != nullptr ? artifacts_->routing() : *routing_;
+}
+
+const RoutingFunction* AnalyzeContext::escape() const {
+  return artifacts_ != nullptr ? artifacts_->escape_routing() : escape_;
+}
+
+ScreenModel AnalyzeContext::screen_model() const {
+  if (artifacts_ == nullptr) {
+    static const std::vector<LinkFault> kNoFaults;
+    const Mesh2D* grid = routing_->grid();
+    return {*topology_, *routing_,
+            grid != nullptr ? grid->failed_links() : kNoFaults, nullptr};
+  }
+  // A wired variant reads its base's grid and routing; any other context
+  // its own.
+  const AnalysisArtifacts& model =
+      artifacts_->base() != nullptr ? *artifacts_->base() : *artifacts_;
+  return {model.topology(), model.routing(), artifacts_->faults(),
+          &model.out_mask_histograms()};
+}
+
 Analyzer::Analyzer(std::vector<const AnalysisRule*> rules)
     : rules_(std::move(rules)) {}
 
@@ -107,28 +160,42 @@ AnalyzeReport Analyzer::run(const InstanceSpec& spec, const Topology& topology,
   const auto build = [&]() -> const PortDepGraph& {
     return graph ? *graph : graph.emplace(build_dep_graph_fast(routing, pool));
   };
-  return run(spec, topology, routing, escape, options, build);
-}
-
-AnalyzeReport Analyzer::run(
-    const InstanceSpec& spec, const Topology& topology,
-    const RoutingFunction& routing, const RoutingFunction* escape,
-    const AnalyzeOptions& options,
-    std::function<const PortDepGraph&()> dep_graph) const {
-  obs::TraceSpan run_span("analyze");
-  Stopwatch timer;
-
   AnalyzeReport report;
-  report.instance = display_name(spec);
-  report.spec = to_spec_string(spec);
   report.topology = topology.family();
   report.routing = routing.name();
   report.nodes = topology.node_count();
   report.ports = topology.port_count();
-  report.rules.reserve(rules_.size());
+  AnalyzeContext ctx(spec, topology, routing, escape, options, report, build);
+  run(ctx);
+  return report;
+}
 
-  AnalyzeContext ctx{spec, topology, routing, escape, options, report,
-                     std::move(dep_graph)};
+AnalyzeReport Analyzer::run(const InstanceSpec& spec,
+                            AnalysisArtifacts& artifacts,
+                            const AnalyzeOptions& options,
+                            ThreadPool* pool) const {
+  AnalyzeReport report;
+  const ModelFacts& facts = artifacts.facts();
+  report.topology = facts.family;
+  report.routing = facts.routing;
+  report.nodes = facts.nodes;
+  report.ports = facts.ports;
+  AnalyzeContext ctx(spec, artifacts, options, report,
+                     [&]() -> const PortDepGraph& {
+                       return artifacts.dep_graph(false, pool);
+                     });
+  run(ctx);
+  return report;
+}
+
+void Analyzer::run(AnalyzeContext& ctx) const {
+  obs::TraceSpan run_span("analyze");
+  Stopwatch timer;
+
+  AnalyzeReport& report = ctx.report;
+  report.instance = display_name(ctx.spec);
+  report.spec = to_spec_string(ctx.spec);
+  report.rules.reserve(rules_.size());
   for (const AnalysisRule* rule : rules_) {
     obs::TraceSpan rule_span(rule->name());
     Stopwatch rule_timer;
@@ -156,18 +223,6 @@ AnalyzeReport Analyzer::run(
     }
     rules_run.add(ran);
   }
-  return report;
-}
-
-AnalyzeReport Analyzer::run(const InstanceSpec& spec,
-                            AnalysisArtifacts& artifacts,
-                            const AnalyzeOptions& options,
-                            ThreadPool* pool) const {
-  return run(spec, artifacts.topology(), artifacts.routing(),
-             artifacts.escape_routing(), options,
-             [&]() -> const PortDepGraph& {
-               return artifacts.dep_graph(false, pool);
-             });
 }
 
 }  // namespace genoc

@@ -68,7 +68,9 @@ class Analyzer {
   /// Runs over an existing artifact context (the `verify` integration: the
   /// batch's ArtifactStore already owns the topology/routing/escape for
   /// this spec prefix — analyze the same objects instead of rebuilding
-  /// them). The dependency graph is artifacts.dep_graph(false, pool).
+  /// them). The dependency graph is artifacts.dep_graph(false, pool). The
+  /// report header reads artifacts.facts(), so a wired fault variant
+  /// derives its grid only for a rule that reads the model itself.
   AnalyzeReport run(const InstanceSpec& spec, AnalysisArtifacts& artifacts,
                     const AnalyzeOptions& options = {},
                     ThreadPool* pool = nullptr) const;
@@ -76,11 +78,8 @@ class Analyzer {
  private:
   explicit Analyzer(std::vector<const AnalysisRule*> rules);
 
-  AnalyzeReport run(const InstanceSpec& spec, const Topology& topology,
-                    const RoutingFunction& routing,
-                    const RoutingFunction* escape,
-                    const AnalyzeOptions& options,
-                    std::function<const PortDepGraph&()> dep_graph) const;
+  /// Runs every rule over \p ctx, whose report header is filled.
+  void run(AnalyzeContext& ctx) const;
 
   std::vector<const AnalysisRule*> rules_;
 };

@@ -30,6 +30,7 @@
 
 namespace genoc {
 
+class AnalysisArtifacts;
 struct PortDepGraph;
 
 /// Work bounds of one analyzer run. Rules that sweep a (port x destination)
@@ -85,15 +86,45 @@ struct AnalyzeReport {
   bool clean() const { return findings() == 0; }
 };
 
-/// Everything a rule may read or write while running. Unlike CheckContext
-/// this carries the model constituents directly (not the artifact cache):
-/// rules are read-only consumers of topology/routing, so tests can inject
-/// seeded-mutant routings without registering fake instances.
-struct AnalyzeContext {
-  const InstanceSpec& spec;
+/// What the connectivity screen reads, none of it a fault variant's own
+/// grid: a grid of the instance's SHAPE, the failed links, and a routing
+/// over that grid. Out masks read positions only, so a variant wired to its
+/// unfaulted base passes the base grid and routing, and the base's
+/// histograms serve every variant of a campaign.
+struct ScreenModel {
+  /// The instance's topology, or its base's unfaulted grid.
   const Topology& topology;
-  const RoutingFunction& routing;
-  const RoutingFunction* escape = nullptr;  ///< escape lane, or nullptr
+  const RoutingFunction& routing;        ///< routes `topology`
+  const std::vector<LinkFault>& faults;  ///< as given; empty off grids
+  /// Out-mask histograms of `routing`, or nullptr: the rule then counts
+  /// the ones it needs itself.
+  const OutMaskHistograms* histograms;
+};
+
+/// Everything a rule may read or write while running. Unlike CheckContext
+/// the model is read through accessors, over either an artifact context or
+/// constituents injected directly: rules are read-only consumers of
+/// topology/routing, so tests can inject seeded-mutant routings without
+/// registering fake instances.
+struct AnalyzeContext {
+  /// Reads the model from \p artifacts: a wired fault variant derives its
+  /// grid only when a rule asks for topology(), routing() or escape().
+  AnalyzeContext(const InstanceSpec& spec, const AnalysisArtifacts& artifacts,
+                 const AnalyzeOptions& options, AnalyzeReport& report,
+                 std::function<const PortDepGraph&()> dep_graph);
+  /// Reads the injected constituents; \p escape may be nullptr.
+  AnalyzeContext(const InstanceSpec& spec, const Topology& topology,
+                 const RoutingFunction& routing, const RoutingFunction* escape,
+                 const AnalyzeOptions& options, AnalyzeReport& report,
+                 std::function<const PortDepGraph&()> dep_graph);
+
+  const Topology& topology() const;
+  const RoutingFunction& routing() const;
+  const RoutingFunction* escape() const;  ///< escape lane, or nullptr
+  /// The connectivity screen's inputs (see ScreenModel).
+  ScreenModel screen_model() const;
+
+  const InstanceSpec& spec;
   const AnalyzeOptions& options;
   /// The report under construction: rules append to report.diagnostics.
   /// (report.rules is managed by the Analyzer.)
@@ -103,6 +134,12 @@ struct AnalyzeContext {
   /// verify pipeline then reads, or one built for this run. The pool given
   /// to Analyzer::run shards this build and nothing else.
   std::function<const PortDepGraph&()> dep_graph;
+
+ private:
+  const AnalysisArtifacts* artifacts_ = nullptr;
+  const Topology* topology_ = nullptr;
+  const RoutingFunction* routing_ = nullptr;
+  const RoutingFunction* escape_ = nullptr;
 };
 
 /// One analyzer rule. Implementations are stateless singletons owned by

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -202,7 +203,8 @@ class TurnConformanceRule final : public AnalysisRule {
   StageStats run(AnalyzeContext& ctx) const override {
     StageStats stats;
     stats.stage = name();
-    const Mesh2D* mesh = ctx.routing.grid();
+    const RoutingFunction& routing = ctx.routing();
+    const Mesh2D* mesh = routing.grid();
     if (mesh == nullptr || !has_turn_discipline(ctx.spec.routing)) {
       stats.ran = false;
       stats.passed = true;
@@ -211,7 +213,7 @@ class TurnConformanceRule final : public AnalysisRule {
       return stats;
     }
     stats.ran = true;
-    const Topology& topo = ctx.topology;
+    const Topology& topo = ctx.topology();
     const std::string& discipline = ctx.spec.routing;
     // [column parity][travel][out] over the cardinal names E, W, N, S,
     // which are grid name indices 0-3 (Local, the terminal, is 4).
@@ -259,8 +261,8 @@ class TurnConformanceRule final : public AnalysisRule {
       std::size_t d = 0;
       for (; d < topo.destination_count(); ++d) {
         hops.clear();
-        if (ctx.routing.closure_reachable_id(in_id, d)) {
-          ctx.routing.next_hop_ids_into(in_id, d, hops, scratch);
+        if (routing.closure_reachable_id(in_id, d)) {
+          routing.next_hop_ids_into(in_id, d, hops, scratch);
         }
         if (std::find(hops.begin(), hops.end(), out_id) != hops.end()) {
           break;
@@ -341,8 +343,8 @@ class UniformityRule final : public AnalysisRule {
     StageStats stats;
     stats.stage = name();
     using Claimant = std::pair<const RoutingFunction*, const char*>;
-    const Claimant claimants[] = {{&ctx.routing, "routing"},
-                                  {ctx.escape, "escape"}};
+    const Claimant claimants[] = {{&ctx.routing(), "routing"},
+                                  {ctx.escape(), "escape"}};
     bool any_claim = false;
     std::vector<Claimant> audited;
     for (const auto& [function, role] : claimants) {
@@ -370,7 +372,7 @@ class UniformityRule final : public AnalysisRule {
             "construction (NodeUniformRouting)";
       } else {
         stats.skip_reason =
-            ctx.escape == nullptr
+            ctx.escape() == nullptr
                 ? "routing does not claim node-uniformity (port-mode closure)"
                 : "neither routing nor escape lane claims node-uniformity "
                   "(port-mode closure)";
@@ -406,7 +408,7 @@ class UniformityRule final : public AnalysisRule {
   void audit(AnalyzeContext& ctx, const RoutingFunction& routing,
              const char* function, StageStats& stats,
              std::uint64_t& violations) const {
-    const Topology& topo = ctx.topology;
+    const Topology& topo = ctx.topology();
     const std::size_t dests = topo.destination_count();
     const std::size_t nodes = topo.node_count();
     const std::size_t names = topo.name_count();
@@ -475,8 +477,8 @@ class TotalityRule final : public AnalysisRule {
     StageStats stats;
     stats.stage = name();
     stats.ran = true;
-    const Topology& topo = ctx.topology;
-    const RoutingFunction& routing = ctx.routing;
+    const Topology& topo = ctx.topology();
+    const RoutingFunction& routing = ctx.routing();
     const Mesh2D* mesh = routing.grid();
     const bool check_minimal = mesh != nullptr && routing.is_minimal();
     const std::size_t dests = topo.destination_count();
@@ -595,15 +597,15 @@ class EscapeCoverageRule final : public AnalysisRule {
   StageStats run(AnalyzeContext& ctx) const override {
     StageStats stats;
     stats.stage = name();
-    if (ctx.escape == nullptr) {
+    if (ctx.escape() == nullptr) {
       stats.ran = false;
       stats.passed = true;
       stats.skip_reason = "spec declares no escape lane";
       return stats;
     }
     stats.ran = true;
-    const Topology& topo = ctx.topology;
-    const RoutingFunction& escape = *ctx.escape;
+    const Topology& topo = ctx.topology();
+    const RoutingFunction& escape = *ctx.escape();
     std::size_t findings = 0;
 
     const PortDepGraph dep = build_dep_graph_fast(escape);
@@ -802,6 +804,152 @@ class FaultSanityRule final : public AnalysisRule {
   }
 };
 
+/// A topology's links minus failed ones, walked without a grid of the
+/// faulted shape: a node's surviving out-port names are its topology's
+/// minus the names its failed links cut, and on a grid the neighbour
+/// behind a name comes from coordinate arithmetic. \p topology may be the
+/// faulted grid itself or any grid of its shape; off grids there are no
+/// faults and the link table is walked.
+class SurvivingLinks {
+ public:
+  SurvivingLinks(const Topology& topology,
+                 const std::vector<LinkFault>& faults)
+      : topo_(topology), grid_(dynamic_cast<const Mesh2D*>(&topology)) {
+    GENOC_REQUIRE(grid_ != nullptr || faults.empty(),
+                  "failed links name grid links");
+    cut_.reserve(faults.size() * 2);
+    for (const LinkFault& fault : faults) {
+      cut_.push_back(fault);
+      cut_.push_back(peer(fault));
+    }
+    std::sort(cut_.begin(), cut_.end());
+    cut_.erase(std::unique(cut_.begin(), cut_.end()), cut_.end());
+  }
+
+  const Mesh2D* grid() const { return grid_; }
+
+  /// The names of \p node's surviving OUT ports, terminal names included.
+  std::uint64_t out_mask(std::size_t node) const {
+    std::uint64_t mask = topo_.out_exists_mask(node);
+    for (auto it = std::lower_bound(
+             cut_.begin(), cut_.end(),
+             LinkFault{static_cast<std::int32_t>(node), PortName::kEast});
+         it != cut_.end() && static_cast<std::size_t>(it->node) == node;
+         ++it) {
+      mask &= ~(std::uint64_t{1} << static_cast<unsigned>(it->name));
+    }
+    return mask;
+  }
+
+  /// OUT ports that survive, over every node.
+  std::uint64_t out_port_count() const {
+    std::uint64_t count = 0;
+    for (std::size_t node = 0; node < topo_.node_count(); ++node) {
+      count += static_cast<std::uint64_t>(
+          std::popcount(topo_.out_exists_mask(node)));
+    }
+    for (const LinkFault& end : cut_) {
+      count -= (topo_.out_exists_mask(static_cast<std::size_t>(end.node)) >>
+                static_cast<unsigned>(end.name)) &
+               1u;
+    }
+    return count;
+  }
+
+  /// Calls \p visit with the node behind each surviving link out of
+  /// \p node, whose surviving names are \p names (out_mask(node)).
+  template <typename Visit>
+  void for_each_neighbour(std::size_t node, std::uint64_t names,
+                          Visit&& visit) const {
+    if (grid_ == nullptr) {
+      const PortId* slots = topo_.node_slots(node);
+      for (; names != 0; names &= names - 1) {
+        const auto name = static_cast<std::size_t>(std::countr_zero(names));
+        const PortId target = topo_.link_target(
+            slots[name * 2 + static_cast<std::size_t>(Direction::kOut)]);
+        if (target != kInvalidPort) {  // else ejection, not a link
+          visit(topo_.node_of(target));
+        }
+      }
+      return;
+    }
+    const auto w = static_cast<std::size_t>(grid_->width());
+    const auto h = static_cast<std::size_t>(grid_->height());
+    const std::size_t x = node % w;
+    const std::size_t y = node / w;
+    // The arithmetic wraps at every border; only a wrapped one has the
+    // name. North decreases y.
+    if ((names & port_name_bit(PortName::kEast)) != 0) {
+      visit(y * w + (x + 1 == w ? 0 : x + 1));
+    }
+    if ((names & port_name_bit(PortName::kWest)) != 0) {
+      visit(y * w + (x == 0 ? w - 1 : x - 1));
+    }
+    if ((names & port_name_bit(PortName::kNorth)) != 0) {
+      visit((y == 0 ? h - 1 : y - 1) * w + x);
+    }
+    if ((names & port_name_bit(PortName::kSouth)) != 0) {
+      visit((y + 1 == h ? 0 : y + 1) * w + x);
+    }
+  }
+
+  /// The nodes at either end of a failed link: sorted, distinct.
+  std::vector<std::size_t> endpoint_nodes() const {
+    std::vector<std::size_t> nodes;
+    for (const LinkFault& end : cut_) {
+      if (nodes.empty() || nodes.back() != static_cast<std::size_t>(end.node)) {
+        nodes.push_back(static_cast<std::size_t>(end.node));
+      }
+    }
+    return nodes;
+  }
+
+  /// True iff every failed link's endpoint nodes reach each other over the
+  /// surviving links: one BFS per link, stopped at the other endpoint, so a
+  /// fault with a short detour costs a few nodes, not the whole grid.
+  bool endpoints_connected() const {
+    std::vector<std::uint32_t> seen;
+    std::vector<std::size_t> queue;
+    std::uint32_t stamp = 0;
+    for (const LinkFault& end : cut_) {
+      const LinkFault other = peer(end);
+      if (other < end) {
+        continue;  // the link's other endpoint starts its one BFS
+      }
+      const auto goal = static_cast<std::size_t>(other.node);
+      seen.resize(topo_.node_count(), 0);
+      ++stamp;
+      queue.assign(1, static_cast<std::size_t>(end.node));
+      seen[queue.front()] = stamp;
+      bool reached = false;
+      for (std::size_t head = 0; head < queue.size() && !reached; ++head) {
+        const std::size_t node = queue[head];
+        for_each_neighbour(node, out_mask(node), [&](std::size_t next) {
+          reached = reached || next == goal;
+          if (seen[next] != stamp) {
+            seen[next] = stamp;
+            queue.push_back(next);
+          }
+        });
+      }
+      if (!reached) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+ private:
+  LinkFault peer(const LinkFault& fault) const {
+    return link_fault_peer(fault, grid_->width(), grid_->height(),
+                           grid_->wraps_x(), grid_->wraps_y());
+  }
+
+  const Topology& topo_;
+  const Mesh2D* grid_;
+  std::vector<LinkFault> cut_;  ///< both ends of every failed link, sorted
+};
+
 /// Rule 7: connectivity under faults. The topology seal proves every port
 /// live, and so it is on a network SPLIT by failed links too: each half
 /// keeps its own sources and sinks. This rule asks the campaign's
@@ -812,6 +960,12 @@ class FaultSanityRule final : public AnalysisRule {
 /// destination (`route-disconnected`, a WARNING: a minimal routing
 /// strands traffic at a fault but the deadlock verdict on what it does
 /// route stays well-posed).
+///
+/// It reads only ctx.screen_model(): a grid of the instance's shape, the
+/// failed links and a routing over that grid. A campaign variant wired to
+/// its base thus runs it on the base grid and routing, with no grid of its
+/// own: links are walked by coordinate arithmetic, skipping failed ones,
+/// and route coverage reads the base's per-node out-mask histograms.
 class ConnectivityRule final : public AnalysisRule {
  public:
   const char* name() const override { return "connectivity"; }
@@ -826,139 +980,32 @@ class ConnectivityRule final : public AnalysisRule {
     StageStats stats;
     stats.stage = name();
     stats.ran = true;
-    const Topology& topo = ctx.topology;
-    const std::size_t nodes = topo.node_count();
+    const ScreenModel model = ctx.screen_model();
+    const Topology& topo = model.topology;
+    const SurvivingLinks links(topo, model.faults);
 
     // An unfaulted grid is connected, so a faulted one is iff each failed
     // link's two endpoint nodes still reach each other (a base path detours
     // around every removed link). Then no node is cut off, and the full
-    // BFS below would have visited every node and counted each OUT port
-    // once.
+    // BFS below would have visited every node and counted each surviving
+    // OUT port once.
     std::uint64_t disconnected = 0;
-    const auto* grid = dynamic_cast<const Mesh2D*>(&topo);
-    if (grid != nullptr && fault_endpoints_connected(*grid)) {
-      for (std::size_t node = 0; node < nodes; ++node) {
-        stats.checks += static_cast<std::uint64_t>(
-            std::popcount(topo.out_exists_mask(node)));
-      }
+    if (links.grid() != nullptr && links.endpoints_connected()) {
+      stats.checks += links.out_port_count();
     } else {
-      // The full BFS from the first terminal node, which counts every OUT
-      // port it scans and lists the terminal nodes it never reaches. Links
-      // are removed in pairs (both directions of a channel), so the node
-      // graph is symmetric and one BFS decides mutual connectivity.
-      const std::size_t names = topo.name_count();
-      std::vector<char> terminal(nodes, 0);
-      for (const PortId source : topo.source_ids()) {
-        terminal[topo.node_of(source)] = 1;
-      }
-      for (const PortId dest : topo.destination_ids()) {
-        terminal[topo.node_of(dest)] = 1;
-      }
-      std::vector<char> seen(nodes, 0);
-      std::vector<std::size_t> queue;
-      queue.reserve(nodes);
-      for (std::size_t node = 0; node < nodes; ++node) {
-        if (terminal[node]) {
-          seen[node] = 1;
-          queue.push_back(node);
-          break;
-        }
-      }
-      while (!queue.empty()) {
-        const std::size_t node = queue.back();
-        queue.pop_back();
-        const PortId* slots = topo.node_slots(node);
-        for (std::size_t n = 0; n < names; ++n) {
-          const PortId out =
-              slots[n * 2 + static_cast<std::size_t>(Direction::kOut)];
-          if (out == kInvalidPort) {
-            continue;
-          }
-          ++stats.checks;
-          const PortId target = topo.link_target(out);
-          if (target == kInvalidPort) {
-            continue;  // terminal out-port: ejection, not a link
-          }
-          const std::size_t next = topo.node_of(target);
-          if (!seen[next]) {
-            seen[next] = 1;
-            queue.push_back(next);
-          }
-        }
-      }
-      for (std::size_t node = 0; node < nodes; ++node) {
-        if (!terminal[node] || seen[node]) {
-          continue;
-        }
-        ++disconnected;
-        if (disconnected <= ctx.options.max_findings_per_code) {
-          ctx.report.diagnostics.push_back(make_diagnostic(
-              name(), Severity::kError, "net-disconnected",
-              "terminal node " + topo.node_label(node) +
-                  " is cut off from the rest of the network by the failed "
-                  "links",
-              {{"node", topo.node_label(node)}}));
-        }
-      }
+      disconnected = full_bfs(ctx, topo, links, stats);
     }
 
     // Routing-level coverage: node-uniform routings expose the exact local
     // test "does node n select any surviving out-port toward d". With
     // faults present only the fault-endpoint nodes can have lost coverage
-    // (masks are position-based), so those are checked exhaustively over
-    // every destination; fault-free models sample destinations instead.
+    // (masks are position-based), so those are checked over every
+    // destination; fault-free models sample destinations instead.
     std::uint64_t uncovered = 0;
-    if (ctx.routing.node_uniform()) {
-      const std::size_t dests = topo.destination_count();
-      const Mesh2D* mesh = ctx.routing.grid();
-      std::vector<std::size_t> check_nodes;
-      std::size_t stride = 1;
-      if (mesh != nullptr && mesh->has_faults()) {
-        for (const LinkFault& fault : mesh->failed_links()) {
-          const LinkFault peer =
-              link_fault_peer(fault, mesh->width(), mesh->height(),
-                              mesh->wraps_x(), mesh->wraps_y());
-          check_nodes.push_back(static_cast<std::size_t>(fault.node));
-          check_nodes.push_back(static_cast<std::size_t>(peer.node));
-        }
-        std::sort(check_nodes.begin(), check_nodes.end());
-        check_nodes.erase(
-            std::unique(check_nodes.begin(), check_nodes.end()),
-            check_nodes.end());
-      } else {
-        check_nodes.resize(nodes);
-        for (std::size_t node = 0; node < nodes; ++node) {
-          check_nodes[node] = node;
-        }
-        stride = stride_for(dests, nodes, ctx.options.state_budget);
-      }
-      for (std::size_t d = 0; d < dests; d += stride) {
-        const PortId dest_id = topo.destination_id(d);
-        const std::size_t dest_node = topo.node_of(dest_id);
-        for (const std::size_t node : check_nodes) {
-          if (node == dest_node) {
-            continue;
-          }
-          ++stats.checks;
-          const std::uint64_t mask =
-              ctx.routing.out_mask_id(node, d) & topo.out_exists_mask(node);
-          if (mask != 0) {
-            continue;
-          }
-          ++uncovered;
-          if (uncovered <= ctx.options.max_findings_per_code) {
-            ctx.report.diagnostics.push_back(make_diagnostic(
-                name(), Severity::kWarning, "route-disconnected",
-                "routing selects no surviving out-port at node " +
-                    topo.node_label(node) + " toward " +
-                    topo.port_label(dest_id) +
-                    " — traffic strands at the fault (deadlock verdict "
-                    "on routed traffic stays well-posed)",
-                {{"node", topo.node_label(node)},
-                 {"destination", topo.port_label(dest_id)}}));
-          }
-        }
-      }
+    if (model.routing.node_uniform()) {
+      uncovered = model.faults.empty()
+                      ? sampled_coverage(ctx, model, stats)
+                      : endpoint_coverage(ctx, model, links, stats);
     }
 
     stats.passed = disconnected == 0 && uncovered == 0;
@@ -987,49 +1034,157 @@ class ConnectivityRule final : public AnalysisRule {
   }
 
  private:
-  /// True iff every failed link's endpoint nodes reach each other over the
-  /// surviving links: one BFS per fault, stopped at the other endpoint, so
-  /// a fault with a short detour costs a few nodes, not the whole grid.
-  static bool fault_endpoints_connected(const Mesh2D& mesh) {
-    if (!mesh.has_faults()) {
-      return true;
+  /// The full BFS from the first terminal node, which counts every
+  /// surviving OUT port it scans and lists the terminal nodes it never
+  /// reaches; returns their number. Links are removed in pairs (both
+  /// directions of a channel), so the node graph is symmetric and one BFS
+  /// decides mutual connectivity.
+  std::uint64_t full_bfs(AnalyzeContext& ctx, const Topology& topo,
+                         const SurvivingLinks& links,
+                         StageStats& stats) const {
+    const std::size_t nodes = topo.node_count();
+    std::vector<char> terminal(nodes, 0);
+    for (const PortId source : topo.source_ids()) {
+      terminal[topo.node_of(source)] = 1;
     }
-    std::vector<std::uint32_t> seen(mesh.node_count(), 0);
+    for (const PortId dest : topo.destination_ids()) {
+      terminal[topo.node_of(dest)] = 1;
+    }
+    std::vector<char> seen(nodes, 0);
     std::vector<std::size_t> queue;
-    std::uint32_t stamp = 0;
-    for (const LinkFault& fault : mesh.failed_links()) {
-      const auto goal = static_cast<std::size_t>(
-          link_fault_peer(fault, mesh.width(), mesh.height(), mesh.wraps_x(),
-                          mesh.wraps_y())
-              .node);
-      ++stamp;
-      queue.assign(1, static_cast<std::size_t>(fault.node));
-      seen[queue.front()] = stamp;
-      bool reached = false;
-      for (std::size_t head = 0; head < queue.size() && !reached; ++head) {
-        const PortId* slots = mesh.node_slots(queue[head]);
-        for (const PortName name : {PortName::kEast, PortName::kWest,
-                                    PortName::kNorth, PortName::kSouth}) {
-          const PortId out = slots[port_slot(name, Direction::kOut)];
-          if (out == kInvalidPort) {
-            continue;
-          }
-          const std::size_t next = mesh.node_of(mesh.link_target(out));
-          reached = reached || next == goal;
-          if (seen[next] != stamp) {
-            seen[next] = stamp;
-            queue.push_back(next);
-          }
+    queue.reserve(nodes);
+    for (std::size_t node = 0; node < nodes; ++node) {
+      if (terminal[node]) {
+        seen[node] = 1;
+        queue.push_back(node);
+        break;
+      }
+    }
+    while (!queue.empty()) {
+      const std::size_t node = queue.back();
+      queue.pop_back();
+      const std::uint64_t names = links.out_mask(node);
+      stats.checks += static_cast<std::uint64_t>(std::popcount(names));
+      links.for_each_neighbour(node, names, [&](std::size_t next) {
+        if (!seen[next]) {
+          seen[next] = 1;
+          queue.push_back(next);
+        }
+      });
+    }
+    std::uint64_t disconnected = 0;
+    for (std::size_t node = 0; node < nodes; ++node) {
+      if (!terminal[node] || seen[node]) {
+        continue;
+      }
+      ++disconnected;
+      if (disconnected <= ctx.options.max_findings_per_code) {
+        ctx.report.diagnostics.push_back(make_diagnostic(
+            name(), Severity::kError, "net-disconnected",
+            "terminal node " + topo.node_label(node) +
+                " is cut off from the rest of the network by the failed "
+                "links",
+            {{"node", topo.node_label(node)}}));
+      }
+    }
+    return disconnected;
+  }
+
+  /// One route-disconnected finding: \p node selects no surviving
+  /// out-port toward destination \p d.
+  void emit_uncovered(AnalyzeContext& ctx, const Topology& topo,
+                      std::size_t node, std::size_t d) const {
+    const std::string dest = topo.port_label(topo.destination_id(d));
+    ctx.report.diagnostics.push_back(make_diagnostic(
+        name(), Severity::kWarning, "route-disconnected",
+        "routing selects no surviving out-port at node " +
+            topo.node_label(node) + " toward " + dest +
+            " — traffic strands at the fault (deadlock verdict on routed "
+            "traffic stays well-posed)",
+        {{"node", topo.node_label(node)}, {"destination", dest}}));
+  }
+
+  /// Fault-free coverage: every node against every stride-th destination.
+  std::uint64_t sampled_coverage(AnalyzeContext& ctx, const ScreenModel& model,
+                                 StageStats& stats) const {
+    const Topology& topo = model.topology;
+    const std::size_t nodes = topo.node_count();
+    const std::size_t dests = topo.destination_count();
+    const std::size_t stride = stride_for(dests, nodes, ctx.options.state_budget);
+    std::uint64_t uncovered = 0;
+    for (std::size_t d = 0; d < dests; d += stride) {
+      const std::size_t dest_node = topo.node_of(topo.destination_id(d));
+      for (std::size_t node = 0; node < nodes; ++node) {
+        if (node == dest_node) {
+          continue;
+        }
+        ++stats.checks;
+        if ((model.routing.out_mask_id(node, d) & topo.out_exists_mask(node)) !=
+            0) {
+          continue;
+        }
+        if (++uncovered <= ctx.options.max_findings_per_code) {
+          emit_uncovered(ctx, topo, node, d);
         }
       }
-      if (!reached) {
-        return false;
+    }
+    return uncovered;
+  }
+
+  /// Faulted coverage at the fault-endpoint nodes, over every destination.
+  /// A node's uncovered count is a subset sum of its out-mask histogram:
+  /// the destinations whose mask misses every surviving name. Only the
+  /// capped findings are located, scanning destinations in order until the
+  /// cap or every node's count is met.
+  std::uint64_t endpoint_coverage(AnalyzeContext& ctx,
+                                  const ScreenModel& model,
+                                  const SurvivingLinks& links,
+                                  StageStats& stats) const {
+    std::optional<OutMaskHistograms> local;
+    const OutMaskHistograms& histograms =
+        model.histograms != nullptr ? *model.histograms
+                                    : local.emplace(model.routing);
+    struct Endpoint {
+      std::size_t node;
+      std::uint64_t alive;      ///< surviving out-port names
+      std::uint64_t uncovered;  ///< findings left to locate
+    };
+    std::vector<Endpoint> endpoints;
+    std::uint64_t uncovered = 0;
+    for (const std::size_t node : links.endpoint_nodes()) {
+      const OutMaskHistogram& histogram = histograms.at(node);
+      Endpoint endpoint{node, links.out_mask(node), 0};
+      for (std::size_t mask = 0; mask < histogram.size(); ++mask) {
+        stats.checks += histogram[mask];
+        if ((mask & endpoint.alive) == 0) {
+          endpoint.uncovered += histogram[mask];
+        }
+      }
+      uncovered += endpoint.uncovered;
+      endpoints.push_back(endpoint);
+    }
+    const Topology& topo = model.topology;
+    std::uint64_t pending =
+        std::min(uncovered, ctx.options.max_findings_per_code);
+    for (std::size_t d = 0; pending != 0 && d < topo.destination_count();
+         ++d) {
+      const std::size_t dest_node = topo.node_of(topo.destination_id(d));
+      for (Endpoint& endpoint : endpoints) {
+        if (endpoint.uncovered == 0 || endpoint.node == dest_node ||
+            (model.routing.out_mask_id(endpoint.node, d) & endpoint.alive) !=
+                0) {
+          continue;
+        }
+        --endpoint.uncovered;
+        emit_uncovered(ctx, topo, endpoint.node, d);
+        if (--pending == 0) {
+          break;
+        }
       }
     }
-    return true;
+    return uncovered;
   }
 };
-
 }  // namespace
 
 RuleRegistry::RuleRegistry() {

@@ -13,19 +13,24 @@
 ///      connectivity rule subset first; a variant with an error-severity
 ///      finding (a shattered network, a duplicate fault) is SCREENED on its
 ///      stable diagnostic codes without spending a verify. Connectivity
-///      costs one short BFS per failed link: the grid stays connected iff
-///      each link's endpoints still reach each other.
+///      reads the base grid, the fault list and the base routing, never a
+///      variant grid: one short BFS per failed link by coordinate
+///      arithmetic (the grid stays connected iff each link's endpoints
+///      still reach each other), and route coverage at the fault endpoints
+///      as a subset sum of per-node out-mask histograms, built once per
+///      campaign on the base.
 ///   2. BATCH-SHARED ARTIFACTS: one ArtifactStore holds the unfaulted BASE
 ///      context; its dependency graph and closure are built once, and every
 ///      variant keeps only a LOCAL artifact cache wired to that base (the
 ///      store's hit counters make the sharing assertable).
-///   3. CLOSED-FORM GRIDS, STREAMED SPECS: a variant's grid comes from
-///      Mesh2D's one fill, node by node from each node's boundary mask
-///      minus its failed links, with no per-port round trips; the base ids
-///      of the removed ports cost four slot lookups per fault
-///      (removed_base_ports). Each variant spec is built inside its shard
-///      (FaultModel::variant), so a double-fault plan never holds its
-///      O(links^2) specs at once.
+///   3. LAZY GRIDS, STREAMED SPECS: a variant's context is wired to the
+///      base and builds no grid. The base ids of the removed ports cost
+///      four slot lookups per fault (removed_base_ports), the report
+///      headers read the base's facts less those ports, and the grid
+///      (Mesh2D's one closed-form fill) is derived only when a stage needs
+///      it: a cyclic base's delta build and escape analysis. Each
+///      variant spec is built inside its shard (FaultModel::variant), so a
+///      double-fault plan never holds its O(links^2) specs at once.
 ///   4. INHERITED VERDICTS, DELTA GRAPHS: for link faults on node-uniform
 ///      routings the variant dependency graph is the base graph's induced
 ///      subgraph on the surviving ports. Under an acyclic base every

@@ -44,8 +44,10 @@ constexpr const char* kUsage =
     "first; variants with error-severity findings (net-disconnected,\n"
     "sanity-fault-*) are SCREENED on their codes without spending a verify.\n"
     "Survivors verify through the standard pipeline against one shared\n"
-    "artifact store — the base dependency graph is built once and each\n"
-    "node-uniform variant's graph is derived from it by delta.\n";
+    "artifact store — the base dependency graph is built once. Under an\n"
+    "acyclic base every node-uniform variant inherits its certified\n"
+    "verdict, with no graph or grid of its own; under a cyclic base the\n"
+    "variant's graph is derived from the base graph by delta.\n";
 
 }  // namespace
 

@@ -108,6 +108,17 @@ std::unique_ptr<SwitchingPolicy> make_switching(const std::string& name) {
   return nullptr;
 }
 
+std::string switching_policy_name(const std::string& name) {
+  if (name == "wormhole") {
+    return WormholeSwitching::kName;
+  }
+  if (name == "store_forward") {
+    return StoreForwardSwitching::kName;
+  }
+  GENOC_REQUIRE(false, "unknown switching policy '" + name + "'");
+  return {};
+}
+
 NetworkInstance::NetworkInstance(const InstanceSpec& spec)
     : spec_(spec),
       context_(std::make_unique<AnalysisArtifacts>(spec_)),

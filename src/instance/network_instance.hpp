@@ -43,6 +43,10 @@ std::unique_ptr<RoutingFunction> make_routing(const std::string& name,
 /// Switching-policy factory over known_switchings().
 std::unique_ptr<SwitchingPolicy> make_switching(const std::string& name);
 
+/// The name() of the policy make_switching(\p name) would build, without
+/// building one.
+std::string switching_policy_name(const std::string& name);
+
 class NetworkInstance {
  public:
   /// Builds the analysis context and the switching policy. Requires

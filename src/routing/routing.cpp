@@ -321,4 +321,50 @@ const std::uint64_t* RoutingFunction::closure_row(
   return scratch.words_.data();
 }
 
+OutMaskHistograms::OutMaskHistograms(const RoutingFunction& routing)
+    : routing_(&routing) {}
+
+OutMaskHistograms::~OutMaskHistograms() {
+  if (slots_ != nullptr) {
+    for (std::size_t node = 0; node < routing_->topology().node_count();
+         ++node) {
+      delete slots_[node].load(std::memory_order_relaxed);
+    }
+  }
+}
+
+const OutMaskHistogram& OutMaskHistograms::at(std::size_t node) const {
+  GENOC_REQUIRE(routing_->node_uniform() && routing_->grid() != nullptr,
+                "out-mask histograms need a node-uniform grid routing");
+  const Topology& topo = routing_->topology();
+  std::call_once(slots_once_, [&] {
+    slots_ = std::make_unique<std::atomic<OutMaskHistogram*>[]>(
+        topo.node_count());
+    for (std::size_t i = 0; i < topo.node_count(); ++i) {
+      slots_[i].store(nullptr, std::memory_order_relaxed);
+    }
+  });
+  std::atomic<OutMaskHistogram*>& slot = slots_[node];
+  if (OutMaskHistogram* built = slot.load(std::memory_order_acquire)) {
+    return *built;
+  }
+  auto fresh = std::make_unique<OutMaskHistogram>();
+  fresh->fill(0);
+  for (std::size_t d = 0; d < topo.destination_count(); ++d) {
+    if (topo.node_of(topo.destination_id(d)) == node) {
+      continue;
+    }
+    const std::uint64_t mask = routing_->out_mask_id(node, d);
+    GENOC_ASSERT(mask < fresh->size(), "a grid out mask spans five names");
+    ++(*fresh)[mask];
+  }
+  OutMaskHistogram* expected = nullptr;
+  if (slot.compare_exchange_strong(expected, fresh.get(),
+                                   std::memory_order_release,
+                                   std::memory_order_acquire)) {
+    return *fresh.release();
+  }
+  return *expected;  // another thread won the race; ours is freed here
+}
+
 }  // namespace genoc

@@ -22,6 +22,7 @@
 /// port-mode functions; both tiers stay bit-identical to the dense layout.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -345,6 +346,35 @@ class NodeUniformRouting : public RoutingFunction {
                        std::uint64_t* masks) const final {
     RoutingFunction::fill_node_masks(dest_index, masks);
   }
+};
+
+/// Destinations per out-name mask at one node of a node-uniform grid
+/// routing: entry m counts the destinations off the node toward which
+/// out_mask_id() selects exactly the names m (grid masks span the five names
+/// E, W, N, S, L, hence 32 entries). Out masks read positions only, so one
+/// table serves every fault variant of the grid: the destinations a variant
+/// leaves without a surviving out-port at the node are the entries whose
+/// mask misses every surviving name.
+using OutMaskHistogram = std::array<std::uint32_t, 32>;
+
+/// The OutMaskHistogram of every node of one node-uniform grid routing,
+/// each counted on first touch (one out_mask_id() per destination) and
+/// published by compare-and-swap, as stored closure rows are. Thread-safe:
+/// concurrent callers may touch any node in any order.
+class OutMaskHistograms {
+ public:
+  explicit OutMaskHistograms(const RoutingFunction& routing);
+  ~OutMaskHistograms();
+  OutMaskHistograms(const OutMaskHistograms&) = delete;
+  OutMaskHistograms& operator=(const OutMaskHistograms&) = delete;
+
+  /// The histogram of \p node. Requires a node-uniform grid routing.
+  const OutMaskHistogram& at(std::size_t node) const;
+
+ private:
+  const RoutingFunction* routing_;
+  mutable std::once_flag slots_once_;
+  mutable std::unique_ptr<std::atomic<OutMaskHistogram*>[]> slots_;
 };
 
 /// The exact in_port_union of dimension-order routing on \p mesh, x first

@@ -16,7 +16,10 @@ namespace genoc {
 
 class StoreForwardSwitching final : public SwitchingPolicy {
  public:
-  std::string name() const override { return "store-and-forward"; }
+  /// name(), known without constructing a policy.
+  static constexpr const char* kName = "store-and-forward";
+
+  std::string name() const override { return kName; }
 
   StepResult step(NetworkState& state) const override;
 

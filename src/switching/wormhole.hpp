@@ -17,7 +17,10 @@ namespace genoc {
 
 class WormholeSwitching final : public SwitchingPolicy {
  public:
-  std::string name() const override { return "wormhole"; }
+  /// name(), known without constructing a policy.
+  static constexpr const char* kName = "wormhole";
+
+  std::string name() const override { return kName; }
 
   StepResult step(NetworkState& state) const override;
 

@@ -38,28 +38,83 @@ AnalysisArtifacts::AnalysisArtifacts(const InstanceSpec& spec,
                                      std::shared_ptr<AnalysisArtifacts> base) {
   const std::string invalid = validate_spec(spec);
   GENOC_REQUIRE(invalid.empty(), "invalid instance spec: " + invalid);
-  topo_ = make_topology(spec);
-  routing_ = make_routing(spec.routing, *topo_);
-  if (!spec.escape.empty()) {
-    escape_ = make_routing(spec.escape, *topo_);
+  // Failed links validate only on grids (and as existing, distinct links).
+  faults_.reserve(spec.failed_links.size());
+  for (const std::string& token : spec.failed_links) {
+    faults_.push_back(*parse_link_fault(token, nullptr));
   }
-  if (base == nullptr || spec.failed_links.empty()) {
-    return;  // nothing to delta from — full builds as usual
+  if (base == nullptr || faults_.empty()) {
+    // Nothing to wire to: build the model now.
+    std::call_once(bind_once_, [&] {
+      bind(make_topology(spec), spec.routing, spec.escape);
+    });
+    facts_ = ModelFacts{topo_->family(),       routing_->name(),
+                        topo_->node_count(),   topo_->port_count(),
+                        topo_->destination_count(),
+                        routing_->is_deterministic()};
+    return;
   }
-  // Failed links validate only on grids, so a variant is a mesh, and its
-  // base must be the same grid unfaulted.
-  const auto& mesh = static_cast<const Mesh2D&>(*topo_);
+  // A variant's base must be the same grid unfaulted.
   const auto* base_mesh = dynamic_cast<const Mesh2D*>(&base->topology());
-  GENOC_REQUIRE(base_mesh != nullptr && base_mesh->width() == mesh.width() &&
-                    base_mesh->height() == mesh.height() &&
-                    base_mesh->wraps_x() == mesh.wraps_x() &&
-                    base_mesh->wraps_y() == mesh.wraps_y(),
+  GENOC_REQUIRE(base_mesh != nullptr && base_mesh->width() == spec.width &&
+                    base_mesh->height() == spec.height &&
+                    base_mesh->wraps_x() == spec.wrap_x() &&
+                    base_mesh->wraps_y() == spec.wrap_y(),
                 "delta base context does not match the variant's grid");
-  if (!routing_->node_uniform()) {
-    return;  // the graph is not the base's induced subgraph
-  }
-  removed_base_ports_ = removed_base_ports(*base_mesh, mesh.failed_links());
+  removed_base_ports_ = removed_base_ports(*base_mesh, faults_);
+  facts_ = base->facts();
+  facts_.ports -= removed_base_ports_.size();
+  routing_name_ = spec.routing;
+  escape_name_ = spec.escape;
+  // Otherwise the graph is not the base's induced subgraph.
+  delta_ = base->routing().node_uniform();
   base_ = std::move(base);
+}
+
+void AnalysisArtifacts::bind(std::unique_ptr<Topology> topo,
+                             const std::string& routing,
+                             const std::string& escape) const {
+  topo_ = std::move(topo);
+  routing_ = make_routing(routing, *topo_);
+  if (!escape.empty()) {
+    escape_ = make_routing(escape, *topo_);
+  }
+  histograms_.emplace(*routing_);
+}
+
+void AnalysisArtifacts::derive() const {
+  std::call_once(bind_once_, [this] {
+    // Only a wired variant gets here: every other context bound its model
+    // in the constructor.
+    static obs::Counter& grids =
+        obs::MetricsRegistry::global().counter("artifacts.variant_grids");
+    obs::TraceSpan span("artifact:variant_grid");
+    const auto& base = static_cast<const Mesh2D&>(base_->topology());
+    bind(std::make_unique<Mesh2D>(base.width(), base.height(), base.wraps_x(),
+                                  base.wraps_y(), faults_),
+         routing_name_, escape_name_);
+    grids.increment();
+  });
+}
+
+const Topology& AnalysisArtifacts::topology() const {
+  derive();
+  return *topo_;
+}
+
+const RoutingFunction& AnalysisArtifacts::routing() const {
+  derive();
+  return *routing_;
+}
+
+const RoutingFunction* AnalysisArtifacts::escape_routing() const {
+  derive();
+  return escape_.get();
+}
+
+const OutMaskHistograms& AnalysisArtifacts::out_mask_histograms() const {
+  derive();
+  return *histograms_;
 }
 
 std::string AnalysisArtifacts::key(const InstanceSpec& spec) {
@@ -101,8 +156,8 @@ const PortDepGraph& AnalysisArtifacts::dep_graph_locked(bool generic_builder,
   counters.misses.increment();
   obs::TraceSpan span("artifact:dep_graph");
   if (generic_builder) {
-    dep_ = build_dep_graph(*routing_);
-  } else if (base_ != nullptr) {
+    dep_ = build_dep_graph(routing());
+  } else if (delta_) {
     // Fault-variant delta: filter the base graph instead of re-sweeping.
     // Lock order is variant -> base only (a base never acquires a
     // variant), so the nested dep_graph() cannot deadlock; concurrent
@@ -110,10 +165,10 @@ const PortDepGraph& AnalysisArtifacts::dep_graph_locked(bool generic_builder,
     static obs::Counter& delta_builds =
         obs::MetricsRegistry::global().counter("artifacts.dep_graph.delta_builds");
     const PortDepGraph& base_graph = base_->dep_graph(false, pool);
-    dep_ = build_dep_graph_delta(base_graph, *routing_, removed_base_ports_);
+    dep_ = build_dep_graph_delta(base_graph, routing(), removed_base_ports_);
     delta_builds.increment();
   } else {
-    dep_ = build_dep_graph_fast(*routing_, pool);
+    dep_ = build_dep_graph_fast(routing(), pool);
   }
   return *dep_;
 }
@@ -138,7 +193,7 @@ std::size_t AnalysisArtifacts::edge_count(bool generic_builder,
 
 bool AnalysisArtifacts::inherits_locked(bool generic_builder,
                                         ThreadPool* pool) {
-  if (base_ == nullptr || generic_builder) {
+  if (!delta_ || generic_builder) {
     return false;
   }
   if (!inherits_.has_value()) {
@@ -213,8 +268,8 @@ bool AnalysisArtifacts::certified_acyclic(ThreadPool* pool) {
     return acyclicity_locked(false, pool).acyclic;
   }
   // Only an unfaulted context is a base, and its verdict always comes
-  // with its own graph (a variant's may be inherited, with none).
-  GENOC_REQUIRE(base_ == nullptr,
+  // with its own graph (a delta variant's may be inherited, with none).
+  GENOC_REQUIRE(!delta_,
                 "a fault variant cannot certify verdicts for variants");
   std::vector<std::int64_t> rank;
   const bool decided = acyclicity_.has_value();
@@ -239,7 +294,7 @@ bool AnalysisArtifacts::certified_acyclic(ThreadPool* pool) {
 
 const EscapeAnalysis& AnalysisArtifacts::escape_analysis(ThreadPool* pool) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  GENOC_REQUIRE(escape_ != nullptr,
+  GENOC_REQUIRE(escape_routing() != nullptr,
                 "escape_analysis() on a context without an escape lane");
   static KindCounters counters = kind_counters("escape");
   if (escape_analysis_.has_value()) {
@@ -271,8 +326,8 @@ const ConstraintsArtifact& AnalysisArtifacts::constraints(bool generic_builder,
   counters.misses.increment();
   obs::TraceSpan span("artifact:constraints");
   ConstraintsArtifact result;
-  result.c1 = check_c1(*routing_, dep);
-  result.c2 = check_c2(*routing_, dep);
+  result.c1 = check_c1(routing(), dep);
+  result.c2 = check_c2(routing(), dep);
   constraints_ = std::move(result);
   return *constraints_;
 }

@@ -90,6 +90,18 @@ struct ConstraintsArtifact {
   ConstraintReport c2;
 };
 
+/// What verify and analyze report headers print about a context's model.
+/// A fault variant wired to its base answers them from the base, with no
+/// grid of its own.
+struct ModelFacts {
+  std::string family;        ///< Topology::family()
+  std::string routing;       ///< RoutingFunction::name()
+  std::size_t nodes = 0;
+  std::size_t ports = 0;
+  std::size_t destinations = 0;
+  bool deterministic = false;  ///< RoutingFunction::is_deterministic()
+};
+
 /// The shared artifact cache of one analysis context (a topology + routing
 /// + optional escape lane), built from a spec's analysis prefix. The
 /// context owns its topology, routing and escape lane, so the cached
@@ -105,15 +117,18 @@ class AnalysisArtifacts {
   explicit AnalysisArtifacts(const InstanceSpec& spec);
 
   /// Constructor for a FAULT VARIANT sharing its unfaulted base context.
-  /// When \p spec has failed links, its grid is built as any grid is, and
-  /// the base's ids of the ports its faults removed are looked up once in
-  /// the base grid (removed_base_ports(), O(faults)). With a node-uniform
-  /// routing on top, the variant's dependency graph is the base graph's
-  /// induced subgraph on the surviving ports. Two things follow, the
-  /// campaign hot path:
+  /// When \p spec has failed links, the context is WIRED to \p base: it
+  /// looks up the base's ids of the ports its faults remove
+  /// (removed_base_ports(), O(faults)) and builds no grid. Its grid and
+  /// routing functions are derived on the first topology(), routing() or
+  /// escape_routing() call (counted by `artifacts.variant_grids`); facts()
+  /// and the connectivity screen read the base instead. With a node-uniform
+  /// routing, the variant's dependency graph is the base graph's induced
+  /// subgraph on the surviving ports. Two things follow, the campaign hot
+  /// path:
   ///   - when the base is acyclic, so is the variant: acyclicity() and
-  ///     edge_count() are answered from the base (see acyclicity()), and no
-  ///     variant graph is built unless dep_graph() itself is asked for;
+  ///     edge_count() are answered from the base (see acyclicity()), and
+  ///     neither a graph nor a grid is built unless asked for;
   ///   - otherwise the graph is built by DELTA from the base graph
   ///     (build_dep_graph_delta) instead of a full rebuild.
   /// \p base must be the context of this spec with failed_links cleared
@@ -134,10 +149,29 @@ class AnalysisArtifacts {
   /// (mesh8-xy vs mesh8-xy-sf) share every artifact.
   static std::string key(const InstanceSpec& spec);
 
-  const Topology& topology() const { return *topo_; }
-  const RoutingFunction& routing() const { return *routing_; }
+  /// The model constituents. A wired fault variant derives them on the
+  /// first call (once, thread-safe); every other context built them in its
+  /// constructor.
+  const Topology& topology() const;
+  const RoutingFunction& routing() const;
   /// The escape-lane routing, or nullptr when the context has none.
-  const RoutingFunction* escape_routing() const { return escape_.get(); }
+  const RoutingFunction* escape_routing() const;
+
+  /// The report-header facts, known without deriving a wired variant's
+  /// grid: the base's, less the removed ports.
+  const ModelFacts& facts() const { return facts_; }
+
+  /// The unfaulted base this fault variant is wired to, or nullptr.
+  const AnalysisArtifacts* base() const { return base_.get(); }
+
+  /// The failed links of the spec, as given (empty when unfaulted).
+  const std::vector<LinkFault>& faults() const { return faults_; }
+
+  /// Per-node out-mask histograms of routing(), counted on first touch and
+  /// kept for the life of the context; on a campaign's base they serve the
+  /// connectivity screen of every variant. Requires a node-uniform grid
+  /// routing to read.
+  const OutMaskHistograms& out_mask_histograms() const;
 
   /// The port dependency graph. \p generic_builder selects the quadratic
   /// oracle (bit-identical to the fast builder, so a cached graph is reused
@@ -198,16 +232,30 @@ class AnalysisArtifacts {
   /// Base side: this graph's edge count once \p removed (sorted base ids)
   /// and every edge touching them are deleted. Needs certified_acyclic().
   std::size_t surviving_edge_count(const std::vector<PortId>& removed);
+  /// Binds the model constituents: \p topo plus the routings named.
+  void bind(std::unique_ptr<Topology> topo, const std::string& routing,
+            const std::string& escape) const;
+  /// Derives a wired variant's grid and routings on first use.
+  void derive() const;
 
   // Declared topology first: the routings (and the cached graph) point
-  // into it, so it is destroyed last.
-  std::unique_ptr<Topology> topo_;
-  std::unique_ptr<RoutingFunction> routing_;
-  std::unique_ptr<RoutingFunction> escape_;  ///< null without an escape lane
+  // into it, so it is destroyed last. Bound once, through bind_once_.
+  mutable std::unique_ptr<Topology> topo_;
+  mutable std::unique_ptr<RoutingFunction> routing_;
+  mutable std::unique_ptr<RoutingFunction> escape_;  ///< null without a lane
+  mutable std::optional<OutMaskHistograms> histograms_;
+  mutable std::once_flag bind_once_;
+  ModelFacts facts_;
+  std::vector<LinkFault> faults_;
 
-  // Fault-variant delta state: the unfaulted base context (keeps the base
-  // graph alive and shares its compute across every variant of a campaign).
+  // Fault-variant state: the unfaulted base context (keeps the base graph
+  // alive and shares its compute across every variant of a campaign), the
+  // routing names the lazy derivation binds, and whether the variant's
+  // graph is the base graph's induced subgraph (a node-uniform routing).
   std::shared_ptr<AnalysisArtifacts> base_;
+  std::string routing_name_;
+  std::string escape_name_;
+  bool delta_ = false;
   std::vector<PortId> removed_base_ports_;  ///< variant: sorted base ids
   std::optional<bool> inherits_;          ///< variant: asked the base yet?
   std::optional<std::size_t> edge_count_;  ///< variant: inherited count

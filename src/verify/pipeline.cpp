@@ -79,10 +79,10 @@ class BuildDepGraphCheck final : public Check {
     InstanceVerdict& verdict = ctx.report.verdict;
     verdict.edges =
         ctx.artifacts.edge_count(ctx.options.generic_builder, ctx.pool);
-    stats.checks = static_cast<std::uint64_t>(
-                       ctx.artifacts.topology().port_count()) *
-                       ctx.artifacts.topology().destination_count() +
-                   verdict.edges;
+    const ModelFacts& facts = ctx.artifacts.facts();
+    stats.checks =
+        static_cast<std::uint64_t>(facts.ports) * facts.destinations +
+        verdict.edges;
     verdict.checks += stats.checks;
     stats.ran = true;
     stats.passed = true;
@@ -389,11 +389,14 @@ VerifyReport VerifyPipeline::run(const InstanceSpec& spec,
   verdict.instance = display_name(spec);
   verdict.spec = to_spec_string(spec);
   verdict.topology = spec.topology;
-  verdict.routing = artifacts.routing().name();
-  verdict.switching = make_switching(spec.switching)->name();
-  verdict.nodes = artifacts.topology().node_count();
-  verdict.ports = artifacts.topology().port_count();
-  verdict.deterministic = artifacts.routing().is_deterministic();
+  // The header reads facts(), so a fault variant wired to its base derives
+  // no grid for it.
+  const ModelFacts& facts = artifacts.facts();
+  verdict.routing = facts.routing;
+  verdict.switching = switching_policy_name(spec.switching);
+  verdict.nodes = facts.nodes;
+  verdict.ports = facts.ports;
+  verdict.deterministic = facts.deterministic;
   verdict.expected_deadlock_free = spec.expect_deadlock_free;
 
   CheckContext ctx{spec, artifacts, options, options.runner, report};

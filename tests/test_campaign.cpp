@@ -17,6 +17,7 @@
 #include "cli/campaign_json.hpp"
 #include "instance/registry.hpp"
 #include "instance/spec.hpp"
+#include "obs/metrics.hpp"
 #include "topology/mesh.hpp"
 #include "util/require.hpp"
 #include "verify/artifacts.hpp"
@@ -29,6 +30,13 @@ InstanceSpec spec_or_die(const std::string& text) {
   const std::optional<InstanceSpec> spec = parse_instance_spec(text, &error);
   EXPECT_TRUE(spec.has_value()) << text << ": " << error;
   return spec.value_or(InstanceSpec{});
+}
+
+/// Grids derived by base-wired contexts so far, process-wide.
+std::uint64_t variant_grids() {
+  return obs::MetricsRegistry::global()
+      .counter("artifacts.variant_grids")
+      .value();
 }
 
 FaultPlan plan_or_die(const std::string& text) {
@@ -194,8 +202,12 @@ TEST(Campaign, SingleFaultMeshIsFullyVerifiedOffOneBaseContext) {
   CampaignOptions options;
   options.plan = plan_or_die("single");
   options.threads = 2;
+  const std::uint64_t grids_before = variant_grids();
   const CampaignReport report =
       run_campaign(spec_or_die("topology=mesh size=6x6 routing=xy"), options);
+  // Variants of an acyclic base build no grid: the screen reads the base
+  // grid and the verdict, edge count and header come from the base.
+  EXPECT_EQ(variant_grids(), grids_before);
   EXPECT_EQ(report.links, 60u);
   EXPECT_EQ(report.variants_total, 60u);
   EXPECT_TRUE(report.all_accounted());
@@ -220,6 +232,20 @@ TEST(Campaign, SingleFaultMeshIsFullyVerifiedOffOneBaseContext) {
     EXPECT_TRUE(out.deadlock_free) << "failed=" << out.faults;
     EXPECT_GT(out.edges, 0u);
   }
+}
+
+TEST(Campaign, CyclicBaseVariantsDeriveOneGridPerVerify) {
+  CampaignOptions options;
+  options.plan = plan_or_die("single");
+  options.threads = 4;
+  const std::uint64_t grids_before = variant_grids();
+  const CampaignReport report = run_campaign(
+      spec_or_die("topology=torus size=4x4 routing=torus_xy escape=xy"),
+      options);
+  EXPECT_GT(report.verified, 0u);
+  // A cyclic base's variants delta-build their graph over their own grid;
+  // the screen alone derives none.
+  EXPECT_EQ(variant_grids() - grids_before, report.verified);
 }
 
 TEST(Campaign, DoubleFaultsOnA3x3ScreenTheShatteredVariants) {

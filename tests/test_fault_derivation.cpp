@@ -5,8 +5,10 @@
 // 3-link draws, and on the 64x64 mesh and torus; they check the removed
 // base ids against the unfaulted tables, the surviving ports against the
 // base's order, and every port live by the liveness oracle. They also pin
-// the connectivity rule's fault-endpoint shortcut against a full BFS, and
-// FaultModel::variant's O(1) unranking of fault pairs.
+// the connectivity rule's fault-endpoint shortcut against a full BFS and
+// its whole report against the rule's old body (connectivity_oracle.hpp),
+// through plain and base-wired contexts, and FaultModel::variant's O(1)
+// unranking of fault pairs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -14,13 +16,16 @@
 #include <cstdint>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "analyze/analyzer.hpp"
 #include "campaign/fault_model.hpp"
+#include "connectivity_oracle.hpp"
 #include "grid_oracle.hpp"
 #include "instance/spec.hpp"
 #include "liveness_oracle.hpp"
+#include "obs/metrics.hpp"
 #include "topology/mesh.hpp"
 #include "util/require.hpp"
 #include "util/rng.hpp"
@@ -381,6 +386,149 @@ TEST(FaultDerivation, ConnectivityShortcutMatchesTheFullBfs) {
     }
   }
   EXPECT_EQ(cut, 5u + 6u + 11u);
+}
+
+/// The rule's report through \p context, against the old rule body over
+/// \p oracle (a context that built its own faulted grid): every
+/// diagnostic whole and in order, and the check count.
+void expect_matches_connectivity_oracle(const InstanceSpec& spec,
+                                        AnalysisArtifacts& context,
+                                        const AnalysisArtifacts& oracle) {
+  std::string error;
+  const std::optional<Analyzer> analyzer =
+      Analyzer::from_rule_names({"connectivity"}, &error);
+  ASSERT_TRUE(analyzer.has_value()) << error;
+  const AnalyzeReport report = analyzer->run(spec, context);
+  std::vector<Diagnostic> expected;
+  const StageStats stats = connectivity_oracle(
+      oracle.topology(), oracle.routing(), AnalyzeOptions{}, expected);
+  ASSERT_EQ(report.rules.size(), 1u);
+  EXPECT_EQ(report.rules.front().checks, stats.checks);
+  EXPECT_EQ(report.rules.front().passed, stats.passed);
+  ASSERT_EQ(report.diagnostics.size(), expected.size());
+  for (std::size_t i = 0; i < expected.size(); ++i) {
+    const Diagnostic& got = report.diagnostics[i];
+    EXPECT_EQ(got.stage, expected[i].stage) << i;
+    EXPECT_EQ(got.severity, expected[i].severity) << i;
+    EXPECT_EQ(got.code, expected[i].code) << i;
+    EXPECT_EQ(got.message, expected[i].message) << i;
+    EXPECT_EQ(got.witness, expected[i].witness) << i;
+  }
+}
+
+TEST(FaultDerivation, ConnectivityMatchesTheOldRuleOnPlainAndWiredContexts) {
+  const std::uint64_t grids_before = obs::MetricsRegistry::global()
+                                         .counter("artifacts.variant_grids")
+                                         .value();
+  std::size_t cases = 0;
+  std::size_t wired = 0;
+  for (const Grid& grid : small_grids()) {
+    if (grid.wrap_y && !grid.wrap_x) {
+      continue;  // no spec family wraps y alone
+    }
+    const char* family =
+        grid.wrap_y ? "torus" : (grid.wrap_x ? "ring" : "mesh");
+    const std::vector<LinkFault> links = links_of(
+        Mesh2D(grid.width, grid.height, grid.wrap_x, grid.wrap_y));
+    std::vector<std::vector<LinkFault>> fault_sets;
+    for (const LinkFault& link : links) {
+      fault_sets.push_back({link});
+    }
+    for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+      Rng rng(seed * 104729 + static_cast<std::uint64_t>(links.size()));
+      const std::vector<std::size_t> order = rng.permutation(links.size());
+      for (const std::size_t count : {2u, 3u}) {
+        if (links.size() >= count) {
+          std::vector<LinkFault> draw;
+          for (std::size_t i = 0; i < count; ++i) {
+            draw.push_back(links[order[i]]);
+          }
+          fault_sets.push_back(draw);
+        }
+      }
+    }
+    const std::vector<std::string> routings =
+        grid.wrap_x ? std::vector<std::string>{"torus_xy"}
+                    : std::vector<std::string>{"xy", "yx", "west_first",
+                                               "north_last", "negative_first"};
+    for (const std::string& routing : routings) {
+      std::string error;
+      const std::optional<InstanceSpec> base_spec = parse_instance_spec(
+          std::string("topology=") + family + " size=" +
+              std::to_string(grid.width) + "x" + std::to_string(grid.height) +
+              " routing=" + routing,
+          &error);
+      ASSERT_TRUE(base_spec.has_value()) << error;
+      const auto base = std::make_shared<AnalysisArtifacts>(*base_spec);
+      for (const std::vector<LinkFault>& faults : fault_sets) {
+        std::vector<std::string> tokens;
+        for (const LinkFault& fault : faults) {
+          tokens.push_back(link_fault_token(fault));
+        }
+        const InstanceSpec spec = base_spec->with_failed_links(tokens);
+        SCOPED_TRACE(to_spec_string(spec));
+        const AnalysisArtifacts oracle(spec);
+        AnalysisArtifacts plain(spec);
+        expect_matches_connectivity_oracle(spec, plain, oracle);
+        AnalysisArtifacts variant(spec, base);
+        expect_matches_connectivity_oracle(spec, variant, oracle);
+        wired += variant.base() != nullptr ? 1 : 0;
+        ++cases;
+      }
+    }
+  }
+  EXPECT_GT(cases, 3000u);
+  EXPECT_EQ(wired, cases);
+  // The screen read the base grid: no wired context derived its own.
+  EXPECT_EQ(obs::MetricsRegistry::global()
+                .counter("artifacts.variant_grids")
+                .value(),
+            grids_before);
+}
+
+TEST(FaultDerivation, WiredContextDerivesOnceUnderConcurrentFirstTouch) {
+  std::string error;
+  const std::optional<InstanceSpec> base_spec =
+      parse_instance_spec("topology=mesh size=8x8 routing=xy", &error);
+  ASSERT_TRUE(base_spec.has_value()) << error;
+  const auto base = std::make_shared<AnalysisArtifacts>(*base_spec);
+  const AnalysisArtifacts variant(base_spec->with_failed_links({"9:E", "20:S"}),
+                                  base);
+  obs::Counter& grids =
+      obs::MetricsRegistry::global().counter("artifacts.variant_grids");
+  const std::uint64_t grids_before = grids.value();
+  const std::size_t nodes = base->topology().node_count();
+  // Each thread touches the variant's lazy grid and every node's histogram
+  // on the base, from a different starting node.
+  constexpr std::size_t kThreads = 4;
+  std::vector<const Topology*> seen(kThreads, nullptr);
+  std::vector<std::vector<const OutMaskHistogram*>> tables(
+      kThreads, std::vector<const OutMaskHistogram*>(nodes, nullptr));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      seen[t] = &variant.topology();
+      for (std::size_t i = 0; i < nodes; ++i) {
+        const std::size_t node = (i + t * nodes / kThreads) % nodes;
+        tables[t][node] = &base->out_mask_histograms().at(node);
+      }
+    });
+  }
+  for (std::thread& thread : threads) {
+    thread.join();
+  }
+  EXPECT_EQ(grids.value() - grids_before, 1u);
+  const OutMaskHistograms fresh(base->routing());
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(seen[t], seen.front());
+    for (std::size_t node = 0; node < nodes; ++node) {
+      // One published table per node, whoever built it, equal to a fresh
+      // count.
+      EXPECT_EQ(tables[t][node], tables.front()[node]) << node;
+      EXPECT_EQ(*tables[t][node], fresh.at(node)) << node;
+    }
+  }
+  EXPECT_EQ(seen.front()->port_count(), variant.facts().ports);
 }
 
 TEST(FaultDerivation, VariantUnranksEveryFaultPair) {

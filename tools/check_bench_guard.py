@@ -45,7 +45,8 @@ the `max_rss_kb` counter.
      --max-ns verify_mesh128_xy=2000000000 pins the headline "mesh128
      verifies in under 2 s at 4 threads", and
      --max-ns campaign_context_mesh32_single=NS bounds what a fault
-     variant's analysis context costs (one iteration builds 64).
+     variant costs a campaign (one iteration runs 64 variants' context,
+     screen rules and verify pipeline).
   7. With --max-rss-kb NAME=KB (repeatable): the named benchmark's
      max_rss_kb (peak process RSS when it finished) must not exceed the
      ceiling — the memory gate for the mesh256-xy verify.
