@@ -806,10 +806,10 @@ class FaultSanityRule final : public AnalysisRule {
 
 /// A topology's links minus failed ones, walked without a grid of the
 /// faulted shape: a node's surviving out-port names are its topology's
-/// minus the names its failed links cut, and on a grid the neighbour
-/// behind a name comes from coordinate arithmetic. \p topology may be the
-/// faulted grid itself or any grid of its shape; off grids there are no
-/// faults and the link table is walked.
+/// minus the names its failed links cut, and the neighbour behind a
+/// surviving name is read from the topology's link table. \p topology may
+/// be the faulted grid itself or the unfaulted grid of its shape; off
+/// grids there are no faults.
 class SurvivingLinks {
  public:
   SurvivingLinks(const Topology& topology,
@@ -861,35 +861,14 @@ class SurvivingLinks {
   template <typename Visit>
   void for_each_neighbour(std::size_t node, std::uint64_t names,
                           Visit&& visit) const {
-    if (grid_ == nullptr) {
-      const PortId* slots = topo_.node_slots(node);
-      for (; names != 0; names &= names - 1) {
-        const auto name = static_cast<std::size_t>(std::countr_zero(names));
-        const PortId target = topo_.link_target(
-            slots[name * 2 + static_cast<std::size_t>(Direction::kOut)]);
-        if (target != kInvalidPort) {  // else ejection, not a link
-          visit(topo_.node_of(target));
-        }
+    const PortId* slots = topo_.node_slots(node);
+    for (; names != 0; names &= names - 1) {
+      const auto name = static_cast<std::size_t>(std::countr_zero(names));
+      const PortId target = topo_.link_target(
+          slots[name * 2 + static_cast<std::size_t>(Direction::kOut)]);
+      if (target != kInvalidPort) {  // else ejection, not a link
+        visit(topo_.node_of(target));
       }
-      return;
-    }
-    const auto w = static_cast<std::size_t>(grid_->width());
-    const auto h = static_cast<std::size_t>(grid_->height());
-    const std::size_t x = node % w;
-    const std::size_t y = node / w;
-    // The arithmetic wraps at every border; only a wrapped one has the
-    // name. North decreases y.
-    if ((names & port_name_bit(PortName::kEast)) != 0) {
-      visit(y * w + (x + 1 == w ? 0 : x + 1));
-    }
-    if ((names & port_name_bit(PortName::kWest)) != 0) {
-      visit(y * w + (x == 0 ? w - 1 : x - 1));
-    }
-    if ((names & port_name_bit(PortName::kNorth)) != 0) {
-      visit((y == 0 ? h - 1 : y - 1) * w + x);
-    }
-    if ((names & port_name_bit(PortName::kSouth)) != 0) {
-      visit((y + 1 == h ? 0 : y + 1) * w + x);
     }
   }
 
@@ -964,8 +943,8 @@ class SurvivingLinks {
 /// It reads only ctx.screen_model(): a grid of the instance's shape, the
 /// failed links and a routing over that grid. A campaign variant wired to
 /// its base thus runs it on the base grid and routing, with no grid of its
-/// own: links are walked by coordinate arithmetic, skipping failed ones,
-/// and route coverage reads the base's per-node out-mask histograms.
+/// own: links are walked over the base grid's link table, skipping failed
+/// ones, and route coverage reads the base's per-node out-mask histograms.
 class ConnectivityRule final : public AnalysisRule {
  public:
   const char* name() const override { return "connectivity"; }

@@ -14,11 +14,11 @@
 ///      finding (a shattered network, a duplicate fault) is SCREENED on its
 ///      stable diagnostic codes without spending a verify. Connectivity
 ///      reads the base grid, the fault list and the base routing, never a
-///      variant grid: one short BFS per failed link by coordinate
-///      arithmetic (the grid stays connected iff each link's endpoints
-///      still reach each other), and route coverage at the fault endpoints
-///      as a subset sum of per-node out-mask histograms, built once per
-///      campaign on the base.
+///      variant grid: one short BFS per failed link over the base grid's
+///      links less the failed ones (the grid stays connected iff each
+///      link's endpoints still reach each other), and route coverage at the
+///      fault endpoints as a subset sum of per-node out-mask histograms,
+///      built once per campaign on the base.
 ///   2. BATCH-SHARED ARTIFACTS: one ArtifactStore holds the unfaulted BASE
 ///      context; its dependency graph and closure are built once, and every
 ///      variant keeps only a LOCAL artifact cache wired to that base (the

@@ -97,26 +97,45 @@ std::unique_ptr<RoutingFunction> make_routing(const std::string& name,
   return nullptr;
 }
 
-std::unique_ptr<SwitchingPolicy> make_switching(const std::string& name) {
-  if (name == "wormhole") {
-    return std::make_unique<WormholeSwitching>();
-  }
-  if (name == "store_forward") {
-    return std::make_unique<StoreForwardSwitching>();
+namespace {
+
+/// One row per known_switchings() value: the spec name, the built policy's
+/// name() and its factory, so naming a policy needs no instance of it.
+struct SwitchingEntry {
+  const char* spec_name;
+  const char* policy_name;
+  std::unique_ptr<SwitchingPolicy> (*make)();
+};
+
+template <typename Policy>
+std::unique_ptr<SwitchingPolicy> make_policy() {
+  return std::make_unique<Policy>();
+}
+
+constexpr SwitchingEntry kSwitchings[] = {
+    {"wormhole", WormholeSwitching::kName, &make_policy<WormholeSwitching>},
+    {"store_forward", StoreForwardSwitching::kName,
+     &make_policy<StoreForwardSwitching>},
+};
+
+const SwitchingEntry& switching_entry(const std::string& name) {
+  for (const SwitchingEntry& entry : kSwitchings) {
+    if (name == entry.spec_name) {
+      return entry;
+    }
   }
   GENOC_REQUIRE(false, "unknown switching policy '" + name + "'");
-  return nullptr;
+  return kSwitchings[0];
+}
+
+}  // namespace
+
+std::unique_ptr<SwitchingPolicy> make_switching(const std::string& name) {
+  return switching_entry(name).make();
 }
 
 std::string switching_policy_name(const std::string& name) {
-  if (name == "wormhole") {
-    return WormholeSwitching::kName;
-  }
-  if (name == "store_forward") {
-    return StoreForwardSwitching::kName;
-  }
-  GENOC_REQUIRE(false, "unknown switching policy '" + name + "'");
-  return {};
+  return switching_entry(name).policy_name;
 }
 
 NetworkInstance::NetworkInstance(const InstanceSpec& spec)
